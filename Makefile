@@ -17,7 +17,7 @@ race:
 # suite, the flight-recorder ring race suite, the daemon race suite
 # (admission, drain, kill -9 chaos, panic/stall flight dumps), study
 # bench smoke, the alloc-gated fast-path, prototype-patch,
-# checkpoint-merge, and shard-log benches, and the poisoned-arena
+# streaming-commit, and shard-log benches, and the poisoned-arena
 # prototype retention suite.
 tier1: build
 	go vet ./...
@@ -28,7 +28,7 @@ tier1: build
 	go test -race ./internal/server/...
 	go test -bench Study -benchtime 1x -run '^$$' .
 	go test -bench 'Exchange|BuildPacket|Deliver|PrototypePatch' -benchtime 1x -run '^$$' ./internal/netsim
-	go test -bench 'CheckpointMerge' -benchtime 1x -run '^$$' ./internal/study
+	go test -bench 'CommitStream' -benchtime 1x -run '^$$' ./internal/study
 	go test -bench 'ShardedOutcomes' -benchtime 1x -run '^$$' ./internal/results/shardlog
 	go test -tags arenadebug -run 'Prototype' ./internal/netsim
 

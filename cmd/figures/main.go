@@ -7,13 +7,14 @@
 // Usage:
 //
 //	figures [-seed N] [-full-vps N] [-provider NAME] [-faults PROFILE]
-//	        [-checkpoint FILE] [-resume FILE] [-retries N] [-quarantine N]
-//	        [-parallel N] [-cpuprofile FILE] [-memprofile FILE]
+//	        [-retries N] [-quarantine N] [-parallel N] [-outcomes DIR]
+//	        [-cpuprofile FILE] [-memprofile FILE]
 //	        [-blockprofile FILE] [-mutexprofile FILE]
 //	        [-metrics FILE] [-trace FILE] [-progress]
 //
-// Ecosystem-scale sweeps stream per-outcome records into a sharded
-// append-only log instead of holding the result set in memory:
+// -outcomes DIR streams every outcome into a sharded append-only log
+// instead of holding the result set in memory; a killed run resumes
+// from the same directory. Ecosystem-scale sweeps always use one:
 //
 //	figures -catalog 200 -outcomes DIR [-shards K] [-months N]
 //
@@ -56,8 +57,6 @@ func main() {
 	provider := flag.String("provider", "", "restrict the run to one provider")
 	jsonPath := flag.String("json", "", "also save the raw study result as JSON to this file")
 	faults := flag.String("faults", "", "inject a fault profile: none, mild, lossy, or hostile")
-	checkpoint := flag.String("checkpoint", "", "write a resumable checkpoint to this file after every vantage point")
-	resume := flag.String("resume", "", "resume the campaign from a checkpoint file")
 	retries := flag.Int("retries", 0, "connect attempts per vantage point (0 = default)")
 	quarantine := flag.Int("quarantine", 0, "consecutive connect failures before a provider is quarantined (0 = default)")
 	parallel := flag.Int("parallel", 0, "campaign worker shards; results are byte-identical for any value (0 = GOMAXPROCS)")
@@ -77,13 +76,8 @@ func main() {
 	if (*catalogN > 0 || *months > 0) && *outcomes == "" {
 		log.Fatal("-catalog/-months sweeps stream their outcomes; set -outcomes DIR")
 	}
-	if *outcomes != "" {
-		if *checkpoint != "" || *resume != "" {
-			log.Fatal("-outcomes replaces -checkpoint/-resume (the log directory resumes itself)")
-		}
-		if *provider != "" || *jsonPath != "" {
-			log.Fatal("-provider/-json are not supported with -outcomes (use vpnaudit, or read the shard log)")
-		}
+	if *outcomes != "" && (*provider != "" || *jsonPath != "") {
+		log.Fatal("-provider/-json are not supported with -outcomes (use vpnaudit, or read the shard log)")
 	}
 
 	stopProf, err := profiling.Start(profiling.Config{
@@ -109,8 +103,8 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM cancel the campaign at the next vantage-point slot
-	// boundary: with -checkpoint (or a streamed -outcomes log), the
-	// interrupted run resumes and regenerates identical figures.
+	// boundary: with -outcomes, the interrupted run resumes from its log
+	// and regenerates identical figures.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
@@ -141,25 +135,6 @@ func main() {
 	}
 
 	cfg := study.RunConfig{ConnectAttempts: *retries, QuarantineAfter: *quarantine, Parallel: *parallel, Ctx: ctx}
-	if *resume != "" {
-		partial, env, err := results.LoadFile(*resume)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if env.Seed != *seed {
-			log.Fatalf("checkpoint %s was taken at seed %d, not %d", *resume, env.Seed, *seed)
-		}
-		cfg.Resume = partial
-		fmt.Printf("resuming from %s: %d vantage points already decided\n",
-			*resume, partial.VPsAttempted)
-	}
-	if *checkpoint != "" {
-		opts := []results.Option{results.WithSeed(*seed)}
-		if *faults != "" {
-			opts = append(opts, results.WithFaultProfile(*faults))
-		}
-		cfg.Checkpoint = results.CheckpointFunc(*checkpoint, opts...)
-	}
 
 	var res *study.Result
 	if *provider != "" {
@@ -174,11 +149,7 @@ func main() {
 		if res != nil {
 			at = res.VPsAttempted
 		}
-		if *checkpoint != "" {
-			log.Printf("interrupted after %d vantage points; resume with -resume %s", at, *checkpoint)
-		} else {
-			log.Printf("interrupted after %d vantage points (no -checkpoint, progress not saved)", at)
-		}
+		log.Printf("interrupted after %d vantage points (progress not saved; -outcomes DIR makes a run resumable)", at)
 		os.Exit(130)
 	}
 	if err != nil {

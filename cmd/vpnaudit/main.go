@@ -6,9 +6,13 @@
 // Usage:
 //
 //	vpnaudit -provider NordVPN [-seed N] [-list] [-faults PROFILE] [-retries N]
-//	         [-checkpoint FILE] [-resume FILE] [-quarantine N] [-parallel N]
+//	         [-outcomes DIR] [-quarantine N] [-parallel N]
 //	         [-cpuprofile FILE] [-memprofile FILE] [-blockprofile FILE]
 //	         [-mutexprofile FILE] [-metrics FILE] [-trace FILE] [-progress]
+//
+// -outcomes DIR makes the audit durable: every vantage-point outcome is
+// appended to a one-shard log in DIR, and a killed audit rerun with the
+// same flags resumes from it and prints the same audit.
 package main
 
 import (
@@ -28,7 +32,7 @@ import (
 	"vpnscope/internal/faultsim"
 	"vpnscope/internal/profiling"
 	"vpnscope/internal/report"
-	"vpnscope/internal/results"
+	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/telemetry"
 
 	"vpnscope/internal/study"
@@ -46,8 +50,7 @@ func main() {
 	pcapDir := flag.String("pcap", "", "directory to write per-vantage-point pcap traces to")
 	faults := flag.String("faults", "", "inject a fault profile: none, mild, lossy, or hostile")
 	retries := flag.Int("retries", 0, "connect attempts per vantage point (0 = default)")
-	checkpoint := flag.String("checkpoint", "", "write a resumable checkpoint to this file after every vantage point")
-	resume := flag.String("resume", "", "resume the audit from a checkpoint file")
+	outcomes := flag.String("outcomes", "", "stream outcomes into this shard-log directory (kill-resumable: rerun with the same flags)")
 	quarantine := flag.Int("quarantine", 0, "consecutive connect failures before the provider is quarantined (0 = default)")
 	parallel := flag.Int("parallel", 0, "campaign worker shards; results are byte-identical for any value (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (pprof format) to this file")
@@ -126,48 +129,66 @@ func main() {
 		}
 		w.EnableFaults(profile)
 	}
+	pcap := func(r *vpntest.VPReport) {
+		if *pcapDir != "" && len(r.Captures) > 0 {
+			if err := writePcap(*pcapDir, r); err != nil {
+				log.Printf("writing pcap for %s: %v", r.VPLabel, err)
+			}
+		}
+	}
 	// SIGINT/SIGTERM cancel the audit at the next vantage-point slot
-	// boundary: the latest checkpoint (when -checkpoint is set) is
-	// already durable, so an interrupted audit resumes with -resume.
+	// boundary: with -outcomes every earlier outcome is already durable,
+	// so rerunning with the same flags resumes the audit.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	cfg := study.RunConfig{ConnectAttempts: *retries, QuarantineAfter: *quarantine, Parallel: *parallel, Ctx: ctx}
-	if *resume != "" {
-		partial, env, err := results.LoadFile(*resume)
+	var lg *shardlog.Log
+	if *outcomes != "" {
+		lg, err = shardlog.Open(*outcomes, shardlog.Meta{Seed: *seed, Shards: 1, FaultProfile: *faults, Month: *month})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if env.Seed != *seed {
-			log.Fatalf("checkpoint %s was taken at seed %d, not %d", *resume, env.Seed, *seed)
+		defer lg.Close()
+		if lg.NextRank() > 0 && !lg.Complete() {
+			if cfg.Resume, err = lg.Resume(); err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("resuming %s: %d vantage points already decided\n", *outcomes, lg.NextRank())
 		}
-		cfg.Resume = partial
-		fmt.Printf("resuming from %s: %d vantage points already decided\n",
-			*resume, partial.VPsAttempted)
+		// Captures are written before Append strips them from the log.
+		cfg.Stream = func(o study.Outcome) error {
+			if o.Report != nil {
+				pcap(o.Report)
+			}
+			return lg.Append(o)
+		}
 	}
-	if *checkpoint != "" {
-		opts := []results.Option{results.WithSeed(*seed)}
-		if *faults != "" {
-			opts = append(opts, results.WithFaultProfile(*faults))
+	var res *study.Result
+	if lg == nil || !lg.Complete() {
+		res, err = w.RunProviderWith(*provider, cfg)
+		stopProgress() // final progress line before the report starts
+		if errors.Is(err, study.ErrCanceled) {
+			stopSignals() // a second signal now kills the process the hard way
+			if lg != nil {
+				log.Printf("interrupted after %d vantage points; rerun with the same flags to resume from %s", lg.NextRank(), *outcomes)
+			} else {
+				log.Printf("interrupted after %d vantage points (progress not saved; -outcomes DIR makes an audit resumable)", res.VPsAttempted)
+			}
+			os.Exit(130)
 		}
-		cfg.Checkpoint = results.CheckpointFunc(*checkpoint, opts...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if lg != nil {
+			if err := lg.MarkComplete(); err != nil {
+				log.Fatal(err)
+			}
+		}
 	}
-	res, err := w.RunProviderWith(*provider, cfg)
-	stopProgress() // final progress line before the report starts
-	if errors.Is(err, study.ErrCanceled) {
-		stopSignals() // a second signal now kills the process the hard way
-		at := 0
-		if res != nil {
-			at = res.VPsAttempted
+	if lg != nil {
+		if res, err = lg.Result(); err != nil {
+			log.Fatal(err)
 		}
-		if *checkpoint != "" {
-			log.Printf("interrupted after %d vantage points; resume with -resume %s", at, *checkpoint)
-		} else {
-			log.Printf("interrupted after %d vantage points (no -checkpoint, progress not saved)", at)
-		}
-		os.Exit(130)
-	}
-	if err != nil {
-		log.Fatal(err)
 	}
 	writeTelemetry(tel, *metricsOut, *traceOut)
 	out := os.Stdout
@@ -183,11 +204,7 @@ func main() {
 	}
 	for _, r := range res.Reports {
 		printReport(out, r)
-		if *pcapDir != "" && len(r.Captures) > 0 {
-			if err := writePcap(*pcapDir, r); err != nil {
-				log.Printf("writing pcap for %s: %v", r.VPLabel, err)
-			}
-		}
+		pcap(r) // in-memory audits only: a log strips captures
 	}
 	report.WriteCollectionHealth(out, res)
 	if tel != nil {

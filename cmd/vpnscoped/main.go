@@ -1,9 +1,9 @@
 // Command vpnscoped is the resident campaign service: a long-running
 // daemon that accepts campaign specs over HTTP/JSON, multiplexes them
-// over a bounded shared worker fleet, streams progress, checkpoints
-// every running campaign after each vantage-point outcome, and — killed
-// or crashed — resumes all in-flight campaigns byte-identically on the
-// next start.
+// over a bounded shared worker fleet, streams progress, appends every
+// vantage-point outcome of a running campaign to its shard log, and —
+// killed or crashed — resumes all in-flight campaigns byte-identically
+// on the next start.
 //
 // Usage:
 //
@@ -17,13 +17,13 @@
 // /metricsz], DELETE /campaigns/{id}, /healthz, /readyz, /metricsz
 // (?format=prom for Prometheus text), /debugz/flightrec. SIGINT/SIGTERM
 // drain gracefully: admission closes (503), running campaigns finish or
-// checkpoint, and the process exits 0. See README "Campaign-as-a-
+// stop with their outcome logs durable, and the process exits 0. See README "Campaign-as-a-
 // service" for a curl walkthrough.
 //
 // Every campaign (and the daemon itself) carries a bounded flight
 // recorder; on panic, terminal failure, drain interrupt, or a stall
 // watchdog fire, its last -flightrec-events events land as NDJSON in
-// the state dir next to the checkpoints. See README "Flight recorder
+// the state dir next to the outcome logs. See README "Flight recorder
 // and watchdog".
 package main
 
@@ -46,11 +46,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vpnscoped: ")
 	addr := flag.String("addr", "127.0.0.1:8080", "HTTP listen address (:0 picks a free port)")
-	state := flag.String("state", "", "state directory for specs, checkpoints, and results (required)")
+	state := flag.String("state", "", "state directory for specs, outcome logs, and results (required)")
 	queue := flag.Int("queue", 16, "admission queue bound; submissions beyond it get 429 + Retry-After")
 	fleet := flag.Int("fleet", runtime.GOMAXPROCS(0), "shared worker-fleet size across all running campaigns")
 	tenantQuota := flag.Int("tenant-quota", 0, "max queued+running campaigns per tenant (0 = unlimited)")
-	drainGrace := flag.Duration("drain-grace", 2*time.Second, "how long a drain lets campaigns finish before checkpointing them")
+	drainGrace := flag.Duration("drain-grace", 2*time.Second, "how long a drain lets campaigns finish before stopping them for resume")
 	retryAfter := flag.Duration("retry-after", 2*time.Second, "Retry-After hint on backpressure responses")
 	metrics := flag.Bool("metrics", false, "enable the telemetry sink backing /metricsz")
 	flightEvents := flag.Int("flightrec-events", 0, "flight-recorder ring size in events per campaign (0 = default 4096, negative disables recorder and watchdog)")

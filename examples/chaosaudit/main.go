@@ -1,7 +1,7 @@
 // Chaosaudit: run a small campaign under the "lossy" fault profile —
 // packet loss, link flaps, resolver blackouts, tunnel resets, and
 // connect refusals, all derived from the seed — with the resilient
-// runner's retry/backoff, quarantine, and checkpointing engaged. The
+// runner's retry/backoff, quarantine, and a durable outcome log engaged. The
 // point: the headline verdicts (Seed4.me injects ads, WorldVPN leaks
 // DNS) survive the chaos, and every vantage point the chaos claimed is
 // accounted for rather than silently dropped.
@@ -19,7 +19,7 @@ import (
 	"vpnscope/internal/ecosystem"
 	"vpnscope/internal/faultsim"
 	"vpnscope/internal/report"
-	"vpnscope/internal/results"
+	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
 	"vpnscope/internal/vpn"
 )
@@ -53,19 +53,36 @@ func main() {
 
 	// The resilient runner: three connect attempts per vantage point
 	// with exponential backoff, a circuit breaker after consecutive
-	// failures, and a checkpoint after every vantage point. Kill this
-	// process mid-run and start it again with RunConfig.Resume — the
-	// final results are byte-identical to an uninterrupted campaign.
-	ckptPath := filepath.Join(os.TempDir(), "chaosaudit-checkpoint.json")
-	res, err := world.RunWith(study.RunConfig{
-		ConnectAttempts: 3,
-		QuarantineAfter: 3,
-		Checkpoint:      results.CheckpointFunc(ckptPath, results.WithSeed(2018), results.WithFaultProfile("lossy")),
-	})
+	// failures, and every outcome appended to a one-shard log. Kill
+	// this process mid-run and start it again: it resumes from the log,
+	// and the final results are byte-identical to an uninterrupted
+	// campaign.
+	logDir := filepath.Join(os.TempDir(), "chaosaudit-outcomes")
+	lg, err := shardlog.Open(logDir, shardlog.Meta{Seed: 2018, Shards: 1, FaultProfile: "lossy"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.Remove(ckptPath)
+	if !lg.Complete() {
+		cfg := study.RunConfig{ConnectAttempts: 3, QuarantineAfter: 3, Stream: lg.Append}
+		if lg.NextRank() > 0 {
+			if cfg.Resume, err = lg.Resume(); err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("resuming: %d vantage points already in %s\n\n", lg.NextRank(), logDir)
+		}
+		if _, err := world.RunWith(cfg); err != nil {
+			log.Fatal(err)
+		}
+		if err := lg.MarkComplete(); err != nil {
+			log.Fatal(err)
+		}
+	}
+	res, err := lg.Result()
+	if err != nil {
+		log.Fatal(err)
+	}
+	lg.Close()
+	defer os.RemoveAll(logDir)
 
 	report.WriteCollectionHealth(os.Stdout, res)
 

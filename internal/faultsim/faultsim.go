@@ -6,7 +6,7 @@
 // re-collection (§5.2, §6.4.2) — and follow-up measurement work shows
 // that which vantage points survive a campaign silently biases the
 // inferred results. faultsim exists so the campaign runner's resilience
-// (retry/backoff, quarantine, checkpoint/resume) can be validated
+// (retry/backoff, quarantine, kill/resume) can be validated
 // against reproducible chaos: every fault schedule derives from a seed
 // and the virtual clock, so a chaos run replays bit-for-bit.
 //

@@ -1,7 +1,7 @@
 // Package flightrec is the black-box flight recorder: a bounded,
 // allocation-free ring buffer of structured runtime events that is
 // carried alongside a campaign (or the daemon as a whole) and dumped —
-// as NDJSON, next to the campaign's spec/ckpt files — when something
+// as NDJSON, next to the campaign's spec and outcome log — when something
 // goes wrong: a panic, a cancellation, a watchdog-detected stall, or an
 // operator request. It is the diagnostic complement to
 // internal/telemetry: telemetry answers "how much / how fast",
@@ -41,8 +41,8 @@ const (
 	// SlotDiscard marks the committer discarding a speculative
 	// measurement that lost to a quarantine decision.
 	SlotDiscard
-	// SlotResume marks a slot absorbed from a checkpoint instead of
-	// being measured.
+	// SlotResume marks a slot absorbed from a resumed outcome log
+	// instead of being measured.
 	SlotResume
 	// Retry marks a connect retry inside a slot. V1 is the attempt
 	// number that failed, V2 the backoff wait in nanoseconds.
@@ -59,9 +59,9 @@ const (
 	// Commit marks the committer committing a slot in canonical order.
 	// Detail is the slot outcome.
 	Commit
-	// Checkpoint marks a timed persistence step (checkpoint write or
-	// stream append). V1 is the wall latency in nanoseconds; Detail
-	// distinguishes "checkpoint" from "stream".
+	// Checkpoint marks a timed persistence step: one outcome handed to
+	// RunConfig.Stream. V1 is the wall latency in nanoseconds; Detail is
+	// "stream".
 	Checkpoint
 	// CommitWait marks the committer having blocked waiting for the
 	// next needed slot. V1 is the wait in nanoseconds.

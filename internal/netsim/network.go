@@ -249,7 +249,7 @@ func (n *Network) fault() FaultHook {
 // reliability draws) from the base seed and a phase label. The campaign
 // runner resets the stream at every vantage-point boundary, which makes
 // each vantage point's measurements independent of how much of the
-// campaign ran before it — the property checkpoint/resume relies on.
+// campaign ran before it — the property kill/resume relies on.
 func (n *Network) ResetStream(label string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -89,8 +89,8 @@ func WriteCollectionHealth(w io.Writer, res *study.Result) {
 		[]string{"provider", "attempted", "measured", "retried", "failed", "quarantined", "test errors"},
 		cells)
 	if attempted == 0 {
-		// An empty campaign (nothing attempted yet — e.g. a checkpoint
-		// taken before the first vantage point) has no measurement rate.
+		// An empty campaign (nothing attempted yet — e.g. one stopped
+		// before the first vantage point) has no measurement rate.
 		fmt.Fprintf(w, "campaign: 0/0 vantage points measured (n/a)\n")
 		return
 	}

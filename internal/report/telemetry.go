@@ -22,7 +22,6 @@ func WriteTelemetrySummary(w io.Writer, s *telemetry.Snapshot) {
 		{"Reports / connect failures / recoveries", fmt.Sprintf("%d / %d / %d", c.Reports, c.ConnectFailures, c.Recoveries)},
 		{"Quarantine trips", fmt.Sprint(c.QuarantineTrips)},
 		{"Faults absorbed (committed slots)", fmt.Sprint(total(c.Faults))},
-		{"Checkpoints written", fmt.Sprintf("%d (%s)", c.Checkpoints, sizeOf(c.CheckpointBytes))},
 		{"Suite virtual time (mean)", meanOf(c.SuiteVirtual)},
 	}
 	Table(w, fmt.Sprintf("Campaign telemetry (%s)", s.Schema), []string{"Metric", "Value"}, rows)
@@ -72,15 +71,4 @@ func hitRate(gets, news int64) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%.1f%% (%d gets, %d misses)", 100*float64(gets-news)/float64(gets), gets, news)
-}
-
-func sizeOf(bytes int64) string {
-	switch {
-	case bytes >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(bytes)/(1<<20))
-	case bytes >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(bytes)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", bytes)
-	}
 }

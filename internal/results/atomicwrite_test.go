@@ -19,7 +19,7 @@ import (
 // tempOrphans counts leftover temp files in dir.
 func tempOrphans(t *testing.T, dir string) int {
 	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(dir, ".checkpoint-*"))
+	matches, err := filepath.Glob(filepath.Join(dir, ".tmp-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestWriteFileAtomicPreservesPrevious(t *testing.T) {
 		t.Fatal(readErr)
 	}
 	if string(got) != "generation-1" {
-		t.Errorf("previous checkpoint corrupted: %q", got)
+		t.Errorf("previous file corrupted: %q", got)
 	}
 	if n := tempOrphans(t, dir); n != 0 {
 		t.Errorf("%d orphaned temp files left", n)
@@ -140,7 +140,12 @@ func TestSaveFileRoundTrip(t *testing.T) {
 	if err := SaveFile(path, res, WithSeed(7)); err != nil {
 		t.Fatal(err)
 	}
-	loaded, env, err := LoadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	loaded, env, err := Load(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,10 @@
 //
 // Schema v2 additionally carries the campaign's resilience record
 // (retry recoveries, provider quarantines, fault profile) and a
-// completeness flag, so a partial checkpoint round-trips and an
-// interrupted campaign resumes from the first unmeasured vantage point.
-// v1 envelopes still load (as complete, with no resilience record).
+// completeness flag. v1 envelopes still load (as complete, with no
+// resilience record). Campaigns become durable while they run through
+// the shard log (package shardlog), not through envelopes: an envelope
+// is written once, from a finished Result.
 //
 // Packet captures are omitted by default (they dominate the size); pass
 // IncludeCaptures to keep them.
@@ -24,7 +25,6 @@ import (
 	"syscall"
 
 	"vpnscope/internal/study"
-	"vpnscope/internal/telemetry"
 	"vpnscope/internal/vpntest"
 )
 
@@ -36,8 +36,9 @@ type Envelope struct {
 	Schema       int    `json:"schema"`
 	Seed         uint64 `json:"seed"`
 	VPsAttempted int    `json:"vps_attempted"`
-	// Complete is false for a mid-campaign checkpoint. v1 envelopes
-	// (which predate checkpointing) load as complete.
+	// Complete is always true for an envelope Save writes; envelopes
+	// written by older versions as mid-campaign snapshots carry false.
+	// v1 envelopes load as complete.
 	Complete bool `json:"complete"`
 	// FaultProfile names the faultsim profile the campaign ran under
 	// (empty for a clean run).
@@ -48,8 +49,8 @@ type Envelope struct {
 	Reports         []*vpntest.VPReport    `json:"reports"`
 }
 
-// Result converts the envelope back into a runnable study result —
-// suitable as study.RunConfig.Resume when Complete is false.
+// Result converts the envelope back into a study result for offline
+// analysis.
 func (e *Envelope) Result() *study.Result {
 	return &study.Result{
 		Reports:         e.Reports,
@@ -66,7 +67,6 @@ type Option func(*options)
 type options struct {
 	includeCaptures bool
 	seed            uint64
-	partial         bool
 	faultProfile    string
 }
 
@@ -78,11 +78,6 @@ func IncludeCaptures() Option {
 // WithSeed records the seed the study ran with.
 func WithSeed(seed uint64) Option {
 	return func(o *options) { o.seed = seed }
-}
-
-// Partial marks the envelope as a mid-campaign checkpoint.
-func Partial() Option {
-	return func(o *options) { o.partial = true }
 }
 
 // WithFaultProfile records the faultsim profile the campaign ran under.
@@ -100,7 +95,7 @@ func Save(w io.Writer, res *study.Result, opts ...Option) error {
 		Schema:          SchemaVersion,
 		Seed:            o.seed,
 		VPsAttempted:    res.VPsAttempted,
-		Complete:        !o.partial,
+		Complete:        true,
 		FaultProfile:    o.faultProfile,
 		ConnectFailures: res.ConnectFailures,
 		Recoveries:      res.Recoveries,
@@ -139,23 +134,13 @@ func Load(r io.Reader) (*study.Result, *Envelope, error) {
 	switch env.Schema {
 	case SchemaVersion:
 	case 1:
-		// v1 predates checkpointing: every saved envelope was a
+		// v1 has no completeness flag: every saved envelope was a
 		// finished campaign.
 		env.Complete = true
 	default:
 		return nil, nil, fmt.Errorf("%w: %d (want 1..%d)", ErrBadSchema, env.Schema, SchemaVersion)
 	}
 	return env.Result(), &env, nil
-}
-
-// LoadFile reads an envelope from disk.
-func LoadFile(path string) (*study.Result, *Envelope, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("results: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }
 
 // Injectable seams for the atomic-write steps, overridden by the
@@ -168,8 +153,8 @@ var (
 	renameFile = os.Rename
 )
 
-// WriteFileAtomic is the durability primitive behind CheckpointFunc and
-// SaveFile: write writes the content to a temp file in path's
+// WriteFileAtomic is the durability primitive behind SaveFile, the
+// shard log's metadata, and the daemon's state dir: write writes the content to a temp file in path's
 // directory, the temp file is fsynced, renamed over path, and the
 // directory entry fsynced — so a crash or power loss at any step leaves
 // either the old file or the new one, never a truncation. On failure
@@ -177,7 +162,7 @@ var (
 // path (and the failing step).
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
-	tmp, err := createTemp(dir, ".checkpoint-*")
+	tmp, err := createTemp(dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("results: writing %s: creating temp: %w", path, err)
 	}
@@ -190,7 +175,7 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	// Flush to stable storage before the rename publishes the file:
 	// rename is atomic against crashes only once the data it points
 	// at is durable, otherwise power loss can leave a truncated or
-	// empty checkpoint under the final name.
+	// empty file under the final name.
 	if err := syncFile(tmp); err != nil {
 		tmp.Close()
 		return fmt.Errorf("results: writing %s: fsync: %w", path, err)
@@ -216,59 +201,8 @@ func SaveFile(path string, res *study.Result, opts ...Option) error {
 	})
 }
 
-// CheckpointFunc returns a study.RunConfig.Checkpoint callback that
-// streams each partial result to path via WriteFileAtomic, so a crash —
-// or a power loss — never corrupts or truncates the previous
-// checkpoint. The envelope is marked Partial; re-save the final result
-// without Partial once the campaign returns.
-func CheckpointFunc(path string, opts ...Option) func(*study.Result) error {
-	opts = append([]Option{Partial()}, opts...)
-	return func(res *study.Result) error {
-		var bytesOut int64
-		err := WriteFileAtomic(path, func(w io.Writer) error {
-			// Count serialized bytes only when telemetry is on, keeping
-			// the disabled path free of the extra writer indirection.
-			var cw *countingWriter
-			dst := w
-			if telemetry.Active() != nil {
-				cw = &countingWriter{w: w}
-				dst = cw
-			}
-			if err := Save(dst, res, opts...); err != nil {
-				return err
-			}
-			if cw != nil {
-				bytesOut = cw.n
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if bytesOut > 0 {
-			if t := telemetry.Active(); t != nil {
-				t.M.CheckpointBytes.Add(bytesOut)
-			}
-		}
-		return nil
-	}
-}
-
-// countingWriter counts bytes passing through to w for the telemetry
-// checkpoint-size counter.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// syncDir fsyncs a directory so a just-renamed checkpoint's directory
-// entry survives power loss too. Filesystems that cannot sync a
+// syncDir fsyncs a directory so a just-renamed file's directory entry
+// survives power loss too. Filesystems that cannot sync a
 // directory handle (some network and FUSE mounts) make this a no-op.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)

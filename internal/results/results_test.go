@@ -3,8 +3,6 @@ package results_test
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,9 +11,9 @@ import (
 	"vpnscope/internal/capture"
 	"vpnscope/internal/ecosystem"
 	"vpnscope/internal/results"
+	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
 	"vpnscope/internal/vpn"
-	"vpnscope/internal/vpntest"
 )
 
 // smallStudy runs one leaky provider with captures on.
@@ -188,8 +186,7 @@ func TestV2ResilienceRoundTrip(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	err := results.Save(&buf, res,
-		results.WithSeed(9), results.Partial(), results.WithFaultProfile("lossy"))
+	err := results.Save(&buf, res, results.WithSeed(9), results.WithFaultProfile("lossy"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +194,8 @@ func TestV2ResilienceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Complete {
-		t.Error("Partial() envelope must load as incomplete")
+	if !env.Complete {
+		t.Error("a saved envelope must load as complete")
 	}
 	if env.FaultProfile != "lossy" {
 		t.Errorf("fault profile = %q", env.FaultProfile)
@@ -208,10 +205,11 @@ func TestV2ResilienceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointResume is the crash-recovery acceptance test: a
-// campaign killed mid-run and resumed on a freshly built world (same
-// seed) must serialize byte-identically to an uninterrupted campaign.
-func TestCheckpointResume(t *testing.T) {
+// TestOutcomeLogResume is the crash-recovery acceptance test: a
+// campaign killed mid-run and resumed from its outcome log on a freshly
+// built world (same seed) must fold into an envelope byte-identical to
+// an uninterrupted campaign's.
+func TestOutcomeLogResume(t *testing.T) {
 	build := func() *study.World {
 		all := ecosystem.TestedSpecs(7, 5)
 		var specs []vpn.ProviderSpec
@@ -242,18 +240,21 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupted run: checkpoint every outcome, die after the third.
-	path := filepath.Join(t.TempDir(), "checkpoint.json")
-	ckpt := results.CheckpointFunc(path, results.WithSeed(7))
+	// Interrupted run: every outcome appended to the log, die after the
+	// third.
+	dir := t.TempDir()
+	meta := shardlog.Meta{Seed: 7, Shards: 1}
+	lg, err := shardlog.Open(dir, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
 	killed := errors.New("campaign killed")
-	outcomes := 0
 	_, err = build().RunWith(study.RunConfig{
-		Checkpoint: func(r *study.Result) error {
-			if err := ckpt(r); err != nil {
+		Stream: func(o study.Outcome) error {
+			if err := lg.Append(o); err != nil {
 				return err
 			}
-			outcomes++
-			if outcomes == 3 {
+			if lg.NextRank() == 3 {
 				return killed
 			}
 			return nil
@@ -262,19 +263,27 @@ func TestCheckpointResume(t *testing.T) {
 	if !errors.Is(err, killed) {
 		t.Fatalf("interrupted run error = %v", err)
 	}
+	lg.Close()
 
-	partial, env, err := results.LoadFile(path)
+	lg, err = shardlog.Open(dir, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Complete {
-		t.Error("checkpoint must be marked partial")
+	defer lg.Close()
+	if lg.NextRank() != 3 || lg.Complete() {
+		t.Fatalf("recovered log holds %d outcomes (sealed %v), want 3 unsealed", lg.NextRank(), lg.Complete())
 	}
-	if got := len(partial.Reports) + len(partial.ConnectFailures); got != 3 {
-		t.Fatalf("checkpoint holds %d outcomes, want 3", got)
+	lean, err := lg.Resume()
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	resumed, err := build().RunWith(study.RunConfig{Resume: partial})
+	if _, err := build().RunWith(study.RunConfig{Resume: lean, Stream: lg.Append}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.MarkComplete(); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := lg.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,58 +293,5 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	if !bytes.Equal(refBuf.Bytes(), resBuf.Bytes()) {
 		t.Error("resumed campaign is not byte-identical to the uninterrupted run")
-	}
-}
-
-// TestCheckpointFuncDurableRoundTrip: every checkpoint written through
-// the hook must load back equal to what was passed in, and the bytes on
-// disk must equal a direct Partial save — i.e. the fsync-then-rename
-// path publishes exactly one complete envelope, never a truncated one.
-func TestCheckpointFuncDurableRoundTrip(t *testing.T) {
-	res := &study.Result{
-		VPsAttempted: 3,
-		Reports: []*vpntest.VPReport{
-			{Provider: "GhostNet", VPLabel: "ghostnet-1 (US)"},
-		},
-		ConnectFailures: []study.ConnectFailure{
-			{Provider: "GhostNet", VPLabel: "ghostnet-2 (DE)", Err: "refused", Attempts: 3},
-		},
-		Quarantines: []study.Quarantine{
-			{Provider: "DeadNet", TrippedAfter: 2, SkippedVPs: []string{"deadnet-1 (FR)"}},
-		},
-	}
-	path := filepath.Join(t.TempDir(), "checkpoint.json")
-	hook := results.CheckpointFunc(path, results.WithSeed(7), results.WithFaultProfile("mild"))
-	// The hook overwrites prior checkpoints; write twice so the rename
-	// path over an existing file is exercised too.
-	for i := 0; i < 2; i++ {
-		if err := hook(res); err != nil {
-			t.Fatal(err)
-		}
-	}
-	back, env, err := results.LoadFile(path)
-	if err != nil {
-		t.Fatalf("checkpoint did not round-trip via Load: %v", err)
-	}
-	if env.Complete || env.Seed != 7 || env.FaultProfile != "mild" {
-		t.Errorf("envelope = complete:%v seed:%d profile:%q, want partial seed 7 mild",
-			env.Complete, env.Seed, env.FaultProfile)
-	}
-	if !reflect.DeepEqual(back, res) {
-		t.Errorf("checkpoint diverged:\n got %+v\nwant %+v", back, res)
-	}
-
-	var direct bytes.Buffer
-	err = results.Save(&direct, res,
-		results.Partial(), results.WithSeed(7), results.WithFaultProfile("mild"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	onDisk, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(onDisk, direct.Bytes()) {
-		t.Error("checkpoint bytes differ from a direct Partial save")
 	}
 }

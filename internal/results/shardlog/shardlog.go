@@ -1,15 +1,16 @@
-// Package shardlog is the bounded-memory persistence layer for
-// ecosystem-scale campaigns: per-shard append-only NDJSON outcome logs
-// written incrementally by the study committer, merged on demand.
+// Package shardlog is the persistence layer of every durable campaign:
+// per-shard append-only NDJSON outcome logs written incrementally by
+// the study committer (RunConfig.Stream), merged on demand.
 //
-// The monolithic checkpoint (results.CheckpointFunc) rewrites the whole
-// Result after every outcome — O(campaign) per outcome, and the full
-// result set must fit in memory to load it back. A shard log instead
-// appends exactly one JSON line per committed outcome to the shard file
-// rank%K (so shard i holds ranks i, i+K, i+2K, ... in order), fsyncing
-// the one touched file: O(1) durability per outcome, and reading back
-// is a K-way round-robin merge that holds one decoded outcome at a
-// time.
+// A log appends exactly one JSON line per committed outcome to the
+// shard file rank%K (so shard i holds ranks i, i+K, i+2K, ... in
+// order), fsyncing the one touched file: O(1) durability per outcome,
+// and reading back is a K-way round-robin merge that holds one decoded
+// outcome at a time. Ecosystem-scale sweeps use several shards; a
+// single-provider or small study uses K=1. An interrupted campaign
+// continues from Resume, and a sealed log folds into the campaign's
+// full study.Result (Result), from which the results envelope is
+// written once.
 //
 // Byte-identity contract: outcomes arrive from the committer strictly
 // in rank order and JSON marshaling is deterministic, so the shard
@@ -28,6 +29,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"vpnscope/internal/results"
 	"vpnscope/internal/study"
 	"vpnscope/internal/vpntest"
 )
@@ -80,14 +82,22 @@ const (
 // it if a previous writer died mid-append: torn tail lines and any
 // record past the maximal contiguous rank prefix are physically
 // truncated, so the files are exactly an uninterrupted run's prefix.
-// An existing directory must carry matching Meta.
+// An existing directory must carry matching Meta. A new log's meta.json
+// is written after its shard files exist, so the directory fsync that
+// publishes meta.json also makes the shard entries durable: a log with
+// meta.json never loses a shard file to power loss.
 func Open(dir string, meta Meta) (*Log, error) {
 	meta.fill()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shardlog: %w", err)
 	}
 	metaPath := filepath.Join(dir, metaName)
-	if raw, err := os.ReadFile(metaPath); err == nil {
+	raw, err := os.ReadFile(metaPath)
+	fresh := errors.Is(err, os.ErrNotExist)
+	if err != nil && !fresh {
+		return nil, fmt.Errorf("shardlog: %w", err)
+	}
+	if !fresh {
 		var have Meta
 		if err := json.Unmarshal(raw, &have); err != nil {
 			return nil, fmt.Errorf("shardlog: corrupt %s: %w", metaName, err)
@@ -95,18 +105,16 @@ func Open(dir string, meta Meta) (*Log, error) {
 		if have != meta {
 			return nil, fmt.Errorf("shardlog: %s holds a different campaign (have %+v, want %+v)", dir, have, meta)
 		}
-	} else if errors.Is(err, os.ErrNotExist) {
-		raw, err := json.Marshal(meta)
-		if err != nil {
-			return nil, err
-		}
-		if err := writeFileSync(metaPath, append(raw, '\n')); err != nil {
-			return nil, err
-		}
-	} else {
-		return nil, fmt.Errorf("shardlog: %w", err)
 	}
-	return openRecover(dir, meta)
+	l, err := openRecover(dir, meta)
+	if err != nil || !fresh {
+		return l, err
+	}
+	if err := writeJSON(metaPath, meta); err != nil {
+		l.closeFiles()
+		return nil, err
+	}
+	return l, nil
 }
 
 // OpenExisting opens a log directory written earlier, reading its Meta
@@ -182,6 +190,7 @@ func openRecover(dir string, meta Meta) (*Log, error) {
 	if raw, err := os.ReadFile(filepath.Join(dir, completeName)); err == nil {
 		var total int
 		if err := json.Unmarshal(raw, &total); err != nil || total != l.next {
+			l.closeFiles()
 			return nil, fmt.Errorf("shardlog: %s marked complete at %d outcomes but holds %d", dir, total, l.next)
 		}
 		l.complete = true
@@ -193,8 +202,9 @@ func openRecover(dir string, meta Meta) (*Log, error) {
 }
 
 // scanShard counts the valid record prefix of one shard file: complete
-// lines that decode and carry the rank the shard position demands.
-// Anything after the first violation is a torn or stale tail.
+// lines that decode as an outcome (exactly what Scan will read back)
+// carrying the rank the shard position demands. Anything after the
+// first violation is a torn or stale tail.
 func scanShard(f *os.File, shard, k int) (n int, offsets []int64, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, nil, fmt.Errorf("shardlog: %w", err)
@@ -209,8 +219,9 @@ func scanShard(f *os.File, shard, k int) (n int, offsets []int64, err error) {
 		if err != nil {
 			return 0, nil, fmt.Errorf("shardlog: %w", err)
 		}
-		var probe struct{ Rank int }
-		if json.Unmarshal(line, &probe) != nil || probe.Rank != shard+n*k {
+		var o study.Outcome
+		if json.Unmarshal(line, &o) != nil || o.Rank != shard+n*k ||
+			(o.Report == nil && o.Failure == nil && o.Skip == nil) {
 			return n, offsets, nil
 		}
 		off += int64(len(line))
@@ -272,13 +283,11 @@ func (l *Log) Append(o study.Outcome) error {
 }
 
 // MarkComplete seals the log after a campaign finishes, recording the
-// total outcome count so a reopened log can prove it is whole.
+// total outcome count so a reopened log can prove it is whole. The
+// marker is written atomically: a crash mid-seal leaves the log
+// unsealed (plus an orphaned temp file), never an empty marker.
 func (l *Log) MarkComplete() error {
-	raw, err := json.Marshal(l.next)
-	if err != nil {
-		return err
-	}
-	if err := writeFileSync(filepath.Join(l.dir, completeName), append(raw, '\n')); err != nil {
+	if err := writeJSON(filepath.Join(l.dir, completeName), l.next); err != nil {
 		return err
 	}
 	l.complete = true
@@ -397,12 +406,33 @@ func (l *Log) WriteMergedNDJSON(w io.Writer) error {
 }
 
 // Resume reconstructs the lean study.Result a streaming campaign needs
-// to continue: report records become identity stubs (provider + label
-// are all the committer's done-map and rank sort read), connect
-// failures and recoveries are real, quarantines are regrouped from the
-// skip records, and VPsAttempted is the outcome count. Pass it as
-// RunConfig.Resume together with RunConfig.Stream = log.Append.
+// to continue: report records become stubs carrying identity (provider
+// + label are all the committer's done map reads) and test errors (for
+// the collection-health table), connect failures and recoveries are
+// real, quarantines are regrouped from the skip records, and
+// VPsAttempted is the outcome count. Pass it as RunConfig.Resume
+// together with RunConfig.Stream = log.Append.
 func (l *Log) Resume() (*study.Result, error) {
+	return l.fold(func(r *vpntest.VPReport) *vpntest.VPReport {
+		return &vpntest.VPReport{Provider: r.Provider, VPLabel: r.VPLabel, Errors: r.Errors}
+	})
+}
+
+// Result folds a sealed log into the campaign's full study.Result —
+// equal to what the same campaign run in memory returns, so its
+// results envelope is byte-identical too. Every report is
+// materialized; bounded-memory consumers iterate Outcomes or Reports
+// instead.
+func (l *Log) Result() (*study.Result, error) {
+	if !l.complete {
+		return nil, fmt.Errorf("shardlog: %s is not sealed", l.dir)
+	}
+	return l.fold(func(r *vpntest.VPReport) *vpntest.VPReport { return r })
+}
+
+// fold scans the log into a study.Result in rank order; report decides
+// what each measurement report contributes.
+func (l *Log) fold(report func(*vpntest.VPReport) *vpntest.VPReport) (*study.Result, error) {
 	res := &study.Result{}
 	qi := map[string]int{}
 	err := l.Scan(func(o study.Outcome) error {
@@ -425,10 +455,7 @@ func (l *Log) Resume() (*study.Result, error) {
 			if o.Recovery != nil {
 				res.Recoveries = append(res.Recoveries, *o.Recovery)
 			}
-			res.Reports = append(res.Reports, &vpntest.VPReport{
-				Provider: o.Report.Provider,
-				VPLabel:  o.Report.VPLabel,
-			})
+			res.Reports = append(res.Reports, report(o.Report))
 		default:
 			return fmt.Errorf("shardlog: rank %d carries no outcome", o.Rank)
 		}
@@ -440,20 +467,17 @@ func (l *Log) Resume() (*study.Result, error) {
 	return res, nil
 }
 
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// writeJSON atomically replaces path with v's JSON encoding (temp file,
+// fsync, rename, directory fsync).
+func writeJSON(path string, v any) error {
+	raw, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("shardlog: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("shardlog: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("shardlog: %w", err)
-	}
-	if err := f.Close(); err != nil {
+	if err := results.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(append(raw, '\n'))
+		return err
+	}); err != nil {
 		return fmt.Errorf("shardlog: %w", err)
 	}
 	return nil

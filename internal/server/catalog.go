@@ -1,31 +1,30 @@
-// Catalog-mode campaigns: ecosystem-scale sweeps whose outcomes stream
-// into sharded append-only logs instead of a monolithic checkpoint.
+// Catalog-mode campaigns: ecosystem-scale sweeps over K-shard outcome
+// logs, one per audited month.
 //
-// Durable layout, alongside the legacy files in StateDir:
+// Durable layout in StateDir (see state.go for the rest):
 //
 //	<id>.outcomes/                 the shard log (Months == 0)
 //	<id>.outcomes/month-NNN/       one shard log per month (Months > 0)
 //	<id>.result.json               bounded summary (counts only) once done
 //
-// The recovery contract is unchanged: a catalog campaign with a spec
-// and no result re-enters the queue, and the runner resumes each
+// The recovery contract is every campaign's: a catalog campaign with a
+// spec and no result re-enters the queue, and the runner resumes each
 // month's shard log from its recovered contiguous prefix — the same
-// byte-identity guarantee the CLI sweep has. The full result set is
-// never materialized in daemon memory: progress, the summary, and the
-// merged-NDJSON outcomes endpoint all work from the logs.
+// byte-identity guarantee the CLI sweep has. Unlike a single-provider
+// campaign, whose sealed log folds into a full envelope, the catalog
+// result set is never materialized in daemon memory: progress, the
+// summary, and the merged-NDJSON outcomes endpoint all work from the
+// logs.
 package server
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
 
-	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
-	"vpnscope/internal/vpn"
 )
 
 func (d *Daemon) outcomesDir(id string) string {
@@ -33,7 +32,8 @@ func (d *Daemon) outcomesDir(id string) string {
 }
 
 // monthDir is the shard-log directory for one virtual month. Baseline-
-// only campaigns use the flat outcomes dir, mirroring the CLI sweep.
+// only campaigns (every non-catalog one included) use the flat outcomes
+// dir, mirroring the CLI sweep.
 func (d *Daemon) monthDir(id string, spec *CampaignSpec, month int) string {
 	dir := d.outcomesDir(id)
 	if spec.Months > 0 {
@@ -62,8 +62,8 @@ type monthAudit struct {
 
 // runCatalogCampaign executes a catalog spec: every month's audit in
 // sequence, each streaming into its own shard log, then the bounded
-// summary as the durable result. Runs on the legacy runner's fleet
-// tokens, panic shield, and cancellation context.
+// summary as the durable result. Runs on runCampaign's fleet tokens,
+// panic shield, and cancellation context.
 func (d *Daemon) runCatalogCampaign(ctx context.Context, c *campaign, need int) {
 	summary := catalogSummary{
 		Catalog:   c.spec.Catalog,
@@ -78,7 +78,7 @@ func (d *Daemon) runCatalogCampaign(ctx context.Context, c *campaign, need int) 
 		}
 		audit, err := d.runCatalogMonth(ctx, c, need, m)
 		if err != nil {
-			d.finishCanceledOrFail(ctx, c, m, err)
+			d.finishCanceledOrFail(ctx, c, err)
 			return
 		}
 		summary.Audits = append(summary.Audits, audit)
@@ -97,108 +97,14 @@ func (d *Daemon) runCatalogCampaign(ctx context.Context, c *campaign, need int) 
 		c.id, summary.Catalog, summary.Providers, len(summary.Audits))
 }
 
-// finishCanceledOrFail maps a month-run error to the campaign's
-// terminal state, with the same cause discrimination as the legacy
-// runner: drain → interrupted (shard logs are durable, the next daemon
-// start resumes), everything else → failed.
-func (d *Daemon) finishCanceledOrFail(ctx context.Context, c *campaign, month int, err error) {
-	if !errors.Is(err, study.ErrCanceled) {
-		d.failCampaign(c, err.Error())
-		return
-	}
-	cause := context.Cause(ctx)
-	switch {
-	case errors.Is(cause, errDraining):
-		c.setState(StateInterrupted, "draining: shard log durable for resume")
-		d.dumpFlight(c.flight, c.id, "drain", nil)
-		d.cfg.Logf("campaign %s: interrupted by drain during month %d audit", c.id, month)
-	case errors.Is(cause, errClientCanceled):
-		d.failCampaign(c, "canceled by client")
-	case errors.Is(ctx.Err(), context.DeadlineExceeded):
-		d.failCampaign(c, fmt.Sprintf("deadline exceeded after %.0fs", c.spec.TimeoutSec))
-	default:
-		d.failCampaign(c, fmt.Sprintf("canceled: %v", cause))
-	}
-}
-
-// runCatalogMonth opens (and, after a crash, recovers) the month's
-// shard log and streams any not-yet-durable outcomes into it. A sealed
-// log skips the campaign — re-audits of finished months are free.
+// runCatalogMonth streams the month's audit into its shard log (see
+// streamLog) and summarizes the sealed log without materializing it.
 func (d *Daemon) runCatalogMonth(ctx context.Context, c *campaign, need, month int) (monthAudit, error) {
-	lg, err := shardlog.Open(d.monthDir(c.id, &c.spec, month), shardlog.Meta{
-		Seed:         c.spec.Seed,
-		Shards:       c.spec.Shards,
-		FaultProfile: c.spec.FaultProfile,
-		Month:        month,
-	})
+	lg, err := d.streamLog(ctx, c, need, month)
 	if err != nil {
 		return monthAudit{}, err
 	}
 	defer lg.Close()
-
-	if !lg.Complete() {
-		w, err := buildWorldFn(&c.spec, month)
-		if err != nil {
-			return monthAudit{}, fmt.Errorf("building month %d world: %w", month, err)
-		}
-		slotsTotal := 0
-		for _, p := range w.Providers {
-			if p.Spec.Client == vpn.BrowserExtension {
-				continue
-			}
-			slotsTotal += len(p.VPs)
-		}
-		resumed := lg.NextRank()
-		c.mu.Lock()
-		c.slotsTotal = slotsTotal
-		c.resumedVPs = resumed
-		c.mu.Unlock()
-
-		cfg := study.RunConfig{
-			ConnectAttempts: c.spec.ConnectAttempts,
-			QuarantineAfter: c.spec.QuarantineAfter,
-			Parallel:        need,
-			Ctx:             ctx,
-			Flight:          c.flight,
-		}
-		reports, failures := 0, 0
-		if resumed > 0 {
-			lean, err := lg.Resume()
-			if err != nil {
-				return monthAudit{}, err
-			}
-			cfg.Resume = lean
-			reports, failures = len(lean.Reports), len(lean.ConnectFailures)
-		}
-		c.emit(Event{Type: "started", SlotsTotal: slotsTotal, SlotsDone: resumed,
-			Reports: reports, Failures: failures,
-			Detail: fmt.Sprintf("month=%d workers=%d resumed=%d shards=%d",
-				month, need, resumed, lg.Meta().Shards)})
-
-		// The stream callback runs on the committer goroutine, strictly
-		// in rank order — the counters need no lock.
-		cfg.Stream = func(o study.Outcome) error {
-			if err := lg.Append(o); err != nil {
-				return err
-			}
-			if o.Report != nil {
-				reports++
-			}
-			if o.Failure != nil {
-				failures++
-			}
-			c.emit(Event{Type: "progress", SlotsDone: lg.NextRank(), SlotsTotal: slotsTotal,
-				Reports: reports, Failures: failures})
-			return nil
-		}
-		if _, err := runStudyFn(w, cfg); err != nil {
-			return monthAudit{}, err
-		}
-		if err := lg.MarkComplete(); err != nil {
-			return monthAudit{}, err
-		}
-	}
-
 	lean, err := lg.Resume()
 	if err != nil {
 		return monthAudit{}, err

@@ -334,7 +334,7 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 	p.kill9(t)
 
 	// Restart over the same state dir: recovery re-queues every
-	// in-flight campaign and resumes its checkpoint.
+	// in-flight campaign and resumes its outcome log.
 	p2 := startChaosDaemon(t, stateDir)
 	p2.waitAllDone(t, ids, 120*time.Second)
 
@@ -505,8 +505,8 @@ func TestChaosWatchdogStallDump(t *testing.T) {
 }
 
 // TestChaosSigtermDrainResume: SIGTERM mid-campaign must drain (exit
-// 0) with the in-flight campaign checkpointed, and a restarted daemon
-// must finish it byte-identically to a one-shot run.
+// 0) with the in-flight campaign's outcome log durable, and a restarted
+// daemon must finish it byte-identically to a one-shot run.
 func TestChaosSigtermDrainResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test")
@@ -531,9 +531,9 @@ func TestChaosSigtermDrainResume(t *testing.T) {
 	}
 	p.sigtermWait(t)
 
-	// The drain checkpointed (or finished) the campaign durably.
-	if !exists(stateDir+"/"+id+".ckpt.json") && !exists(stateDir+"/"+id+".result.json") {
-		t.Fatal("drained daemon left neither checkpoint nor result on disk")
+	// The drain left the campaign's outcome log (or its result) durable.
+	if !exists(stateDir+"/"+id+".outcomes/meta.json") && !exists(stateDir+"/"+id+".result.json") {
+		t.Fatal("drained daemon left neither outcome log nor result on disk")
 	}
 
 	p2 := startChaosDaemon(t, stateDir)

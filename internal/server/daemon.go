@@ -12,6 +12,7 @@ import (
 
 	"vpnscope/internal/flightrec"
 	"vpnscope/internal/results"
+	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
 	"vpnscope/internal/vpn"
 )
@@ -20,7 +21,7 @@ import (
 // required (campaign durability is not optional); everything else
 // defaults via fill.
 type Config struct {
-	// StateDir holds campaign specs, checkpoints, results, and error
+	// StateDir holds campaign specs, outcome logs, results, and error
 	// markers. It is the daemon's only durable state: a daemon restarted
 	// over the same StateDir resumes every in-flight campaign.
 	StateDir string
@@ -36,8 +37,8 @@ type Config struct {
 	MaxPerTenant int
 	// DrainGrace is how long a drain waits for running campaigns to
 	// finish naturally before canceling them at the next slot boundary
-	// (they checkpoint and resume on the next start). Default 0: cancel
-	// immediately — in-flight work is checkpointed, not lost.
+	// (their outcome logs resume on the next start). Default 0: cancel
+	// immediately — in-flight work is already in the log, not lost.
 	DrainGrace time.Duration
 	// RetryAfter is the backpressure hint attached to 429/503 responses.
 	// Default 2s.
@@ -99,8 +100,8 @@ const (
 	// StateQueued: admitted (spec durably recorded), waiting for fleet
 	// capacity. Recovered in-flight campaigns re-enter here.
 	StateQueued State = "queued"
-	// StateRunning: measuring on fleet workers, checkpointing after
-	// every vantage-point outcome.
+	// StateRunning: measuring on fleet workers, appending every
+	// vantage-point outcome to the campaign's shard log.
 	StateRunning State = "running"
 	// StateDone: finished; the final envelope is on disk and served by
 	// the result endpoint.
@@ -108,7 +109,7 @@ const (
 	// StateFailed: terminally failed (run error, deadline, client
 	// cancellation, or panic); never resumed.
 	StateFailed State = "failed"
-	// StateInterrupted: stopped by a drain with its checkpoint durable;
+	// StateInterrupted: stopped by a drain with its outcome log durable;
 	// the next daemon start re-queues and resumes it.
 	StateInterrupted State = "interrupted"
 )
@@ -154,7 +155,6 @@ type campaign struct {
 	slotsTotal int
 	events     []Event
 	cancel     context.CancelCauseFunc // non-nil while running
-	resumedVPs int                     // VPs already decided by the recovered checkpoint
 	done       chan struct{}           // closed when the runner goroutine exits
 }
 
@@ -250,7 +250,7 @@ var (
 // state: done and failed campaigns re-register for the read endpoints,
 // and every in-flight campaign (spec present, no result, no error
 // marker) re-enters the queue in its original admission order, to be
-// resumed from its checkpoint.
+// resumed from its outcome log.
 func New(cfg Config) (*Daemon, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -355,11 +355,41 @@ func (d *Daemon) runCampaign(c *campaign, need int) {
 		d.runCatalogCampaign(ctx, c, need)
 		return
 	}
-
-	w, err := buildWorldFn(&c.spec, 0)
+	lg, err := d.streamLog(ctx, c, need, 0)
 	if err != nil {
-		d.failCampaign(c, fmt.Sprintf("building world: %v", err))
+		d.finishCanceledOrFail(ctx, c, err)
 		return
+	}
+	defer lg.Close()
+	res, err := lg.Result()
+	if err == nil {
+		err = results.SaveFile(d.resultPath(c.id), res, c.spec.envelopeOptions()...)
+	}
+	if err != nil {
+		d.failCampaign(c, fmt.Sprintf("saving result: %v", err))
+		return
+	}
+	c.setState(StateDone, "")
+	d.cfg.Logf("campaign %s: done (%d reports, %d failures)", c.id, len(res.Reports), len(res.ConnectFailures))
+}
+
+// streamLog opens (and, after a crash or drain, recovers) the shard log
+// of one campaign month, builds the month's world, and streams every
+// not-yet-durable outcome into the log, sealing it once the campaign
+// finishes. A sealed log skips the campaign: a restart that finds one
+// only has to fold it. The caller closes the returned log.
+func (d *Daemon) streamLog(ctx context.Context, c *campaign, need, month int) (*shardlog.Log, error) {
+	lg, err := shardlog.Open(d.monthDir(c.id, &c.spec, month), c.spec.logMeta(month))
+	if err != nil || lg.Complete() {
+		return lg, err
+	}
+	fail := func(err error) (*shardlog.Log, error) {
+		lg.Close()
+		return nil, err
+	}
+	w, err := buildWorldFn(&c.spec, month)
+	if err != nil {
+		return fail(fmt.Errorf("building month %d world: %w", month, err))
 	}
 	slotsTotal := 0
 	for _, p := range w.Providers {
@@ -368,67 +398,73 @@ func (d *Daemon) runCampaign(c *campaign, need int) {
 		}
 		slotsTotal += len(p.VPs)
 	}
-
-	// Resume a prior daemon life's checkpoint, if one survived.
-	var resume *study.Result
-	resumed := 0
-	if partial, env, err := results.LoadFile(d.ckptPath(c.id)); err == nil {
-		if env.Seed != c.spec.Seed {
-			d.failCampaign(c, fmt.Sprintf("checkpoint seed %d does not match spec seed %d", env.Seed, c.spec.Seed))
-			return
-		}
-		resume = partial
-		resumed = partial.VPsAttempted
-	}
 	c.mu.Lock()
 	c.slotsTotal = slotsTotal
-	c.resumedVPs = resumed
 	c.mu.Unlock()
-	c.emit(Event{Type: "started", SlotsTotal: slotsTotal, SlotsDone: resumed,
-		Detail: fmt.Sprintf("workers=%d resumed=%d", need, resumed)})
 
-	ckpt := results.CheckpointFunc(d.ckptPath(c.id), c.spec.envelopeOptions()...)
-	progress := func(r *study.Result) error {
-		if err := ckpt(r); err != nil {
+	cfg := c.spec.runConfig(ctx, need)
+	cfg.Flight = c.flight
+	resumed, reports, failures := lg.NextRank(), 0, 0
+	if resumed > 0 {
+		lean, err := lg.Resume()
+		if err != nil {
+			return fail(err)
+		}
+		cfg.Resume = lean
+		reports, failures = len(lean.Reports), len(lean.ConnectFailures)
+	}
+	c.emit(Event{Type: "started", SlotsTotal: slotsTotal, SlotsDone: resumed,
+		Reports: reports, Failures: failures,
+		Detail: fmt.Sprintf("month=%d workers=%d resumed=%d shards=%d",
+			month, need, resumed, lg.Meta().Shards)})
+
+	// The stream callback runs on the committer goroutine, strictly in
+	// rank order — the counters need no lock.
+	cfg.Stream = func(o study.Outcome) error {
+		if err := lg.Append(o); err != nil {
 			return err
 		}
-		c.emit(Event{Type: "progress", SlotsDone: r.VPsAttempted, SlotsTotal: slotsTotal,
-			Reports: len(r.Reports), Failures: len(r.ConnectFailures)})
+		if o.Report != nil {
+			reports++
+		}
+		if o.Failure != nil {
+			failures++
+		}
+		c.emit(Event{Type: "progress", SlotsDone: lg.NextRank(), SlotsTotal: slotsTotal,
+			Reports: reports, Failures: failures})
 		return nil
 	}
+	if _, err := runStudyFn(w, cfg); err != nil {
+		return fail(err)
+	}
+	if err := lg.MarkComplete(); err != nil {
+		return fail(err)
+	}
+	return lg, nil
+}
 
-	rc := c.spec.runConfig(ctx, need, progress, resume)
-	rc.Flight = c.flight
-	res, err := runStudyFn(w, rc)
-	switch {
-	case err == nil:
-		if err := results.SaveFile(d.resultPath(c.id), res, c.spec.envelopeOptions()...); err != nil {
-			d.failCampaign(c, fmt.Sprintf("saving result: %v", err))
-			return
-		}
-		c.setState(StateDone, "")
-		d.cfg.Logf("campaign %s: done (%d reports, %d failures)", c.id, len(res.Reports), len(res.ConnectFailures))
-	case errors.Is(err, study.ErrCanceled):
-		cause := context.Cause(ctx)
-		switch {
-		case errors.Is(cause, errDraining):
-			// The checkpoint is durable; the next daemon start resumes.
-			c.setState(StateInterrupted, "draining: checkpointed for resume")
-			d.dumpFlight(c.flight, c.id, "drain", nil)
-			at := 0
-			if res != nil {
-				at = res.VPsAttempted
-			}
-			d.cfg.Logf("campaign %s: interrupted by drain at %d/%d slots", c.id, at, slotsTotal)
-		case errors.Is(cause, errClientCanceled):
-			d.failCampaign(c, "canceled by client")
-		case errors.Is(ctx.Err(), context.DeadlineExceeded):
-			d.failCampaign(c, fmt.Sprintf("deadline exceeded after %.0fs", c.spec.TimeoutSec))
-		default:
-			d.failCampaign(c, fmt.Sprintf("canceled: %v", cause))
-		}
-	default:
+// finishCanceledOrFail maps a campaign-run error to the campaign's
+// terminal state: a drain → interrupted (the shard log is durable, the
+// next daemon start resumes it), everything else → failed, with the
+// cancellation cause named.
+func (d *Daemon) finishCanceledOrFail(ctx context.Context, c *campaign, err error) {
+	if !errors.Is(err, study.ErrCanceled) {
 		d.failCampaign(c, err.Error())
+		return
+	}
+	cause := context.Cause(ctx)
+	switch {
+	case errors.Is(cause, errDraining):
+		c.setState(StateInterrupted, "draining: shard log durable for resume")
+		d.dumpFlight(c.flight, c.id, "drain", nil)
+		st := c.status()
+		d.cfg.Logf("campaign %s: interrupted by drain at %d/%d slots", c.id, st.SlotsDone, st.SlotsTotal)
+	case errors.Is(cause, errClientCanceled):
+		d.failCampaign(c, "canceled by client")
+	case errors.Is(ctx.Err(), context.DeadlineExceeded):
+		d.failCampaign(c, fmt.Sprintf("deadline exceeded after %.0fs", c.spec.TimeoutSec))
+	default:
+		d.failCampaign(c, fmt.Sprintf("canceled: %v", cause))
 	}
 }
 
@@ -551,7 +587,7 @@ func (d *Daemon) Cancel(id string) error {
 // 503), the scheduler exits leaving queued campaigns durably on disk,
 // running campaigns get DrainGrace to finish naturally and are then
 // canceled — stopping at their next slot boundary with a durable
-// checkpoint. Drain returns once every runner has exited; the caller
+// outcome log. Drain returns once every runner has exited; the caller
 // can then stop the HTTP listener and exit 0.
 func (d *Daemon) Drain() {
 	d.mu.Lock()

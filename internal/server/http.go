@@ -4,8 +4,8 @@
 //	GET    /campaigns             list campaigns
 //	GET    /campaigns/{id}        status JSON
 //	GET    /campaigns/{id}/result final envelope (200 once done)
-//	GET    /campaigns/{id}/outcomes merged shard-log NDJSON (catalog
-//	                              campaigns; ?month=N selects a month)
+//	GET    /campaigns/{id}/outcomes merged shard-log NDJSON (?month=N
+//	                              selects a catalog campaign's month)
 //	GET    /campaigns/{id}/events NDJSON progress stream (tails live)
 //	DELETE /campaigns/{id}        cancel
 //	GET    /campaigns/{id}/metricsz campaign-scoped metrics (JSON, or
@@ -161,13 +161,11 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	accepted := map[string]string{
-		"id":     c.id,
-		"status": "/campaigns/" + c.id,
-		"events": "/campaigns/" + c.id + "/events",
-		"result": "/campaigns/" + c.id + "/result",
-	}
-	if c.spec.Catalog > 0 {
-		accepted["outcomes"] = "/campaigns/" + c.id + "/outcomes"
+		"id":       c.id,
+		"status":   "/campaigns/" + c.id,
+		"events":   "/campaigns/" + c.id + "/events",
+		"result":   "/campaigns/" + c.id + "/result",
+		"outcomes": "/campaigns/" + c.id + "/outcomes",
 	}
 	writeJSON(w, http.StatusAccepted, accepted)
 }
@@ -254,19 +252,13 @@ func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
 	http.ServeContent(w, r, c.id+".result.json", time.Time{}, f)
 }
 
-// handleOutcomes streams a catalog campaign's merged outcome log as
-// NDJSON, in rank order, straight off the shard files — the result set
+// handleOutcomes streams a campaign's merged outcome log as NDJSON, in rank order, straight off the shard files — the result set
 // is never materialized. Only sealed logs are served: opening an
 // unsealed log would run recovery against files the committer is still
 // appending to.
 func (d *Daemon) handleOutcomes(w http.ResponseWriter, r *http.Request) {
 	c, ok := d.campaignOr404(w, r)
 	if !ok {
-		return
-	}
-	if c.spec.Catalog == 0 {
-		writeJSON(w, http.StatusNotFound, map[string]string{
-			"error": "campaign " + c.id + " has no outcome log (not a catalog campaign)"})
 		return
 	}
 	month := 0

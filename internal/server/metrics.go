@@ -266,10 +266,10 @@ func (d *Daemon) writeProm(w io.Writer) error {
 		p.printf("vpnscope_reports_total %d\n", s.Campaign.Reports)
 		p.family("vpnscope_connect_failures_total", "counter", "Vantage points that exhausted their connect budget.")
 		p.printf("vpnscope_connect_failures_total %d\n", s.Campaign.ConnectFailures)
-		p.family("vpnscope_checkpoints_total", "counter", "Checkpoint/stream persistence calls.")
+		p.family("vpnscope_checkpoints_total", "counter", "Outcomes streamed to campaign outcome logs.")
 		p.printf("vpnscope_checkpoints_total %d\n", s.Campaign.Checkpoints)
 		p.histogram("vpnscope_slot_wall_seconds", "Wall time per measured slot.", s.Wall.SlotWall, "")
-		p.histogram("vpnscope_checkpoint_wall_seconds", "Wall time per checkpoint write.", s.Wall.CheckpointWall, "")
+		p.histogram("vpnscope_checkpoint_wall_seconds", "Wall time per outcome-log append.", s.Wall.CheckpointWall, "")
 		p.family("vpnscope_slot_wall_p99_seconds", "gauge", "Rolling p99 slot wall time (bucket upper bound).")
 		p.printf("vpnscope_slot_wall_p99_seconds %g\n", tel.SlotWall.Quantile(0.99).Seconds())
 	}

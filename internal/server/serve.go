@@ -42,7 +42,7 @@ func newHTTPServer(h http.Handler) *http.Server {
 // Serve runs the full daemon lifecycle: recover state, start the
 // scheduler, serve HTTP on Addr, and block until SIGINT/SIGTERM. On
 // signal it drains — admission closes, queued specs stay durable,
-// running campaigns finish or checkpoint — then stops the listener and
+// running campaigns finish or stop resumably — then stops the listener and
 // returns nil, so the process can exit 0. A second signal aborts the
 // wait and returns an error.
 func Serve(cfg ServeConfig) error {
@@ -75,7 +75,7 @@ func Serve(cfg ServeConfig) error {
 
 	select {
 	case sig := <-sigc:
-		cfg.Logf("received %v: draining (admission closed, in-flight campaigns finishing or checkpointing)", sig)
+		cfg.Logf("received %v: draining (admission closed, in-flight campaigns finishing or stopping for resume)", sig)
 		drained := make(chan struct{})
 		go func() {
 			d.Drain()

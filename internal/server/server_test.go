@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
 )
 
@@ -363,12 +364,12 @@ func TestRecoveryPreservesTerminalStates(t *testing.T) {
 }
 
 func TestEventsStreamAndResultEndpoint(t *testing.T) {
+	cf := study.ConnectFailure{Provider: "P", VPLabel: "p-1 (US)", Err: "refused", Attempts: 3}
 	withSeams(t, instantWorld, func(_ *study.World, cfg study.RunConfig) (*study.Result, error) {
-		res := &study.Result{VPsAttempted: 1}
-		if err := cfg.Checkpoint(res); err != nil {
+		if err := cfg.Stream(study.Outcome{Rank: 0, Failure: &cf}); err != nil {
 			return nil, err
 		}
-		return res, nil
+		return &study.Result{VPsAttempted: 1}, nil
 	})
 	d := newTestDaemon(t, Config{FleetWorkers: 1})
 	srv := httptest.NewServer(d.Handler())
@@ -426,18 +427,32 @@ func TestEventsStreamAndResultEndpoint(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("result = %d, want 200", resp.StatusCode)
 	}
-	wantEnv, err := EnvelopeBytes(CampaignSpec{Seed: 9}, &study.Result{VPsAttempted: 1})
+	wantEnv, err := EnvelopeBytes(CampaignSpec{Seed: 9},
+		&study.Result{VPsAttempted: 1, ConnectFailures: []study.ConnectFailure{cf}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body.Bytes(), wantEnv) {
 		t.Fatalf("result bytes differ from envelope (%d vs %d bytes)", body.Len(), len(wantEnv))
 	}
+
+	// Every campaign has an outcome log, so the outcomes endpoint serves
+	// this one's single streamed outcome.
+	resp, err = http.Get(srv.URL + accepted["outcomes"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var o study.Outcome
+	err = json.NewDecoder(resp.Body).Decode(&o)
+	resp.Body.Close()
+	if resp.StatusCode != 200 || err != nil || o.Failure == nil || *o.Failure != cf {
+		t.Fatalf("outcomes = %d %+v (%v), want 200 with the streamed failure", resp.StatusCode, o, err)
+	}
 }
 
 // TestDaemonRealCampaignDrainResumeByteIdentical runs the real engine:
 // a campaign is interrupted mid-run by a drain, a second daemon resumes
-// its checkpoint, and the final envelope is byte-identical to the same
+// its outcome log, and the final envelope is byte-identical to the same
 // spec run uninterrupted in one shot.
 func TestDaemonRealCampaignDrainResumeByteIdentical(t *testing.T) {
 	spec := CampaignSpec{
@@ -454,7 +469,7 @@ func TestDaemonRealCampaignDrainResumeByteIdentical(t *testing.T) {
 	c := submitOK(t, d, spec)
 
 	// Wait for at least one committed slot so the drain interrupts a
-	// campaign with a real checkpoint to resume.
+	// campaign with a real outcome log to resume.
 	deadline := time.Now().Add(30 * time.Second)
 	for c.status().SlotsDone < 1 {
 		if time.Now().After(deadline) {
@@ -468,9 +483,14 @@ func TestDaemonRealCampaignDrainResumeByteIdentical(t *testing.T) {
 		t.Fatalf("after drain: state = %s, want interrupted (or done if it outran us)", st.State)
 	}
 	if st.State == StateInterrupted {
-		if _, err := os.Stat(d.ckptPath(c.id)); err != nil {
-			t.Fatalf("interrupted campaign has no checkpoint: %v", err)
+		lg, err := shardlog.OpenExisting(d.outcomesDir(c.id))
+		if err != nil {
+			t.Fatalf("interrupted campaign has no outcome log: %v", err)
 		}
+		if lg.NextRank() < 1 || lg.Complete() {
+			t.Fatalf("interrupted log holds %d outcomes (sealed %v), want an unsealed prefix", lg.NextRank(), lg.Complete())
+		}
+		lg.Close()
 	}
 
 	d2 := newTestDaemon(t, Config{StateDir: stateDir, FleetWorkers: 2})
@@ -494,5 +514,101 @@ func TestDaemonRealCampaignDrainResumeByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("drain-resumed result differs from one-shot run (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// smallSpec is a quick real single-provider campaign.
+func smallSpec(seed uint64) CampaignSpec {
+	return CampaignSpec{
+		Seed:           seed,
+		Providers:      []string{"Mullvad"},
+		FaultProfile:   "lossy",
+		Workers:        1,
+		VPsPerProvider: 2,
+		ExtraTLSHosts:  10,
+		LandmarkCount:  20,
+	}
+}
+
+// oneShotEnvelope is the uninterrupted reference envelope of spec.
+func oneShotEnvelope(t *testing.T, spec CampaignSpec) []byte {
+	t.Helper()
+	ref, err := RunOneShot(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EnvelopeBytes(spec, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestLegacyCheckpointIgnored: a state dir written before outcome logs
+// holds a spec plus a whole-envelope <id>.ckpt.json. The restarted
+// daemon ignores the stale file (it would poison the result: it claims
+// a connect failure the real campaign never sees), re-runs the campaign
+// from a fresh outcome log, and seals the one-shot envelope.
+func TestLegacyCheckpointIgnored(t *testing.T) {
+	spec := smallSpec(11)
+	stateDir := t.TempDir()
+	const id = "c00000001"
+	raw, err := json.Marshal(specFile{ID: id, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stateDir+"/"+id+".spec.json", raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stale := []byte(`{"schema":2,"seed":11,"vps_attempted":1,"complete":false,"fault_profile":"lossy",` +
+		`"connect_failures":[{"Provider":"Mullvad","VPLabel":"stale","Err":"refused","Attempts":3}],"reports":null}`)
+	if err := os.WriteFile(stateDir+"/"+id+".ckpt.json", stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d := newTestDaemon(t, Config{StateDir: stateDir, FleetWorkers: 1})
+	c, ok := d.Campaign(id)
+	if !ok {
+		t.Fatalf("campaign %s not recovered", id)
+	}
+	waitState(t, c, StateDone)
+	got, err := os.ReadFile(d.resultPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, oneShotEnvelope(t, spec)) {
+		t.Fatal("result after a legacy checkpoint differs from the one-shot envelope")
+	}
+	if !shardlog.Sealed(d.outcomesDir(id)) {
+		t.Fatal("campaign result was not sealed from an outcome log")
+	}
+	if left, err := os.ReadFile(stateDir + "/" + id + ".ckpt.json"); err != nil || !bytes.Equal(left, stale) {
+		t.Fatalf("stale checkpoint was touched (err %v)", err)
+	}
+}
+
+// TestCampaignFDsReturnToBaseline: every campaign opens, appends to,
+// seals, and folds its own outcome log; after 50 single-provider
+// campaigns the daemon holds exactly the descriptors it held before.
+func TestCampaignFDsReturnToBaseline(t *testing.T) {
+	fds := func() int {
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open descriptors: %v", err)
+		}
+		return len(entries)
+	}
+	d := newTestDaemon(t, Config{FleetWorkers: 1})
+	spec := smallSpec(5)
+	spec.VPsPerProvider = 1
+	// One warm-up campaign, so lazily created runtime descriptors are
+	// part of the baseline.
+	waitState(t, submitOK(t, d, spec), StateDone)
+	before := fds()
+	for i := 0; i < 50; i++ {
+		waitState(t, submitOK(t, d, spec), StateDone)
+	}
+	if after := fds(); after != before {
+		t.Fatalf("open descriptors %d after 50 campaigns, want baseline %d", after, before)
 	}
 }

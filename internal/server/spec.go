@@ -2,8 +2,8 @@
 // that accepts campaign specs over an HTTP/JSON API, multiplexes
 // concurrent campaigns over a bounded shared worker fleet (and the
 // study package's world-template cache), streams progress events, and
-// survives crashes — every running campaign checkpoints after each
-// vantage-point outcome, and a restarted daemon resumes all in-flight
+// survives crashes — every running campaign appends each vantage-point
+// outcome to its shard log, and a restarted daemon resumes all in-flight
 // campaigns byte-identically to an uninterrupted run.
 //
 // The robustness contract, stated once and tested in chaos_test.go:
@@ -22,7 +22,7 @@
 //     was queued, preempted, crashed, and resumed is byte-identical to
 //     the same spec run uninterrupted in one shot (RunOneShot), because
 //     the study layer's slot-aligned determinism contract makes every
-//     checkpoint a resumable pure prefix.
+//     durable log prefix a resumable pure prefix.
 package server
 
 import (
@@ -34,6 +34,7 @@ import (
 	"vpnscope/internal/ecosystem"
 	"vpnscope/internal/faultsim"
 	"vpnscope/internal/results"
+	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
 	"vpnscope/internal/vpn"
 )
@@ -41,7 +42,7 @@ import (
 // CampaignSpec is the submission payload: everything a campaign needs
 // to be reproduced from scratch. A spec is the unit of durability — the
 // daemon persists it verbatim at admission, and crash recovery re-runs
-// it (resuming its checkpoint) with no other state.
+// it (resuming its outcome log) with no other state.
 type CampaignSpec struct {
 	// Seed drives every stochastic element of the world and campaign.
 	Seed uint64 `json:"seed"`
@@ -49,8 +50,9 @@ type CampaignSpec struct {
 	// world is assembled from the first Catalog entries of the synthetic
 	// provider catalog (hand-built specs for the tested 62, procedurally
 	// derived profiles with planted ground truth for the rest), and
-	// outcomes stream into a sharded append-only log instead of a
-	// monolithic checkpoint. Zero = legacy tested-catalog mode.
+	// outcomes stream into a Shards-way outcome log whose result is a
+	// bounded summary. Zero = tested-catalog mode (a one-shard log that
+	// seals into a full envelope).
 	Catalog int `json:"catalog,omitempty"`
 	// Months, in catalog mode, re-audits the catalog at virtual months
 	// 1..Months after the baseline (month 0), one shard log per month.
@@ -200,8 +202,8 @@ func (s *CampaignSpec) buildOptions(month int) study.Options {
 }
 
 // envelopeOptions are the serialization options every envelope of this
-// spec — checkpoints and final results, daemon-run or one-shot — is
-// written with, so byte comparison across paths is meaningful.
+// spec — daemon-run or one-shot — is written with, so byte comparison
+// across paths is meaningful.
 func (s *CampaignSpec) envelopeOptions() []results.Option {
 	opts := []results.Option{results.WithSeed(s.Seed)}
 	if s.FaultProfile != "" {
@@ -210,17 +212,24 @@ func (s *CampaignSpec) envelopeOptions() []results.Option {
 	return opts
 }
 
-// runConfig assembles the study.RunConfig for this spec. checkpoint and
-// resume may be nil.
-func (s *CampaignSpec) runConfig(ctx context.Context, workers int, checkpoint func(*study.Result) error, resume *study.Result) study.RunConfig {
+// runConfig assembles the study.RunConfig for this spec.
+func (s *CampaignSpec) runConfig(ctx context.Context, workers int) study.RunConfig {
 	return study.RunConfig{
 		ConnectAttempts: s.ConnectAttempts,
 		QuarantineAfter: s.QuarantineAfter,
 		Parallel:        workers,
 		Ctx:             ctx,
-		Checkpoint:      checkpoint,
-		Resume:          resume,
 	}
+}
+
+// logMeta pins the campaign's shard log for one month: K=Shards for a
+// catalog sweep, a single shard for every other campaign.
+func (s *CampaignSpec) logMeta(month int) shardlog.Meta {
+	shards := s.Shards
+	if s.Catalog == 0 {
+		shards = 1
+	}
+	return shardlog.Meta{Seed: s.Seed, Shards: shards, FaultProfile: s.FaultProfile, Month: month}
 }
 
 // buildWorldFn builds the spec's world at a virtual month (0 outside
@@ -266,7 +275,7 @@ func RunOneShot(ctx context.Context, spec CampaignSpec) (*study.Result, error) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.TimeoutSec*float64(time.Second)))
 		defer cancel()
 	}
-	return runStudyFn(w, spec.runConfig(ctx, spec.Workers, nil, nil))
+	return runStudyFn(w, spec.runConfig(ctx, spec.Workers))
 }
 
 // EnvelopeBytes serializes a result under the spec's envelope options —

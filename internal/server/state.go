@@ -2,17 +2,22 @@
 // memory:
 //
 //	<id>.spec.json         the submission, fsynced before admission succeeds
-//	<id>.ckpt.json         the latest checkpoint (atomic rename per outcome)
-//	<id>.result.json       the final envelope of a finished campaign
+//	<id>.outcomes/         the campaign's shard log (one shard; catalog
+//	                       sweeps use K shards per month, see catalog.go),
+//	                       fsynced per outcome and sealed when finished
+//	<id>.result.json       the final envelope (the fold of the sealed log;
+//	                       a bounded summary for catalog sweeps)
 //	<id>.error             the terminal-failure marker (never resumed)
 //	<id>.flightrec.ndjson  flight-recorder dump (panic/cancel/watchdog)
 //	<id>.stacks.txt        goroutine stacks accompanying a dump
 //
 // Crash recovery is a pure function of this layout: spec with result →
-// done; spec with error marker → failed; spec alone (checkpoint or
-// not) → in-flight, re-queued in admission order and resumed. Every
-// file is written atomically (results.WriteFileAtomic), so a kill -9
-// at any instant leaves a directory recovery can always parse.
+// done; spec with error marker → failed; spec alone (outcome log or
+// not) → in-flight, re-queued in admission order and resumed from the
+// log's recovered prefix. Any other file is ignored. Every file but the
+// log is written atomically (results.WriteFileAtomic), and the log
+// recovers from a torn append, so a kill -9 at any instant leaves a
+// directory recovery can always parse.
 package server
 
 import (
@@ -33,7 +38,6 @@ import (
 var writeFileAtomic = results.WriteFileAtomic
 
 func (d *Daemon) specPath(id string) string { return filepath.Join(d.cfg.StateDir, id+".spec.json") }
-func (d *Daemon) ckptPath(id string) string { return filepath.Join(d.cfg.StateDir, id+".ckpt.json") }
 func (d *Daemon) resultPath(id string) string {
 	return filepath.Join(d.cfg.StateDir, id+".result.json")
 }
@@ -157,7 +161,7 @@ func (d *Daemon) recoverState() error {
 			c.events = append(c.events, Event{Type: string(StateFailed), Detail: c.errText})
 		default:
 			// In-flight at crash or drain: requeue. The runner finds and
-			// resumes the checkpoint file, when one exists.
+			// resumes the outcome log, when one exists.
 			c.state = StateQueued
 			c.events = append(c.events, Event{Type: string(StateQueued), Detail: "recovered"})
 			d.queue = append(d.queue, c)

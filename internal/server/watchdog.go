@@ -8,7 +8,7 @@
 //     has been running longer than max(StallFloor, StallMultiple · p99)
 //     of the campaign's rolling slot wall-time histogram;
 //   - committer stall: slots keep finishing but the committer's last
-//     action (commit, checkpoint, resume, skip, discard, wait) is older
+//     action (commit, stream, resume, skip, discard, wait) is older
 //     than the same threshold — the single committer is wedged or
 //     parked on a delivery that will never come;
 //   - drain stall: a drain has been running for DrainGrace + StallFloor

@@ -1,6 +1,6 @@
 // Cooperative-cancellation validation: RunConfig.Ctx must stop a
 // campaign only at vantage-point slot boundaries, so every committed
-// outcome is already checkpointed and the checkpoint resumes
+// outcome is already in the outcome log and the log resumes
 // byte-identically — the invariant the vpnscoped daemon's drain and
 // deadline paths are built on.
 package study_test
@@ -9,13 +9,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"path/filepath"
-	"sync"
 	"testing"
 
 	"vpnscope/internal/faultsim"
-	"vpnscope/internal/results"
 	"vpnscope/internal/study"
 )
 
@@ -37,56 +33,21 @@ func TestCancelBeforeStart(t *testing.T) {
 	}
 }
 
-// runCanceledAt runs a lossy campaign canceling the context after the
-// k-th checkpoint, then resumes the checkpoint file to completion and
-// returns the final envelope.
-func runCanceledAt(t *testing.T, build func() *study.World, dir string, k, killPar, resumePar int) []byte {
+// runCanceledAt streams a lossy campaign into an outcome log, cancels
+// the context once k outcomes are durable, then resumes the log to
+// completion and returns the envelope of its fold.
+func runCanceledAt(t *testing.T, build func() *study.World, k, killPar, resumePar int) []byte {
 	t.Helper()
-	path := filepath.Join(dir, fmt.Sprintf("cancel-%d.json", k))
-	ck := results.CheckpointFunc(path, results.WithSeed(2018), results.WithFaultProfile("lossy"))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var mu sync.Mutex
-	count := 0
-	_, err := build().RunWith(study.RunConfig{
-		Ctx:      ctx,
-		Parallel: killPar,
-		Checkpoint: func(r *study.Result) error {
-			if err := ck(r); err != nil {
-				return err
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			count++
-			if count == k {
-				cancel()
-			}
-			return nil
-		},
-	})
-	if !errors.Is(err, study.ErrCanceled) {
-		t.Fatalf("cancel at %d: err = %v, want ErrCanceled", k, err)
+	dir := t.TempDir()
+	mustInterrupt(t, interruptIntoLog(t, build, dir, k, killPar, true), true)
+	if n := durable(t, dir); n < k {
+		t.Fatalf("cancel at %d: log holds %d outcomes, want >= %d", k, n, k)
 	}
-
-	partial, env, err := results.LoadFile(path)
-	if err != nil {
-		t.Fatalf("cancel at %d: loading checkpoint: %v", k, err)
-	}
-	if env.Seed != 2018 {
-		t.Fatalf("cancel at %d: checkpoint seed = %d", k, env.Seed)
-	}
-	if partial.VPsAttempted < k {
-		t.Fatalf("cancel at %d: checkpoint has %d outcomes, want >= %d", k, partial.VPsAttempted, k)
-	}
-	res, err := build().RunWith(study.RunConfig{Parallel: resumePar, Resume: partial})
-	if err != nil {
-		t.Fatalf("cancel at %d: resume: %v", k, err)
-	}
-	return envelope(t, res)
+	return resumeLog(t, build, dir, resumePar)
 }
 
 // TestCancelResumeByteIdentical is the quick (-short) form: cancel a
-// sequential and a parallel campaign mid-run, resume each checkpoint,
+// sequential and a parallel campaign mid-run, resume each outcome log,
 // and require the uninterrupted envelope.
 func TestCancelResumeByteIdentical(t *testing.T) {
 	build := func() *study.World {
@@ -99,11 +60,10 @@ func TestCancelResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	refBytes := envelope(t, ref)
-	dir := t.TempDir()
-	if got := runCanceledAt(t, build, dir, 2, 1, 8); !bytes.Equal(got, refBytes) {
+	if got := runCanceledAt(t, build, 2, 1, 8); !bytes.Equal(got, refBytes) {
 		t.Error("sequential cancel at 2: resumed envelope differs from uninterrupted run")
 	}
-	if got := runCanceledAt(t, build, dir, 3, 8, 1); !bytes.Equal(got, refBytes) {
+	if got := runCanceledAt(t, build, 3, 8, 1); !bytes.Equal(got, refBytes) {
 		t.Error("parallel cancel at 3: resumed envelope differs from uninterrupted run")
 	}
 }
@@ -129,15 +89,14 @@ func TestCancelResumeFuzz(t *testing.T) {
 		t.Fatalf("%d vantage points silently dropped in reference run", d)
 	}
 	refBytes := envelope(t, ref)
-	dir := t.TempDir()
-	// Canceling after the final checkpoint would never fire before the
-	// run finishes, so fuzz the boundaries strictly inside the campaign.
+	// Canceling after the final outcome would never fire before the run
+	// finishes, so fuzz the boundaries strictly inside the campaign.
 	for k := 1; k < ref.VPsAttempted; k++ {
 		killPar, resumePar := 1, 8
 		if k%2 == 0 {
 			killPar, resumePar = 8, 1
 		}
-		if got := runCanceledAt(t, build, dir, k, killPar, resumePar); !bytes.Equal(got, refBytes) {
+		if got := runCanceledAt(t, build, k, killPar, resumePar); !bytes.Equal(got, refBytes) {
 			t.Errorf("cancel at %d (Parallel=%d, resume Parallel=%d): envelope differs from uninterrupted run",
 				k, killPar, resumePar)
 		}

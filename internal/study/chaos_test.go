@@ -7,9 +7,7 @@ package study_test
 
 import (
 	"bytes"
-	"errors"
 	"net/netip"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -299,9 +297,9 @@ func TestSuiteBudgetsRecorded(t *testing.T) {
 }
 
 // TestChaosResumeByteIdentical: the acceptance criterion's strongest
-// form — kill a campaign mid-run *under faults* and resume it on a
-// freshly built world; the final envelope must equal the uninterrupted
-// run's byte for byte.
+// form — kill a campaign mid-run *under faults* and resume it from its
+// outcome log on a freshly built world; the envelope of the sealed log
+// must equal the uninterrupted run's byte for byte.
 func TestChaosResumeByteIdentical(t *testing.T) {
 	build := func() *study.World {
 		w := buildSubset(t, 2018, "Seed4.me", "WorldVPN", "Windscribe")
@@ -318,42 +316,12 @@ func TestChaosResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "checkpoint.json")
-	ckpt := results.CheckpointFunc(path, results.WithSeed(2018), results.WithFaultProfile("lossy"))
-	killed := errors.New("killed")
-	outcomes := 0
-	_, err = build().RunWith(study.RunConfig{
-		Checkpoint: func(r *study.Result) error {
-			if err := ckpt(r); err != nil {
-				return err
-			}
-			outcomes++
-			if outcomes == 4 {
-				return killed
-			}
-			return nil
-		},
-	})
-	if !errors.Is(err, killed) {
-		t.Fatalf("interrupted run error = %v", err)
+	dir := t.TempDir()
+	mustInterrupt(t, interruptIntoLog(t, build, dir, 4, 0, false), false)
+	if n := durable(t, dir); n != 4 {
+		t.Errorf("killed log holds %d outcomes, want 4", n)
 	}
-
-	partial, env, err := results.LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Complete || env.FaultProfile != "lossy" {
-		t.Errorf("checkpoint envelope = complete:%v profile:%q", env.Complete, env.FaultProfile)
-	}
-	resumed, err := build().RunWith(study.RunConfig{Resume: partial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resBuf bytes.Buffer
-	if err := results.Save(&resBuf, resumed, results.WithSeed(2018), results.WithFaultProfile("lossy")); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(refBuf.Bytes(), resBuf.Bytes()) {
+	if !bytes.Equal(refBuf.Bytes(), resumeLog(t, build, dir, 0)) {
 		t.Error("killed-then-resumed chaos campaign is not byte-identical to the uninterrupted run")
 	}
 }

@@ -1,28 +1,23 @@
 // Incremental canonical committer: the single authority over result
 // ordering for both the sequential and the parallel campaign paths.
 //
-// The old checkpoint path re-copied and re-sorted the entire Result
-// after every recorded vantage point (O(slots²) over a campaign). The
-// committer replaces it with an append-only canonical prefix plus a
-// rank-sorted queue of resumed records:
+// Specs are committed strictly in canonical (slot-rank) order, so every
+// newly recorded outcome appends to an already sorted prefix and goes
+// straight to RunConfig.Stream — the caller's shard log is the durable
+// copy of the campaign. Resuming from that log works by rank too:
 //
-//   - Specs are committed strictly in canonical (slot-rank) order, so
-//     newly recorded outcomes append to the prefix already sorted.
-//   - A resumed checkpoint's records are sorted once by rank at
-//     construction (O(R log R)) and migrated into the prefix by
-//     monotone front pointers as commits pass their rank — before
-//     committing a spec with order o, every pending record with rank
-//     < o moves over; a pending record with rank == o IS that spec's
-//     resumed outcome (replayed, not re-measured).
-//   - A checkpoint snapshot is the cap-clamped prefix plus the not-yet-
-//     migrated pending tail: O(new outcomes) for a fresh campaign (four
-//     slice headers and one Result), O(remaining tail) when resuming.
+//   - The resumed failure and recovery records (rebuilt by
+//     shardlog.(*Log).Resume) are sorted once by rank at construction
+//     (O(R log R)) and migrated into the prefix by monotone front
+//     pointers as commits pass their rank — before committing a spec
+//     with order o, every pending record with rank < o moves over.
+//   - A spec whose vantage point the log already decided replays that
+//     outcome into the breaker state; it is neither re-measured nor
+//     re-streamed.
 //
-// This reproduces exactly what sort-the-whole-Result produced at every
-// checkpoint: each record is either new (committed at its own rank) or
-// resumed (migrated at its rank), ranks never duplicate between the
-// two, and equal unknown ranks keep their resume order (stable sort at
-// construction, FIFO migration afterwards).
+// The retained Result at any point therefore equals an uninterrupted
+// run's, and the streamed sequence continues the log exactly where the
+// interrupted run left it.
 package study
 
 import (
@@ -32,17 +27,11 @@ import (
 
 	"vpnscope/internal/flightrec"
 	"vpnscope/internal/telemetry"
-	"vpnscope/internal/vpntest"
 )
 
 // committerWorker tags flight-recorder events emitted on the committing
 // goroutine (as opposed to a measuring worker).
 const committerWorker = -1
-
-type pendReport struct {
-	rank int
-	rep  *vpntest.VPReport
-}
 
 type pendFailure struct {
 	rank int
@@ -73,20 +62,11 @@ type committer struct {
 	done map[string]vpOutcome // vpKey → resumed outcome
 	prov map[int]*provState   // provider index → breaker state
 
-	pendReps   []pendReport
-	pendCFs    []pendFailure
-	pendRecs   []pendRecovery
-	pr, pf, pc int // migration front pointers
+	pendCFs  []pendFailure
+	pendRecs []pendRecovery
+	pf, pc   int // migration front pointers
 
-	// Chunked scratch for objects handed out by snapshot(). Every
-	// checkpoint must give the callback freshly allocated, never-reused
-	// memory (snapshots are documented frozen, and resume paths retain
-	// them), but nothing says each snapshot needs its own malloc: these
-	// chunks are carved into one-shot pieces, so a campaign of N
-	// checkpoints costs N/snapChunkLen allocations instead of N.
-	snapChunk []Result
-	quarChunk []Quarantine
-	provChunk []provState
+	provChunk []provState // carved one provState at a time
 
 	// onQuarantine, when set, is notified the moment a provider's
 	// breaker closes (fresh trip or resumed-skip replay). The parallel
@@ -111,7 +91,6 @@ func newCommitter(cfg *RunConfig, rank slotRank) *committer {
 	}
 	c.res.VPsAttempted = prev.VPsAttempted
 	for _, rep := range prev.Reports {
-		c.pendReps = append(c.pendReps, pendReport{rank.vpRank(rep.Provider, rep.VPLabel), rep})
 		c.done[vpKey(rep.Provider, rep.VPLabel)] = outcomeMeasured
 	}
 	for _, cf := range prev.ConnectFailures {
@@ -121,7 +100,6 @@ func newCommitter(cfg *RunConfig, rank slotRank) *committer {
 	for _, rec := range prev.Recoveries {
 		c.pendRecs = append(c.pendRecs, pendRecovery{rank.vpRank(rec.Provider, rec.VPLabel), rec})
 	}
-	sort.SliceStable(c.pendReps, func(i, j int) bool { return c.pendReps[i].rank < c.pendReps[j].rank })
 	sort.SliceStable(c.pendCFs, func(i, j int) bool { return c.pendCFs[i].rank < c.pendCFs[j].rank })
 	sort.SliceStable(c.pendRecs, func(i, j int) bool { return c.pendRecs[i].rank < c.pendRecs[j].rank })
 	for _, q := range prev.Quarantines {
@@ -155,19 +133,10 @@ func (c *committer) provState(idx int) *provState {
 
 // migrate moves pending resumed records with rank < lim into the
 // canonical prefix. The front pointers only ever advance, so total
-// migration work over a whole campaign is O(resumed records).
-//
-// In streaming mode resumed report records are rank-tracking stubs
-// reconstructed from the caller's outcome log (identity fields only);
-// they advance the front pointer but are not retained — the log, not
-// the Result, is the report store.
+// migration work over a whole campaign is O(resumed records). Resumed
+// reports are never migrated: they are identity stubs, and the log,
+// not the Result, is the report store.
 func (c *committer) migrate(lim int) {
-	for c.pr < len(c.pendReps) && c.pendReps[c.pr].rank < lim {
-		if c.cfg.Stream == nil {
-			c.res.Reports = append(c.res.Reports, c.pendReps[c.pr].rep)
-		}
-		c.pr++
-	}
 	for c.pf < len(c.pendCFs) && c.pendCFs[c.pf].rank < lim {
 		c.res.ConnectFailures = append(c.res.ConnectFailures, c.pendCFs[c.pf].cf)
 		c.pf++
@@ -181,9 +150,9 @@ func (c *committer) migrate(lim int) {
 // prepare advances the canonical state to spec s and reports whether s
 // still needs a measurement. It migrates every pending record due
 // before s, replays s's resumed outcome into the breaker state (no
-// re-measurement, no checkpoint — matching the sequential runner's
-// resume semantics), trips the breaker when the streak demands it, and
-// skip-commits (record + checkpoint) when the provider is quarantined.
+// re-measurement, no re-stream), trips the breaker when the streak
+// demands it, and skip-commits (record + stream) when the provider is
+// quarantined.
 func (c *committer) prepare(s slotSpec) (needMeasure bool, err error) {
 	st := c.provState(s.provIdx)
 	if outcome := c.done[s.key]; outcome != outcomeNone {
@@ -241,7 +210,7 @@ func (c *committer) prepare(s slotSpec) (needMeasure bool, err error) {
 		}
 		if qi < 0 {
 			// Breaker closed by a resumed skip, but the interrupted
-			// run's quarantine record is missing from the checkpoint.
+			// run's quarantine record is missing from the resumed log.
 			return false, fmt.Errorf("study: resumed quarantine record missing for %s", s.provider)
 		}
 		c.res.Quarantines[qi].SkippedVPs = append(c.res.Quarantines[qi].SkippedVPs, s.label)
@@ -249,14 +218,11 @@ func (c *committer) prepare(s slotSpec) (needMeasure bool, err error) {
 			Kind: flightrec.QuarantineSkip, Worker: committerWorker,
 			Slot: s.order, Provider: s.provider, VP: s.label,
 		})
-		if err := c.stream(Outcome{Rank: s.order, Skip: &SkippedVP{
+		return false, c.stream(Outcome{Rank: s.order, Skip: &SkippedVP{
 			Provider:     s.provider,
 			VPLabel:      s.label,
 			TrippedAfter: c.res.Quarantines[qi].TrippedAfter,
-		}}); err != nil {
-			return false, err
-		}
-		return false, c.checkpoint()
+		}})
 	}
 	return true, nil
 }
@@ -279,7 +245,7 @@ func (c *committer) insertQuarantine(q Quarantine) {
 }
 
 // commit records a fresh measurement outcome for s (prepare must have
-// returned needMeasure) and checkpoints.
+// returned needMeasure) and streams it.
 //
 // Deterministic campaign telemetry is recorded here, not at measure
 // time: the committer runs single-threaded in canonical slot order and
@@ -336,16 +302,12 @@ func (c *committer) commit(s slotSpec, out vpResult) error {
 			Slot: s.order, Provider: s.provider, VP: s.label, Detail: detail,
 		})
 	}
-	if err := c.stream(o); err != nil {
-		return err
-	}
-	return c.checkpoint()
+	return c.stream(o)
 }
 
-// stream hands one fresh outcome to the caller's streaming sink (a
-// no-op in checkpoint mode). Like checkpoint it only ever runs on the
-// committing goroutine, so outcomes arrive strictly in rank order for
-// any worker count.
+// stream hands one fresh outcome to the caller's sink (a no-op for an
+// in-memory run). It only ever runs on the committing goroutine, so
+// outcomes arrive strictly in rank order for any worker count.
 func (c *committer) stream(o Outcome) error {
 	if c.cfg.Stream == nil {
 		return nil
@@ -362,6 +324,7 @@ func (c *committer) stream(o Outcome) error {
 		if tel != nil {
 			tel.M.Checkpoints.Add(1)
 			tel.CheckpointWall.Observe(d)
+			tel.RecordCommitSpan(telemetry.Span{Kind: "stream", WallStart: t0, WallDur: d})
 		}
 		fr.Record(flightrec.Event{
 			Kind: flightrec.Checkpoint, Worker: committerWorker,
@@ -372,96 +335,6 @@ func (c *committer) stream(o Outcome) error {
 		return fmt.Errorf("study: stream: %w", err)
 	}
 	return nil
-}
-
-// checkpoint hands the user callback an O(new)-cost snapshot.
-func (c *committer) checkpoint() error {
-	if c.cfg.Checkpoint == nil {
-		return nil
-	}
-	tel := telemetry.Active()
-	fr := c.cfg.Flight
-	var t0 time.Time
-	if tel != nil || fr != nil {
-		t0 = time.Now()
-	}
-	err := c.cfg.Checkpoint(c.snapshot())
-	if tel != nil || fr != nil {
-		d := time.Since(t0)
-		if tel != nil {
-			tel.M.Checkpoints.Add(1)
-			tel.CheckpointWall.Observe(d)
-			tel.RecordCommitSpan(telemetry.Span{
-				Kind:      "checkpoint",
-				WallStart: t0,
-				WallDur:   d,
-			})
-		}
-		fr.Record(flightrec.Event{
-			Kind: flightrec.Checkpoint, Worker: committerWorker,
-			Detail: "checkpoint", V1: int64(d),
-		})
-	}
-	if err != nil {
-		return fmt.Errorf("study: checkpoint: %w", err)
-	}
-	return nil
-}
-
-// snapChunkLen sizes the committer's snapshot scratch chunks: large
-// enough to amortize allocation across a campaign's checkpoints, small
-// enough that a short campaign doesn't strand much memory.
-const snapChunkLen = 64
-
-// snapshot builds a self-contained, canonically ordered view of the
-// in-progress result. The three vantage-point slices alias the live
-// prefix with their capacity clamped to their length: the committer
-// only ever appends past that length (an append on the clamped snapshot
-// itself reallocates), and prefix elements are never mutated after
-// commit, so the snapshot stays frozen while the campaign runs on.
-// Quarantine records DO mutate in place (SkippedVPs grows), so those
-// are struct-copied with the same cap-clamp on each SkippedVPs.
-//
-// The Result header and the Quarantine copies come from the committer's
-// chunked scratch: each piece is carved out exactly once and never
-// touched by the committer again, so the freeze guarantee above is
-// preserved while a checkpoint-per-outcome campaign pays one allocation
-// per snapChunkLen snapshots instead of one per snapshot.
-func (c *committer) snapshot() *Result {
-	if len(c.snapChunk) == 0 {
-		c.snapChunk = make([]Result, snapChunkLen)
-	}
-	out := &c.snapChunk[0]
-	c.snapChunk = c.snapChunk[1:]
-	out.VPsAttempted = c.res.VPsAttempted
-	out.Reports = c.res.Reports[:len(c.res.Reports):len(c.res.Reports)]
-	out.ConnectFailures = c.res.ConnectFailures[:len(c.res.ConnectFailures):len(c.res.ConnectFailures)]
-	out.Recoveries = c.res.Recoveries[:len(c.res.Recoveries):len(c.res.Recoveries)]
-	// Not-yet-migrated resumed records sort after every committed rank
-	// and are already rank-ordered; appending them to the cap-clamped
-	// prefix copies into a fresh array without disturbing the live one.
-	for i := c.pr; i < len(c.pendReps); i++ {
-		out.Reports = append(out.Reports, c.pendReps[i].rep)
-	}
-	for i := c.pf; i < len(c.pendCFs); i++ {
-		out.ConnectFailures = append(out.ConnectFailures, c.pendCFs[i].cf)
-	}
-	for i := c.pc; i < len(c.pendRecs); i++ {
-		out.Recoveries = append(out.Recoveries, c.pendRecs[i].rec)
-	}
-	if n := len(c.res.Quarantines); n > 0 {
-		if len(c.quarChunk) < n {
-			c.quarChunk = make([]Quarantine, max(snapChunkLen, n))
-		}
-		out.Quarantines = c.quarChunk[:n:n]
-		c.quarChunk = c.quarChunk[n:]
-		copy(out.Quarantines, c.res.Quarantines)
-		for i := range out.Quarantines {
-			sk := out.Quarantines[i].SkippedVPs
-			out.Quarantines[i].SkippedVPs = sk[:len(sk):len(sk)]
-		}
-	}
-	return out
 }
 
 // finish migrates every remaining pending record (resumed outcomes for

@@ -21,7 +21,7 @@ func benchCampaign(nProv, vpsPer int) ([]slotSpec, slotRank) {
 			key := vpKey(prov, label)
 			rank.vp[key] = slot
 			specs = append(specs, slotSpec{
-				provIdx: p, vpIdx: v, order: slot, timeSlot: slot,
+				provIdx: p, vpIdx: v, order: slot,
 				provider: prov, label: label, key: key,
 			})
 			slot++
@@ -30,18 +30,17 @@ func benchCampaign(nProv, vpsPer int) ([]slotSpec, slotRank) {
 	return specs, rank
 }
 
-var benchCheckpointSink int
+var benchStreamSink int
 
-// BenchmarkCheckpointMerge drives the incremental committer through a
-// full campaign with a checkpoint after every outcome — the path that
-// used to re-copy and re-sort the entire Result per recorded vantage
-// point (O(slots²) work and allocation over a campaign). The committer
-// hands each checkpoint a cap-clamped alias of its append-only
-// canonical prefix, so cost per outcome is O(1) amortized. The
-// allocs-per-outcome ceiling below fails the benchmark even under
-// -benchtime 1x (tier-1 runs it that way), so a regression back to
-// copy-per-checkpoint cannot land silently.
-func BenchmarkCheckpointMerge(b *testing.B) {
+// BenchmarkCommitStream drives the incremental committer through a full
+// campaign with a Stream sink — the path every durable campaign takes,
+// handing each outcome to its shard log. Committing in canonical order
+// appends to an always-sorted prefix and streams the outcome by value,
+// so cost per outcome is O(1) amortized with no per-outcome allocation.
+// The allocs-per-outcome ceiling below fails the benchmark even under
+// -benchtime 1x (tier-1 runs it that way), so a regression to
+// re-sorting, re-copying, or boxing per outcome cannot land silently.
+func BenchmarkCommitStream(b *testing.B) {
 	const nProv, vpsPer = 64, 8
 	const slots = nProv * vpsPer
 	specs, rank := benchCampaign(nProv, vpsPer)
@@ -51,8 +50,10 @@ func BenchmarkCheckpointMerge(b *testing.B) {
 	}
 
 	run := func() {
-		cfg := &RunConfig{Checkpoint: func(r *Result) error {
-			benchCheckpointSink += r.VPsAttempted
+		streamed := 0
+		cfg := &RunConfig{Stream: func(o Outcome) error {
+			benchStreamSink += o.Rank
+			streamed++
 			return nil
 		}}
 		cfg.fill()
@@ -69,23 +70,19 @@ func BenchmarkCheckpointMerge(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if got := len(c.finish().Reports); got != slots {
-			b.Fatalf("committed %d reports, want %d", got, slots)
+		if res := c.finish(); streamed != slots || res.VPsAttempted != slots {
+			b.Fatalf("streamed %d outcomes of %d attempted, want %d", streamed, res.VPsAttempted, slots)
 		}
 	}
 
-	// Gate: the old canonicalize-per-checkpoint path rebuilt the rank
-	// maps and copied every record slice at each of the `slots`
-	// checkpoints — dozens of allocations per outcome, growing with
-	// campaign size. The incremental merger with chunked snapshot
-	// scratch measures ~0.07 allocations per outcome (snapshot Results
-	// and provider states come from amortized chunks; the rest is map
-	// resizing and prefix growth). Ceiling 0.25 leaves ~3x headroom
-	// while catching both a quadratic relapse and a return to
-	// one-malloc-per-snapshot.
-	const allocCeiling = 0.25
+	// Gate: the streaming commit measures ~0.04 allocations per outcome
+	// (21 per 512-slot campaign: the committer, its maps and their
+	// growth, and amortized provider-state chunks — nothing per
+	// outcome). Ceiling 0.12 leaves ~3x headroom while catching any
+	// return to a per-outcome allocation.
+	const allocCeiling = 0.12
 	if per := testing.AllocsPerRun(5, run) / slots; per > allocCeiling {
-		b.Fatalf("checkpoint merge allocates %.1f objects per outcome (ceiling %.0f): checkpoint path regressed", per, allocCeiling)
+		b.Fatalf("streaming commit allocates %.3f objects per outcome (ceiling %.2f): commit path regressed", per, allocCeiling)
 	}
 
 	b.ReportAllocs()

@@ -10,6 +10,7 @@ import (
 
 	"vpnscope/internal/faultsim"
 	"vpnscope/internal/flightrec"
+	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
 )
 
@@ -70,33 +71,34 @@ func TestFlightRecorderDoesNotPerturbResults(t *testing.T) {
 }
 
 // TestFlightRecorderResume: a resumed run records SlotResume for
-// checkpoint-absorbed slots and still matches the uninterrupted bytes.
+// log-absorbed slots and still matches the uninterrupted bytes.
 func TestFlightRecorderResume(t *testing.T) {
 	full := envelope(t, runLossySubsetFlight(t, 2, nil))
 
-	var checkpoint *study.Result
-	w := buildSubset(t, 2018, "Seed4.me", "WorldVPN", "Windscribe")
-	w.EnableFaults(faultsim.Lossy)
-	if _, err := w.RunWith(study.RunConfig{
-		Parallel: 2,
-		Checkpoint: func(partial *study.Result) error {
-			if partial.VPsAttempted <= 3 {
-				cp := *partial
-				checkpoint = &cp
-			}
-			return nil
-		},
-	}); err != nil {
+	r := flightrec.NewRing(1 << 14)
+	build := func() *study.World {
+		w := buildSubset(t, 2018, "Seed4.me", "WorldVPN", "Windscribe")
+		w.EnableFaults(faultsim.Lossy)
+		return w
+	}
+	dir := t.TempDir()
+	mustInterrupt(t, interruptIntoLog(t, build, dir, 3, 2, false), false)
+	lg, err := shardlog.Open(dir, lossyLog)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if checkpoint == nil {
-		t.Fatal("no checkpoint captured")
+	defer lg.Close()
+	lean, err := lg.Resume()
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	r := flightrec.NewRing(1 << 14)
-	w2 := buildSubset(t, 2018, "Seed4.me", "WorldVPN", "Windscribe")
-	w2.EnableFaults(faultsim.Lossy)
-	res, err := w2.RunWith(study.RunConfig{Parallel: 2, Resume: checkpoint, Flight: r})
+	if _, err := build().RunWith(study.RunConfig{Parallel: 2, Resume: lean, Stream: lg.Append, Flight: r}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.MarkComplete(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := lg.Result()
 	if err != nil {
 		t.Fatal(err)
 	}

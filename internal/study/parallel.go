@@ -15,7 +15,7 @@
 // dependency — the per-provider quarantine breaker — and discarding
 // speculative measurements a quarantine overtook. Output is therefore
 // byte-identical to the sequential path for any worker count, at every
-// checkpoint, for any kill/resume point.
+// streamed outcome, for any kill/resume point.
 package study
 
 import (
@@ -30,30 +30,24 @@ import (
 	"vpnscope/internal/flightrec"
 	"vpnscope/internal/study/slotsched"
 	"vpnscope/internal/telemetry"
-	"vpnscope/internal/vpn"
 )
 
-// slotRank maps every enumerable outcome of this world to its canonical
-// position: vantage points rank by their global slot index, quarantine
-// records by provider index. Outcomes for vantage points this world
-// does not enumerate (a checkpoint taken under different Options) rank
-// after all known ones, keeping their relative order.
+// slotRank maps every outcome of a campaign to its canonical position:
+// vantage points rank by their slot index, quarantine records by the
+// provider's position in slot order. Outcomes for vantage points the
+// campaign does not enumerate rank after all known ones, keeping their
+// relative order.
 type slotRank struct {
-	vp   map[string]int // vpKey → global slot
-	prov map[string]int // provider name → provider index
+	vp   map[string]int // vpKey → slot
+	prov map[string]int // provider name → position in slot order
 }
 
-func (w *World) ranks() slotRank {
-	r := slotRank{vp: map[string]int{}, prov: map[string]int{}}
-	slot := 0
-	for i, p := range w.Providers {
-		r.prov[p.Name()] = i
-		if p.Spec.Client == vpn.BrowserExtension {
-			continue
-		}
-		for _, vp := range p.VPs {
-			r.vp[vpKey(p.Name(), vpLabel(vp))] = slot
-			slot++
+func specRanks(specs []slotSpec) slotRank {
+	r := slotRank{vp: make(map[string]int, len(specs)), prov: map[string]int{}}
+	for _, s := range specs {
+		r.vp[s.key] = s.order
+		if _, ok := r.prov[s.provider]; !ok {
+			r.prov[s.provider] = len(r.prov)
 		}
 	}
 	return r
@@ -260,7 +254,7 @@ type slotDelivery struct {
 // committer. Workers append to the fill buffer under a short critical
 // section; the committer swaps the whole buffer out in one lock
 // acquisition and consumes it privately, so commit work (report
-// serialization, checkpointing) overlaps worker execution instead of
+// serialization, streaming) overlaps worker execution instead of
 // trading per-slot lock handoffs with it.
 type intake struct {
 	mu      sync.Mutex

@@ -8,10 +8,6 @@ package study_test
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
-	"path/filepath"
-	"sync"
 	"testing"
 
 	"vpnscope/internal/analysis"
@@ -161,12 +157,11 @@ func TestParallelGoldenFullStudy(t *testing.T) {
 }
 
 // TestParallelKillResumeFuzz kills a 5-provider lossy campaign at every
-// vantage-point boundary and resumes the checkpoint under both
-// Parallel=1 and Parallel=8; every resumed envelope must equal the
-// uninterrupted reference byte for byte. The kill itself alternates
-// between sequential and parallel execution, so mid-parallel
-// checkpoints — which are not slot-order prefixes — are resumed by both
-// paths too.
+// vantage-point boundary and resumes its outcome log under 1, 2, and 4
+// workers; the envelope of every resumed log's fold must equal the
+// uninterrupted reference byte for byte. The kill itself cycles through
+// 1, 2, 4, and 8 workers, so logs cut short mid-parallel-run are
+// resumed by every path too.
 func TestParallelKillResumeFuzz(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kill/resume fuzz in -short mode")
@@ -188,54 +183,15 @@ func TestParallelKillResumeFuzz(t *testing.T) {
 	refBytes := envelope(t, ref)
 	total := ref.VPsAttempted
 
-	killed := errors.New("killed")
-	dir := t.TempDir()
 	for k := 1; k <= total; k++ {
-		killPar := 1
-		if k%2 == 0 {
-			killPar = 8
+		killPar := []int{1, 2, 4, 8}[k%4]
+		dir := t.TempDir()
+		mustInterrupt(t, interruptIntoLog(t, build, dir, k, killPar, false), false)
+		if n := durable(t, dir); n != k {
+			t.Fatalf("k=%d: killed log holds %d outcomes", k, n)
 		}
-		path := filepath.Join(dir, fmt.Sprintf("ckpt-%d.json", k))
-		ck := results.CheckpointFunc(path, results.WithSeed(2018), results.WithFaultProfile("lossy"))
-		var mu sync.Mutex
-		count := 0
-		_, err := build().RunWith(study.RunConfig{
-			Parallel: killPar,
-			Checkpoint: func(r *study.Result) error {
-				mu.Lock()
-				defer mu.Unlock()
-				if count >= k {
-					// Concurrent shards may checkpoint again after the
-					// kill; keep the file frozen at k outcomes.
-					return killed
-				}
-				if err := ck(r); err != nil {
-					return err
-				}
-				count++
-				if count == k {
-					return killed
-				}
-				return nil
-			},
-		})
-		if !errors.Is(err, killed) {
-			t.Fatalf("k=%d: interrupted run error = %v", k, err)
-		}
-
-		partial, env, err := results.LoadFile(path)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if env.Complete {
-			t.Fatalf("k=%d: checkpoint marked complete", k)
-		}
-		for _, resumePar := range []int{1, 8} {
-			resumed, err := build().RunWith(study.RunConfig{Resume: partial, Parallel: resumePar})
-			if err != nil {
-				t.Fatalf("k=%d resume Parallel=%d: %v", k, resumePar, err)
-			}
-			if !bytes.Equal(refBytes, envelope(t, resumed)) {
+		for _, resumePar := range []int{1, 2, 4} {
+			if !bytes.Equal(refBytes, resumeLog(t, build, copyLog(t, dir), resumePar)) {
 				t.Errorf("k=%d (killed under Parallel=%d, resumed under Parallel=%d): envelope differs from reference",
 					k, killPar, resumePar)
 			}

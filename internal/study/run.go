@@ -76,7 +76,7 @@ type Outcome struct {
 	Skip     *SkippedVP        `json:",omitempty"`
 }
 
-// Result is a completed (or checkpointed partial) study: every
+// Result is a completed (or interrupted partial) study: every
 // vantage-point report plus the connection failures (§5.2's
 // flaky-endpoint reality), retry recoveries, and quarantines. Every
 // attempted vantage point lands in exactly one of Reports,
@@ -141,30 +141,23 @@ type RunConfig struct {
 	// earlier vantage points took, which is what lets an interrupted
 	// campaign resume byte-identically.
 	VPSlot time.Duration
-	// Resume seeds the runner with a checkpointed partial Result:
-	// vantage points already present (measured, failed, or
-	// quarantine-skipped) are not re-run, but still consume their
-	// virtual-time slot.
-	Resume *Result
-	// Checkpoint, when set, is invoked with the in-progress Result
-	// after every newly recorded vantage-point outcome. A checkpoint
-	// error aborts the campaign, returning the partial Result alongside
-	// the error. Checkpoint calls are serialized (even under Parallel)
-	// and always receive a self-contained snapshot in canonical slot
-	// order, built at O(new outcomes) cost by the incremental committer
-	// (see commit.go).
-	Checkpoint func(*Result) error
-	// Stream, when set, switches the campaign to bounded-memory
-	// streaming: each newly recorded outcome is handed to Stream exactly
-	// once, in canonical rank order (serialized onto the committing
-	// goroutine even under Parallel), and the committer stops retaining
-	// measurement reports in the returned Result — Reports stays empty;
-	// ConnectFailures, Recoveries, Quarantines, and VPsAttempted are
-	// still filled. Resumed outcomes (already in the caller's log) are
-	// never re-streamed. Mutually exclusive with Checkpoint: the
-	// caller's sink is the checkpoint. A Stream error aborts the
-	// campaign like a checkpoint error would.
+	// Stream, when set, makes the campaign durable: each newly recorded
+	// outcome is handed to Stream exactly once, in canonical rank order
+	// (serialized onto the committing goroutine even under Parallel),
+	// and the committer stops retaining measurement reports in the
+	// returned Result — Reports stays empty; ConnectFailures,
+	// Recoveries, Quarantines, and VPsAttempted are still filled. The
+	// sink is normally shardlog.(*Log).Append, whose sealed log folds
+	// back into the full Result (shardlog.(*Log).Result). A Stream error
+	// aborts the campaign, returning the partial Result alongside it.
 	Stream func(Outcome) error
+	// Resume continues a streamed campaign whose first outcomes are
+	// already in the caller's log: it must be the lean Result
+	// shardlog.(*Log).Resume rebuilds from that log, and it is only
+	// valid together with Stream. Resumed vantage points (measured,
+	// failed, or quarantine-skipped) are not re-run or re-streamed, but
+	// still consume their virtual-time slot.
+	Resume *Result
 	// Parallel is the campaign worker count (default GOMAXPROCS;
 	// minimum 1). The campaign is sharded at vantage-point granularity:
 	// a work-stealing scheduler (internal/study/slotsched) hands slots
@@ -184,7 +177,7 @@ type RunConfig struct {
 	Parallel int
 	// Flight, when non-nil, is the campaign's flight recorder: every
 	// slot start/finish, retry, steal, quarantine decision, commit, and
-	// checkpoint records a bounded, runtime-shape-only event into it
+	// stream call records a bounded, runtime-shape-only event into it
 	// (see internal/flightrec). A nil ring disables recording at zero
 	// cost; the record path never allocates either way, and nothing
 	// recorded feeds back into execution, so results stay byte-identical
@@ -195,15 +188,15 @@ type RunConfig struct {
 	// stops advancing, and the runner returns the partial Result
 	// alongside an error wrapping ctx.Err(). Cancellation lands only at
 	// slot boundaries, so every outcome committed before it has already
-	// been checkpointed — a canceled campaign's checkpoint resumes
-	// byte-identically, exactly like a killed one (ErrCanceled
-	// distinguishes cooperative stops from real failures).
+	// been streamed — a canceled campaign's log resumes byte-identically,
+	// exactly like a killed one (ErrCanceled distinguishes cooperative
+	// stops from real failures).
 	Ctx context.Context
 }
 
 // ErrCanceled wraps the context error a canceled campaign returns; test
 // with errors.Is. The accompanying partial Result is valid and — when a
-// Checkpoint callback was set — already durably checkpointed.
+// Stream sink was set — every outcome it counts is already streamed.
 var ErrCanceled = errors.New("study: campaign canceled")
 
 func (c *RunConfig) fill() {
@@ -262,17 +255,14 @@ func vpLabel(vp *vpn.VantagePoint) string {
 	return fmt.Sprintf("%s (%s)", vp.ID(), vp.ClaimedCountry)
 }
 
-// slotSpec pins one vantage-point measurement. order is the record's
-// canonical rank (the global slot index over the whole campaign);
-// timeSlot is the virtual-time slot the measurement runs in. They
-// coincide for a full campaign; RunProvider numbers its virtual-time
-// slots from zero (the provider runs standalone) while keeping global
-// ranks so resumed whole-campaign checkpoints still merge in order.
+// slotSpec pins one vantage-point measurement. order is both the
+// record's canonical rank and the virtual-time slot the measurement
+// runs in: the slot index within the campaign being run, counted from
+// zero for a full campaign and for RunProvider alike.
 type slotSpec struct {
 	provIdx  int // index into World.Providers
 	vpIdx    int // index into the provider's VPs
-	order    int // canonical rank for result ordering
-	timeSlot int // virtual-time slot (clock pin + client sequence)
+	order    int // canonical rank and virtual-time slot (clock pin + client sequence)
 	provider string
 	label    string
 	key      string
@@ -291,7 +281,7 @@ func (w *World) campaignSpecs() []slotSpec {
 		for vi, vp := range p.VPs {
 			label := vpLabel(vp)
 			specs = append(specs, slotSpec{
-				provIdx: pi, vpIdx: vi, order: slot, timeSlot: slot,
+				provIdx: pi, vpIdx: vi, order: slot,
 				provider: p.Name(), label: label, key: vpKey(p.Name(), label),
 			})
 			slot++
@@ -301,19 +291,18 @@ func (w *World) campaignSpecs() []slotSpec {
 }
 
 // providerSpecs enumerates a single provider's slots for RunProvider:
-// virtual time restarts at slot zero, canonical order keeps the global
-// rank.
+// it is a campaign of its own, so both rank and virtual time restart at
+// slot zero.
 func (w *World) providerSpecs(pi int) []slotSpec {
 	p := w.Providers[pi]
 	if p.Spec.Client == vpn.BrowserExtension {
 		return nil
 	}
-	r := w.ranks()
 	var specs []slotSpec
 	for vi, vp := range p.VPs {
 		label := vpLabel(vp)
 		specs = append(specs, slotSpec{
-			provIdx: pi, vpIdx: vi, order: r.vpRank(p.Name(), label), timeSlot: vi,
+			provIdx: pi, vpIdx: vi, order: vi,
 			provider: p.Name(), label: label, key: vpKey(p.Name(), label),
 		})
 	}
@@ -379,12 +368,12 @@ func (w *World) beginSlot(cfg *RunConfig, s slotSpec) {
 	w.Net.BeginSlot()
 	w.Net.RewindHosts(w.hostMark)
 	w.Authority.TrimLog(w.authMark)
-	w.Net.Clock.Jump(campaignBase + time.Duration(s.timeSlot)*cfg.VPSlot)
+	w.Net.Clock.Jump(campaignBase + time.Duration(s.order)*cfg.VPSlot)
 	w.Net.ResetStream(s.key)
 	if w.faults != nil {
 		w.faults.Reset(s.key)
 	}
-	w.Providers[s.provIdx].BeginSlot(s.timeSlot)
+	w.Providers[s.provIdx].BeginSlot(s.order)
 }
 
 // measureVP measures one vantage point inside its own virtual-time
@@ -442,7 +431,7 @@ func (w *World) measureVP(cfg *RunConfig, s slotSpec) vpResult {
 		}
 	}
 	if tel != nil {
-		virtStart := campaignBase + time.Duration(s.timeSlot)*cfg.VPSlot
+		virtStart := campaignBase + time.Duration(s.order)*cfg.VPSlot
 		outcome := "measured"
 		if out.failure != nil {
 			outcome = "failed"
@@ -475,7 +464,7 @@ func (w *World) measureSlot(cfg *RunConfig, s slotSpec) vpResult {
 	w.beginSlot(cfg, s)
 	backoffRNG := simrand.New(w.Opts.Seed).Fork("campaign").Fork(s.key)
 
-	stack, err := w.newClientStackAt(clientSeqBase + s.timeSlot)
+	stack, err := w.newClientStackAt(clientSeqBase + s.order)
 	if err != nil {
 		// A client machine that cannot even be provisioned is a
 		// recorded failure, not a campaign abort.
@@ -551,11 +540,11 @@ func (w *World) Run() (*Result, error) {
 	return w.RunWith(RunConfig{})
 }
 
-// RunWith executes the full campaign under cfg. On a checkpoint error
-// the partial Result is returned alongside the error. With cfg.Parallel
+// RunWith executes the full campaign under cfg. On a Stream error the
+// partial Result is returned alongside the error. With cfg.Parallel
 // greater than one (the default is GOMAXPROCS) vantage-point slots run
-// concurrently on worker world replicas; the returned Result — and
-// every checkpoint — is byte-identical to a sequential run.
+// concurrently on worker world replicas; the returned Result — and the
+// streamed outcome sequence — is byte-identical to a sequential run.
 func (w *World) RunWith(cfg RunConfig) (*Result, error) {
 	cfg.fill()
 	return w.runCampaign(cfg, w.campaignSpecs())
@@ -583,13 +572,13 @@ func (w *World) RunProviderWith(name string, cfg RunConfig) (*Result, error) {
 // one-provider world) stays on the primary world so post-Build
 // mutations — which worker replicas cannot observe — keep applying.
 func (w *World) runCampaign(cfg RunConfig, specs []slotSpec) (*Result, error) {
-	if cfg.Stream != nil && cfg.Checkpoint != nil {
-		return nil, errors.New("study: RunConfig.Stream and Checkpoint are mutually exclusive")
+	if cfg.Resume != nil && cfg.Stream == nil {
+		return nil, errors.New("study: RunConfig.Resume requires Stream (resume from the campaign's outcome log)")
 	}
 	if tel := telemetry.Active(); tel != nil {
 		tel.AddSlotsTotal(len(specs))
 	}
-	c := newCommitter(&cfg, w.ranks())
+	c := newCommitter(&cfg, specRanks(specs))
 	schedulable := 0
 	multiProvider := false
 	for _, s := range specs {

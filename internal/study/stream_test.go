@@ -3,7 +3,8 @@
 // without retaining reports in the returned Result — and a campaign
 // streamed into a sharded outcome log must survive kill -9 at any
 // outcome boundary (including torn tail writes) and resume to shard
-// files byte-identical to an uninterrupted run's.
+// files byte-identical to an uninterrupted run's, whose fold is the
+// in-memory run's envelope.
 package study_test
 
 import (
@@ -89,16 +90,15 @@ func TestStreamMatchesRetainedRun(t *testing.T) {
 	}
 }
 
-// TestStreamCheckpointMutuallyExclusive: setting both sinks is a
-// configuration error, not a silent preference.
-func TestStreamCheckpointMutuallyExclusive(t *testing.T) {
+// TestResumeRequiresStream: resuming is continuing a campaign's outcome
+// log, so a Resume without a Stream sink is a configuration error.
+func TestResumeRequiresStream(t *testing.T) {
 	_, err := streamWorld(t).RunWith(study.RunConfig{
-		Parallel:   1,
-		Stream:     func(study.Outcome) error { return nil },
-		Checkpoint: func(*study.Result) error { return nil },
+		Parallel: 1,
+		Resume:   &study.Result{},
 	})
 	if err == nil {
-		t.Fatal("Stream+Checkpoint accepted")
+		t.Fatal("Resume without Stream accepted")
 	}
 }
 
@@ -142,8 +142,8 @@ var errKilled = errors.New("simulated kill")
 // outcomes reach the log (optionally leaving a torn half-written line,
 // as a real kill -9 mid-write would), then recovers the log, rebuilds
 // the lean Result from it, and resumes to completion. Returns the final
-// shard bytes.
-func streamKilledAt(t *testing.T, dir string, meta shardlog.Meta, k, killPar, resumePar int, torn bool) []byte {
+// shard bytes and the envelope of the sealed log's fold.
+func streamKilledAt(t *testing.T, dir string, meta shardlog.Meta, k, killPar, resumePar int, torn bool) (shards, env []byte) {
 	t.Helper()
 	l, err := shardlog.Open(dir, meta)
 	if err != nil {
@@ -201,24 +201,42 @@ func streamKilledAt(t *testing.T, dir string, meta shardlog.Meta, k, killPar, re
 	if err := re.MarkComplete(); err != nil {
 		t.Fatal(err)
 	}
+	full, err := re.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return studyShardBytes(t, dir, meta.Shards)
+	return studyShardBytes(t, dir, meta.Shards), envelope(t, full)
 }
 
 // TestStreamKillResumeByteIdentical is the quick form: kill a
 // sequential and a parallel streaming campaign mid-run (one with a torn
 // tail write), resume each from its recovered shard log, and require
-// shard files byte-identical to the uninterrupted run's.
+// shard files byte-identical to the uninterrupted run's, folding to the
+// in-memory run's envelope.
 func TestStreamKillResumeByteIdentical(t *testing.T) {
 	meta := shardlog.Meta{Seed: 2018, Shards: 3, FaultProfile: "lossy"}
 	golden := streamGolden(t, t.TempDir(), meta)
-	if got := streamKilledAt(t, t.TempDir(), meta, 2, 1, 8, false); !bytes.Equal(got, golden) {
+	ref, err := streamWorld(t).RunWith(study.RunConfig{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refEnv := envelope(t, ref)
+	got, env := streamKilledAt(t, t.TempDir(), meta, 2, 1, 8, false)
+	if !bytes.Equal(got, golden) {
 		t.Error("sequential kill at 2: resumed shard bytes differ from uninterrupted run")
 	}
-	if got := streamKilledAt(t, t.TempDir(), meta, 3, 8, 1, true); !bytes.Equal(got, golden) {
+	if !bytes.Equal(env, refEnv) {
+		t.Error("sequential kill at 2: folded envelope differs from the in-memory run's")
+	}
+	got, env = streamKilledAt(t, t.TempDir(), meta, 3, 8, 1, true)
+	if !bytes.Equal(got, golden) {
 		t.Error("parallel kill at 3 with torn tail: resumed shard bytes differ")
+	}
+	if !bytes.Equal(env, refEnv) {
+		t.Error("parallel kill at 3 with torn tail: folded envelope differs from the in-memory run's")
 	}
 }
 
@@ -232,18 +250,22 @@ func TestStreamKillResumeFuzz(t *testing.T) {
 	}
 	meta := shardlog.Meta{Seed: 2018, Shards: 3, FaultProfile: "lossy"}
 	golden := streamGolden(t, t.TempDir(), meta)
-	ref, err := streamWorld(t).RunWith(study.RunConfig{Parallel: 1, Stream: func(study.Outcome) error { return nil }})
+	ref, err := streamWorld(t).RunWith(study.RunConfig{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	refEnv := envelope(t, ref)
 	for k := 0; k < ref.VPsAttempted; k++ {
 		killPar, resumePar := 1, 8
 		if k%2 == 1 {
 			killPar, resumePar = 8, 1
 		}
-		got := streamKilledAt(t, t.TempDir(), meta, k, killPar, resumePar, k%3 == 1)
+		got, env := streamKilledAt(t, t.TempDir(), meta, k, killPar, resumePar, k%3 == 1)
 		if !bytes.Equal(got, golden) {
 			t.Errorf("kill at %d (par %d->%d): resumed shard bytes differ from uninterrupted run", k, killPar, resumePar)
+		}
+		if !bytes.Equal(env, refEnv) {
+			t.Errorf("kill at %d (par %d->%d): folded envelope differs from the in-memory run's", k, killPar, resumePar)
 		}
 	}
 }

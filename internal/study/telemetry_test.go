@@ -107,34 +107,17 @@ func TestTelemetryCampaignSnapshotReproducible(t *testing.T) {
 // slots as resumed, not recommitted, and total accounting still covers
 // every slot.
 func TestTelemetryResumeAccounting(t *testing.T) {
-	// First half: run to completion, keep the last checkpoint.
-	var checkpoint *study.Result
-	w := buildSubset(t, 2018, "Seed4.me", "WorldVPN")
-	w.EnableFaults(faultsim.Lossy)
-	stopAfter := 3
-	_, err := w.RunWith(study.RunConfig{
-		Parallel: 2,
-		Checkpoint: func(partial *study.Result) error {
-			if partial.VPsAttempted <= stopAfter {
-				cp := *partial
-				checkpoint = &cp
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	build := func() *study.World {
+		w := buildSubset(t, 2018, "Seed4.me", "WorldVPN")
+		w.EnableFaults(faultsim.Lossy)
+		return w
 	}
-	if checkpoint == nil {
-		t.Fatal("no checkpoint captured")
-	}
+	// First half: kill the campaign once 3 outcomes are in its log.
+	dir := t.TempDir()
+	mustInterrupt(t, interruptIntoLog(t, build, dir, 3, 2, false), false)
 
 	tel := telemetry.Enable()
-	w2 := buildSubset(t, 2018, "Seed4.me", "WorldVPN")
-	w2.EnableFaults(faultsim.Lossy)
-	if _, err := w2.RunWith(study.RunConfig{Parallel: 2, Resume: checkpoint}); err != nil {
-		t.Fatal(err)
-	}
+	resumeLog(t, build, dir, 2)
 	telemetry.Disable()
 
 	snap := tel.Snapshot()

@@ -46,7 +46,6 @@ type CampaignSnapshot struct {
 	QuarantineTrips   int64                        `json:"quarantine_trips"`
 	QuarantineSkipped int64                        `json:"quarantine_skipped"`
 	Checkpoints       int64                        `json:"checkpoints"`
-	CheckpointBytes   int64                        `json:"checkpoint_bytes"`
 	Faults            FaultCounts                  `json:"faults_committed"`
 	SuiteVirtual      HistogramSnapshot            `json:"suite_virtual_ms"`
 	TestVirtual       map[string]HistogramSnapshot `json:"test_virtual_ms,omitempty"`
@@ -131,7 +130,6 @@ func (s *Sink) Snapshot() *Snapshot {
 			QuarantineTrips:   m.QuarantineTrips.Load(),
 			QuarantineSkipped: m.QuarantineSkipped.Load(),
 			Checkpoints:       m.Checkpoints.Load(),
-			CheckpointBytes:   m.CheckpointBytes.Load(),
 			Faults:            faultCounts(&committed),
 			SuiteVirtual:      s.SuiteVirtual.Snapshot(),
 			TestVirtual:       tests,

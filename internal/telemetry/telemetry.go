@@ -56,14 +56,13 @@ type Metrics struct {
 	// slot order, so they are deterministic for a given seed/config.
 	SlotsDone         atomic.Int64 // slots accounted for (committed, resumed, or quarantine-skipped)
 	SlotsCommitted    atomic.Int64 // slots measured this run and committed
-	SlotsResumed      atomic.Int64 // slots replayed from a resume checkpoint
+	SlotsResumed      atomic.Int64 // slots replayed from a resumed outcome log
 	Reports           atomic.Int64 // committed vantage-point reports
 	ConnectFailures   atomic.Int64 // committed connect failures
 	Recoveries        atomic.Int64 // committed reports that needed >1 connect attempt
 	QuarantineTrips   atomic.Int64 // providers quarantined during commit replay
 	QuarantineSkipped atomic.Int64 // slots skipped because their provider was quarantined
-	Checkpoints       atomic.Int64 // checkpoint callbacks invoked
-	CheckpointBytes   atomic.Int64 // bytes serialized by results.CheckpointFunc
+	Checkpoints       atomic.Int64 // outcomes handed to RunConfig.Stream
 	FaultsCommitted   [NumFaultKinds]atomic.Int64
 
 	// Runtime counters — execution-shape data. Valid observations, but
@@ -115,7 +114,7 @@ type Sink struct {
 
 	// Shared histograms. SuiteVirtual and the per-test map are fed by
 	// the committer only (deterministic); SlotWall and CheckpointWall
-	// are wall-clock.
+	// (per streamed outcome) are wall-clock.
 	SuiteVirtual   Histogram
 	SlotWall       Histogram
 	CheckpointWall Histogram

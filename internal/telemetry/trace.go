@@ -10,18 +10,18 @@ import (
 )
 
 // ringCapacity bounds each track's span buffer. A full commercial-scale
-// campaign is a few hundred slots plus a checkpoint per slot, so 4096
+// campaign is a few hundred slots plus a stream write per slot, so 4096
 // keeps everything; if a run ever overflows, the oldest spans are
 // overwritten and the loss is reported in the snapshot's
 // runtime.spans_dropped.
 const ringCapacity = 4096
 
 // Span is one traced interval: a measured vantage-point slot or a
-// checkpoint write. Spans are placed on the wall clock (WallStart /
+// stream write. Spans are placed on the wall clock (WallStart /
 // WallDur — where the work actually ran) and annotated with the
 // virtual-time window the simulation assigned it (VirtStart / VirtDur).
 type Span struct {
-	Kind     string // "slot" or "checkpoint"
+	Kind     string // "slot" or "stream"
 	Slot     int    // canonical slot order (slots only)
 	Provider string
 	VP       string
@@ -117,7 +117,7 @@ func (s *Sink) RecordSpan(worker int, sp Span) {
 }
 
 // RecordCommitSpan appends a span to the committer's dedicated track
-// (checkpoint writes live there, not on any worker).
+// (stream writes live there, not on any worker).
 func (s *Sink) RecordCommitSpan(sp Span) {
 	s.commits.record(sp)
 }

@@ -52,10 +52,10 @@ go test -bench 'BenchmarkTelemetryOverhead/record$' \
     -benchtime 20000x -count 3 -benchmem -run '^$' . |
     go run ./cmd/benchtrend -best -out "$out" -label "$label"
 
-# Checkpoint-merge cost (the allocs-per-outcome gate lives inside the
-# benchmark itself and fails the run on a quadratic relapse). Also
+# Streaming-commit cost (the allocs-per-outcome gate lives inside the
+# benchmark itself and fails the run on a per-outcome allocation). Also
 # cheap: repeat and record the best.
-go test -bench 'BenchmarkCheckpointMerge$' \
+go test -bench 'BenchmarkCommitStream$' \
     -benchtime 100x -count 3 -benchmem -run '^$' ./internal/study |
     go run ./cmd/benchtrend -best -out "$out" -label "$label"
 
