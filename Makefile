@@ -17,8 +17,9 @@ race:
 # suite, the flight-recorder ring race suite, the daemon race suite
 # (admission, drain, kill -9 chaos, panic/stall flight dumps), study
 # bench smoke, the alloc-gated fast-path, prototype-patch,
-# streaming-commit, and shard-log benches, and the poisoned-arena
-# prototype retention suite.
+# streaming-commit, and shard-log benches, the poisoned-arena
+# prototype retention suite, and the world suites under the ownerdebug
+# single-owner assertion.
 tier1: build
 	go vet ./...
 	go test ./...
@@ -31,6 +32,7 @@ tier1: build
 	go test -bench 'CommitStream' -benchtime 1x -run '^$$' ./internal/study
 	go test -bench 'ShardedOutcomes' -benchtime 1x -run '^$$' ./internal/results/shardlog
 	go test -tags arenadebug -run 'Prototype' ./internal/netsim
+	go test -tags ownerdebug -short ./internal/netsim/... ./internal/capture/... ./internal/vpn/... ./internal/vpntest/... ./internal/study/... ./internal/server/...
 
 # bench runs the full-study benchmarks and appends the numbers to the
 # BENCH_*.json trajectory (override with BENCH_OUT / BENCH_LABEL).

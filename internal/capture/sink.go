@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -34,19 +33,11 @@ func (d Direction) String() string {
 }
 
 // Sink collects packet records, like a tcpdump process attached to an
-// interface. It is safe for concurrent use (though an installed payload
-// allocator must itself be safe for however the sink is driven) unless
-// the owner switches it to unlocked mode.
+// interface. A sink is owned by the stack that holds it and is driven
+// only by that stack's owner goroutine; it does no locking of its own.
 type Sink struct {
-	mu      sync.Mutex
 	records []Record
 	alloc   func(n int) []byte
-	// unlocked skips the mutex on every method — set only by owners
-	// that drive the sink from a single goroutine for its whole life
-	// (the slot-scoped client stacks of a sequential campaign world).
-	// The capture path runs once per simulated packet, where even an
-	// uncontended lock is measurable.
-	unlocked bool
 }
 
 // NewSink returns an empty sink.
@@ -57,27 +48,10 @@ func NewSink() *Sink { return &Sink{} }
 // count them in place and nothing snapshots them out). Nil restores the
 // heap, which is required whenever records outlive the sink's scope
 // (pcap collection).
-func (s *Sink) SetAlloc(alloc func(n int) []byte) {
-	s.mu.Lock()
-	s.alloc = alloc
-	s.mu.Unlock()
-}
-
-// SetUnlocked switches the sink's locking mode. Unlocked is only safe
-// when a single goroutine owns every interaction with the sink; call it
-// before the sink sees any traffic.
-func (s *Sink) SetUnlocked(unlocked bool) {
-	s.mu.Lock()
-	s.unlocked = unlocked
-	s.mu.Unlock()
-}
+func (s *Sink) SetAlloc(alloc func(n int) []byte) { s.alloc = alloc }
 
 // Capture appends a record. The packet bytes are copied.
 func (s *Sink) Capture(t time.Duration, iface string, dir Direction, data []byte) {
-	if !s.unlocked {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	var cp []byte
 	if s.alloc != nil {
 		cp = s.alloc(len(data))
@@ -90,32 +64,16 @@ func (s *Sink) Capture(t time.Duration, iface string, dir Direction, data []byte
 
 // Records returns a snapshot of all captured records in capture order.
 func (s *Sink) Records() []Record {
-	if !s.unlocked {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	out := make([]Record, len(s.records))
 	copy(out, s.records)
 	return out
 }
 
 // Len returns the number of captured packets.
-func (s *Sink) Len() int {
-	if !s.unlocked {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	return len(s.records)
-}
+func (s *Sink) Len() int { return len(s.records) }
 
 // Reset discards all records.
-func (s *Sink) Reset() {
-	if !s.unlocked {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	s.records = nil
-}
+func (s *Sink) Reset() { s.records = nil }
 
 // Rebase hands the sink a reusable backing array for its record list
 // and returns the previous one, emptied and with its payload
@@ -124,10 +82,6 @@ func (s *Sink) Reset() {
 // stop regrowing the record list from scratch; snapshots handed out by
 // Records are copies, so rebasing never invalidates them.
 func (s *Sink) Rebase(backing []Record) []Record {
-	if !s.unlocked {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	old := s.records
 	clear(old)
 	s.records = backing[:0:cap(backing)]

@@ -3,29 +3,34 @@ package netsim
 import (
 	"testing"
 
+	"vpnscope/internal/arena"
 	"vpnscope/internal/capture"
 )
 
 // Alloc ceilings for the packet fast path. These are gates, not
 // observations: the benchmarks below fail when a change pushes the
 // steady-state allocs/op of a hot operation above its ceiling, even at
-// -benchtime 1x (the tier-1 smoke run). Each ceiling carries headroom
-// over the measured steady state because sync.Pool may shed entries
-// across GC cycles, and a pool miss costs an extra allocation or two.
+// -benchtime 1x (the tier-1 smoke run). Each ceiling is at most twice
+// the measured steady state. The package-level builders draw from
+// capture's sync.Pool, which may shed entries across GC cycles; the
+// world-level paths (Exchange, deliver) take buffers from the
+// network's freelist and owned copies from the slot arena, so their
+// headroom only covers a delivery-ring pool miss.
 const (
-	// One UDP query end to end: build, route, Exchange, decode, plus
-	// the handler's response slice and the owned response copy.
-	// Measures 4.0 with the pooled delivery ring and layer scratch.
-	exchangeAllocCeiling = 8
+	// One UDP query end to end on a campaign world: build, route,
+	// Exchange, capture, decode. Measures 1.0 — the handler's response
+	// slice; captures and the owned response copy live in the arena.
+	exchangeAllocCeiling = 2
 	// buildPacketTTL: serialize into a pooled buffer + one exact-size
 	// owned copy out. Measures 2.0.
 	buildPacketAllocCeiling = 4
 	// BuildPacketInto: serialize into a caller-held buffer; zero-copy,
 	// one steady-state allocation. Measures 1.0.
 	buildPacketIntoAllocCeiling = 2
-	// Network.deliver of a UDP packet: decode with a pooled decoder,
-	// dispatch, build the reply into ring scratch. Measures 2.0.
-	deliverAllocCeiling = 4
+	// Network.deliver of a UDP packet on a campaign world: parse,
+	// dispatch, build the reply into arena memory. Measures 1.0 — the
+	// handler's response slice.
+	deliverAllocCeiling = 2
 )
 
 // gateAllocs measures steady-state allocations per run of fn (after a
@@ -42,14 +47,55 @@ func gateAllocs(b *testing.B, name string, ceiling float64, fn func()) {
 	}
 }
 
+// slotOps is how many operations the gated benchmarks run per
+// simulated vantage-point slot.
+const slotOps = 256
+
+// campaignWorld is world() driven the way the campaign runner drives a
+// measuring world: a slot arena installed, and every slot a fresh
+// client stack whose captures land in the arena and whose record
+// arrays are retired at the slot's end.
+type campaignWorld struct {
+	n      *Network
+	st     *Stack
+	dns    *Host
+	client *Host
+	ops    int
+}
+
+func newCampaignWorld(b *testing.B) *campaignWorld {
+	n, st, _, dns := world(b)
+	n.SetSlotArena(arena.New())
+	c := &campaignWorld{n: n, dns: dns, client: st.Host}
+	c.beginSlot()
+	return c
+}
+
+func (c *campaignWorld) beginSlot() {
+	if c.st != nil {
+		c.st.Retire()
+	}
+	c.n.BeginSlot()
+	c.st = NewStack(c.n, c.client)
+	c.st.SetCaptureAlloc(c.n.SlotArena().Bytes)
+}
+
+// tick counts one operation, crossing into a new slot every slotOps.
+func (c *campaignWorld) tick() {
+	if c.ops++; c.ops%slotOps == 0 {
+		c.beginSlot()
+	}
+}
+
 // BenchmarkExchange is one full UDP query through the stack: route
 // lookup, packet build, Network.Exchange (latency, reliability,
 // delivery), and response decode.
 func BenchmarkExchange(b *testing.B) {
-	_, st, _, dns := world(b)
+	c := newCampaignWorld(b)
 	payload := []byte("query")
 	fn := func() {
-		if _, err := st.QueryUDP(dns.Addr, 53, payload); err != nil {
+		c.tick()
+		if _, err := c.st.QueryUDP(c.dns.Addr, 53, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -100,13 +146,15 @@ func BenchmarkBuildPacket(b *testing.B) {
 // BenchmarkDeliver hits Network.deliver directly with a pre-built UDP
 // packet: pooled decode, handler dispatch, reply build.
 func BenchmarkDeliver(b *testing.B) {
-	n, _, _, dns := world(b)
+	c := newCampaignWorld(b)
+	n, dns := c.n, c.dns
 	pkt, err := buildPacket(addr("203.0.113.10"), dns.Addr,
 		&capture.UDP{SrcPort: 40000, DstPort: 53}, capture.Payload("query"))
 	if err != nil {
 		b.Fatal(err)
 	}
 	fn := func() {
+		c.tick()
 		ring := getDeliveryRing()
 		err := n.deliver(dns, pkt, ring)
 		if err != nil {

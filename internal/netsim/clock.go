@@ -12,51 +12,30 @@
 // observable the paper's measurement suite consumes.
 package netsim
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Clock is the simulation's virtual time source. It only moves when the
 // simulation advances it; tests that "wait three minutes" for a tunnel to
-// recover advance the clock rather than sleeping. Lock-free: Now sits on
-// the per-packet capture path, so the single word of state is atomic
-// rather than mutex-guarded.
+// recover advance the clock rather than sleeping. A clock belongs to one
+// world and, like the rest of it, is driven only by the world's owner
+// goroutine, so its single word of state is a plain field.
 type Clock struct {
-	now atomic.Int64 // nanoseconds since simulation start
+	now time.Duration // since simulation start
 }
 
 // NewClock returns a clock at time zero.
 func NewClock() *Clock { return &Clock{} }
 
 // Now returns the current virtual time (duration since simulation start).
-func (c *Clock) Now() time.Duration {
-	return time.Duration(c.now.Load())
-}
+func (c *Clock) Now() time.Duration { return c.now }
 
 // Advance moves the clock forward by d. Negative advances are ignored:
 // virtual time never runs backwards.
 func (c *Clock) Advance(d time.Duration) time.Duration {
-	if d < 0 {
-		d = 0
+	if d > 0 {
+		c.now += d
 	}
-	return time.Duration(c.now.Add(int64(d)))
-}
-
-// AdvanceTo moves the clock forward to t; a no-op when the clock is
-// already past t. The campaign runner uses it to align every vantage
-// point onto a fixed virtual-time slot, so a resumed campaign replays
-// the identical timeline as an uninterrupted one.
-func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
-	for {
-		cur := c.now.Load()
-		if int64(t) <= cur {
-			return time.Duration(cur)
-		}
-		if c.now.CompareAndSwap(cur, int64(t)) {
-			return t
-		}
-	}
+	return c.now
 }
 
 // Jump sets the clock to exactly t, backwards included (negative t
@@ -69,6 +48,6 @@ func (c *Clock) Jump(t time.Duration) time.Duration {
 	if t < 0 {
 		t = 0
 	}
-	c.now.Store(int64(t))
-	return time.Duration(t)
+	c.now = t
+	return t
 }

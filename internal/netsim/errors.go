@@ -100,12 +100,8 @@ const (
 const maxInternedErrors = 4096
 
 // internErr returns the cached error for key, building it with fresh
-// once. Gated on the slot arena exactly like the prototype cache: only
-// single-goroutine worlds may intern.
+// once.
 func (n *Network) internErr(key errKey, fresh func() error) error {
-	if n.slotArena == nil {
-		return fresh()
-	}
 	if e, ok := n.errCache[key]; ok {
 		return e
 	}

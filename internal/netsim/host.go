@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"net/netip"
-	"sync"
 
 	"vpnscope/internal/geo"
 )
@@ -31,7 +30,9 @@ type TCPHandler func(src netip.Addr, srcPort uint16, payload []byte) []byte
 type RawHandler func(n *Network, packet []byte, emit func([]byte)) bool
 
 // Host is a machine on the simulated Internet: one or more addresses,
-// a physical location, and registered service handlers.
+// a physical location, and registered service handlers. Like the
+// Network it joins, a host is driven only by the world's owner
+// goroutine.
 type Host struct {
 	Name    string
 	Coord   geo.Coord
@@ -45,7 +46,6 @@ type Host struct {
 	// Zero means "use 1.0".
 	Reliability float64
 
-	mu   sync.Mutex
 	udp  map[uint16]UDPHandler
 	tcp  map[uint16]TCPHandler
 	raw  RawHandler
@@ -59,8 +59,6 @@ func NewHost(name string, city geo.City, addr netip.Addr) *Host {
 
 // HandleUDP registers a UDP service on port.
 func (h *Host) HandleUDP(port uint16, fn UDPHandler) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.udp == nil {
 		h.udp = make(map[uint16]UDPHandler)
 	}
@@ -69,8 +67,6 @@ func (h *Host) HandleUDP(port uint16, fn UDPHandler) {
 
 // HandleTCP registers a TCP service on port.
 func (h *Host) HandleTCP(port uint16, fn TCPHandler) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.tcp == nil {
 		h.tcp = make(map[uint16]TCPHandler)
 	}
@@ -79,75 +75,10 @@ func (h *Host) HandleTCP(port uint16, fn TCPHandler) {
 
 // HandleRaw registers a whole-packet handler consulted before port
 // dispatch (tunnel termination).
-func (h *Host) HandleRaw(fn RawHandler) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.raw = fn
-}
+func (h *Host) HandleRaw(fn RawHandler) { h.raw = fn }
 
 // SetDown marks the host administratively down (all exchanges time out).
-func (h *Host) SetDown(down bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.drop = down
-}
-
-func (h *Host) down() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.drop
-}
-
-func (h *Host) udpHandler(port uint16) UDPHandler {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.udp[port]
-}
-
-func (h *Host) tcpHandler(port uint16) TCPHandler {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.tcp[port]
-}
-
-func (h *Host) rawHandler() RawHandler {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.raw
-}
-
-// hostDown, hostRaw, hostUDP, and hostTCP are the delivery path's
-// accessors for host state: direct field reads on a single-goroutine
-// (slot-arena) network, the host's mutex-guarded getters otherwise.
-// The delivery path runs once per simulated packet, so the four lock
-// round-trips per delivery are measurable in campaign benchmarks.
-func (n *Network) hostDown(h *Host) bool {
-	if n.slotArena != nil {
-		return h.drop
-	}
-	return h.down()
-}
-
-func (n *Network) hostRaw(h *Host) RawHandler {
-	if n.slotArena != nil {
-		return h.raw
-	}
-	return h.rawHandler()
-}
-
-func (n *Network) hostUDP(h *Host, port uint16) UDPHandler {
-	if n.slotArena != nil {
-		return h.udp[port]
-	}
-	return h.udpHandler(port)
-}
-
-func (n *Network) hostTCP(h *Host, port uint16) TCPHandler {
-	if n.slotArena != nil {
-		return h.tcp[port]
-	}
-	return h.tcpHandler(port)
-}
+func (h *Host) SetDown(down bool) { h.drop = down }
 
 // HasIPv6 reports whether the host has an IPv6 address.
 func (h *Host) HasIPv6() bool { return h.Addr6.IsValid() }

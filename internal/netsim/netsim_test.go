@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"vpnscope/internal/arena"
 	"vpnscope/internal/capture"
 	"vpnscope/internal/geo"
 )
@@ -88,6 +87,36 @@ func TestAddHostConflicts(t *testing.T) {
 	bad := &Host{Name: "noaddr"}
 	if err := n.AddHost(bad); err == nil {
 		t.Fatal("expected error for host without address")
+	}
+}
+
+// TestAddHostConflictLeavesRegistryUntouched: a host whose IPv6 address
+// is taken must not stay registered under its (free) IPv4 address — a
+// half-registration RewindHosts could never undo, since the failed host
+// never joins the registration journal.
+func TestAddHostConflictLeavesRegistryUntouched(t *testing.T) {
+	n := New(1)
+	la := city(t, "Los Angeles")
+	a := NewHost("a", la, addr("198.51.100.1"))
+	a.Addr6 = addr("2001:db8::1")
+	if err := n.AddHost(a); err != nil {
+		t.Fatal(err)
+	}
+	mark := n.HostMark()
+	b := NewHost("b", la, addr("198.51.100.2"))
+	b.Addr6 = a.Addr6
+	if err := n.AddHost(b); err == nil {
+		t.Fatal("expected duplicate-IPv6 error")
+	}
+	if got := n.HostByAddr(b.Addr); got != nil {
+		t.Fatalf("HostByAddr(b.Addr) after failed AddHost = %q, want nil", got.Name)
+	}
+	n.RewindHosts(mark)
+	if got := n.HostByAddr(b.Addr); got != nil {
+		t.Fatalf("HostByAddr(b.Addr) after rewind = %q, want nil", got.Name)
+	}
+	if got := n.HostByAddr(a.Addr6); got != a {
+		t.Fatal("the conflicting AddHost disturbed the owner of the IPv6 address")
 	}
 }
 
@@ -473,13 +502,12 @@ func TestHostsDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestHostCacheInvalidation pins the single-goroutine HostByAddr MRU
-// cache to registry semantics: lookups must stop resolving the moment a
-// host is rewound away and must see a re-registration, even when the
-// address was cached.
+// TestHostCacheInvalidation pins the HostByAddr MRU cache to registry
+// semantics: lookups must stop resolving the moment a host is rewound
+// away and must see a re-registration, even when the address was
+// cached.
 func TestHostCacheInvalidation(t *testing.T) {
 	n := New(3)
-	n.SetSlotArena(arena.New())
 	la := city(t, "Los Angeles")
 
 	a := NewHost("a", la, addr("198.51.100.1"))

@@ -56,59 +56,62 @@ type FaultHook func(now time.Duration, from *Host, dst netip.Addr, proto capture
 
 // Network is the simulated Internet: a registry of hosts plus the
 // latency, jitter, and loss models that govern exchanges between them.
+//
+// A Network is single-owner: exactly one goroutine drives it (and the
+// hosts and stacks attached to it) at a time, from New onward. Nothing
+// in the world is locked; ownership moves between goroutines only at a
+// slot boundary (BeginSlot). Builds tagged ownerdebug enforce this —
+// see owner_on.go.
 type Network struct {
 	Clock *Clock
 
 	rttModel  geo.RTTModel
-	mu        sync.RWMutex
 	hosts     map[netip.Addr]*Host
 	hostLog   []*Host // registration journal, backing HostMark/RewindHosts
 	rng       *simrand.Source
 	seed      uint64
 	faultHook FaultHook
 
-	// slotArena, when set, supplies the owned reply-packet copies made
-	// on the delivery path. It is installed once at world-build time
-	// (before any traffic) and reset by the campaign runner at
-	// vantage-point slot boundaries; packets never outlive a slot, so
-	// the per-packet copies become bump allocations the GC never sees.
-	// Nil (the default, and the only safe setting for a Network
-	// exercised from multiple goroutines) falls back to the heap.
+	// owner is the ownerdebug goroutine stamp (zero-size otherwise).
+	owner ownerStamp
+
+	// slotArena, when set, supplies the owned reply-packet copies and
+	// prototype header images made on the delivery path. The campaign
+	// runner installs it once per measuring world and resets it at
+	// vantage-point slot boundaries; packets never outlive a slot, so the
+	// per-packet copies become bump allocations the GC never sees. Nil
+	// (build time, before the campaign starts) falls back to the heap,
+	// which build-time traffic needs: its results outlive every slot.
 	slotArena *arena.Arena
 
-	// protos is the flow-scoped packet-prototype cache (prototype.go).
-	// Guarded by the same single-goroutine discipline as slotArena: the
-	// cached build path is only taken when an arena is installed.
+	// protos is the flow-scoped packet-prototype cache (prototype.go),
+	// dropped by BeginSlot together with the arena its images live in.
 	protos map[protoKey]packetPrototype
 
 	// paths caches the deterministic per-endpoint-pair path model
 	// (great-circle hop count and unjittered RTT) so the haversine trig
-	// runs once per flow instead of once per exchange. Same
-	// single-goroutine gate as protos; dropped by BeginSlot.
+	// runs once per flow instead of once per exchange. Dropped by
+	// BeginSlot.
 	paths map[pathKey]pathStat
 
 	// errCache interns the repeated refused/timed-out/blocked failures
-	// of a lossy campaign (errors.go). Same single-goroutine gate.
+	// of a lossy campaign (errors.go).
 	errCache map[errKey]error
 
 	// sinkBackings recycles capture-record arrays between slot-scoped
 	// stacks (Stack.Retire feeds it, NewStack/AddInterface drain it) so
 	// every slot's sinks stop regrowing their record lists from nothing.
-	// Same single-goroutine gate as the caches above.
 	sinkBackings [][]capture.Record
 
-	// sbufs is a plain LIFO of serialize buffers that replaces the
-	// process-wide sync.Pool on single-goroutine networks: the pool's
-	// procPin/atomic traffic is measurable on the per-exchange path and
-	// buys nothing when one goroutine owns the world. Same
-	// single-goroutine gate as the caches above.
+	// sbufs is a plain LIFO of serialize buffers: with one goroutine
+	// owning the world, a freelist beats the process-wide sync.Pool,
+	// whose procPin/atomic traffic is measurable per exchange.
 	sbufs []*capture.SerializeBuffer
 
 	// hostCache is a tiny MRU over HostByAddr: a slot's traffic hits a
 	// handful of hosts over and over, and three word-compares per probe
 	// beat hashing a 24-byte netip.Addr on every packet. Entries are
-	// dropped whenever the registry changes (AddHost/RewindHosts). Same
-	// single-goroutine gate as the caches above.
+	// dropped whenever the registry changes (AddHost/RewindHosts).
 	hostCache    [4]hostCacheEntry
 	hostCacheIdx int
 }
@@ -124,30 +127,22 @@ func (n *Network) dropHostCache() {
 	n.hostCache = [4]hostCacheEntry{}
 }
 
-// AcquireBuffer returns a cleared serialize buffer: from the network's
-// own freelist on a single-goroutine (slot-arena) network, from the
-// process-wide pool otherwise. Pair with ReleaseBuffer.
+// AcquireBuffer returns a cleared serialize buffer from the network's
+// freelist. Pair with ReleaseBuffer.
 func (n *Network) AcquireBuffer() *capture.SerializeBuffer {
-	if n.slotArena != nil {
-		if k := len(n.sbufs); k > 0 {
-			b := n.sbufs[k-1]
-			n.sbufs = n.sbufs[:k-1]
-			b.Clear()
-			return b
-		}
-		return capture.NewSerializeBuffer()
+	if k := len(n.sbufs); k > 0 {
+		b := n.sbufs[k-1]
+		n.sbufs = n.sbufs[:k-1]
+		b.Clear()
+		return b
 	}
-	return capture.GetSerializeBuffer()
+	return capture.NewSerializeBuffer()
 }
 
 // ReleaseBuffer returns a buffer obtained from AcquireBuffer. The caller
 // must not touch b — or any slice obtained from it — afterwards.
 func (n *Network) ReleaseBuffer(b *capture.SerializeBuffer) {
-	if n.slotArena != nil {
-		n.sbufs = append(n.sbufs, b)
-		return
-	}
-	b.Release()
+	n.sbufs = append(n.sbufs, b)
 }
 
 // takeSinkBacking pops a recycled record array, or nil when none.
@@ -181,9 +176,6 @@ type pathStat struct {
 // pathTo returns the cached hop count and unjittered model RTT for the
 // coordinate pair, computing and caching on first sight.
 func (n *Network) pathTo(a, b geo.Coord) pathStat {
-	if n.slotArena == nil {
-		return pathStat{hops: pathHops(a, b), rttMs: n.rttModel.RTTMs(a, b)}
-	}
 	key := pathKey{a, b}
 	st, ok := n.paths[key]
 	if !ok {
@@ -197,6 +189,7 @@ func (n *Network) pathTo(a, b geo.Coord) pathStat {
 }
 
 // New creates an empty network seeded for deterministic jitter and loss.
+// The goroutine that first drives it becomes its owner.
 func New(seed uint64) *Network {
 	return &Network{
 		Clock:    NewClock(),
@@ -208,41 +201,18 @@ func New(seed uint64) *Network {
 }
 
 // SetSlotArena installs the slot-scoped allocator backing reply-packet
-// copies (see the field comment). Call it before the network carries
-// any traffic and only for single-goroutine worlds; the arena itself is
-// not concurrency-safe.
+// copies and prototype images (see the field comment). Call it before
+// the first BeginSlot; everything built earlier stays on the heap.
 func (n *Network) SetSlotArena(a *arena.Arena) { n.slotArena = a }
 
 // SlotArena returns the installed slot arena (nil when unset).
 func (n *Network) SlotArena() *arena.Arena { return n.slotArena }
 
-// ownedCopy duplicates pkt into the slot arena (or the heap when no
-// arena is installed); the copy lives until the next arena reset.
-func (n *Network) ownedCopy(pkt []byte) []byte {
-	if a := n.slotArena; a != nil {
-		return a.Copy(pkt)
-	}
-	out := make([]byte, len(pkt))
-	copy(out, pkt)
-	return out
-}
-
 // SetFaultHook installs (or, with nil, removes) the fault injector
 // consulted on every exchange.
 func (n *Network) SetFaultHook(h FaultHook) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.owner.check("SetFaultHook")
 	n.faultHook = h
-}
-
-func (n *Network) fault() FaultHook {
-	if n.slotArena != nil {
-		// Single-goroutine network: no concurrent SetFaultHook possible.
-		return n.faultHook
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.faultHook
 }
 
 // ResetStream re-derives the network's stochastic stream (jitter and
@@ -251,16 +221,14 @@ func (n *Network) fault() FaultHook {
 // each vantage point's measurements independent of how much of the
 // campaign ran before it — the property kill/resume relies on.
 func (n *Network) ResetStream(label string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.owner.check("ResetStream")
 	n.rng = simrand.New(n.seed).Fork("netsim").Fork(label)
 }
 
 // AddHost registers h under its IPv4 (and, if present, IPv6) address.
+// A conflict on either address leaves the registry untouched.
 func (n *Network) AddHost(h *Host) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.dropHostCache()
+	n.owner.check("AddHost")
 	if !h.Addr.IsValid() {
 		return fmt.Errorf("netsim: host %q has no address", h.Name)
 	}
@@ -268,11 +236,14 @@ func (n *Network) AddHost(h *Host) error {
 	if existed && other != h {
 		return fmt.Errorf("netsim: address %v already owned by %q", h.Addr, other.Name)
 	}
-	n.hosts[h.Addr] = h
 	if h.Addr6.IsValid() {
 		if other, ok := n.hosts[h.Addr6]; ok && other != h {
 			return fmt.Errorf("netsim: address %v already owned by %q", h.Addr6, other.Name)
 		}
+	}
+	n.dropHostCache()
+	n.hosts[h.Addr] = h
+	if h.Addr6.IsValid() {
 		n.hosts[h.Addr6] = h
 	}
 	if !existed {
@@ -283,11 +254,7 @@ func (n *Network) AddHost(h *Host) error {
 
 // HostMark returns a rewind point capturing the hosts registered so
 // far. Pass it to RewindHosts to deregister everything added after it.
-func (n *Network) HostMark() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.hostLog)
-}
+func (n *Network) HostMark() int { return len(n.hostLog) }
 
 // RewindHosts deregisters every host added after mark (a value from
 // HostMark), in reverse registration order. The campaign runner uses it
@@ -298,8 +265,7 @@ func (n *Network) HostMark() int {
 // (e.g. a Stack built on it) stay usable for originating exchanges —
 // only lookups of its address stop resolving.
 func (n *Network) RewindHosts(mark int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.owner.check("RewindHosts")
 	n.dropHostCache()
 	if mark < 0 || mark >= len(n.hostLog) {
 		return
@@ -318,29 +284,30 @@ func (n *Network) RewindHosts(mark int) {
 
 // HostByAddr returns the host owning addr, or nil.
 func (n *Network) HostByAddr(addr netip.Addr) *Host {
-	if n.slotArena != nil {
-		// Single-goroutine network: registry reads race with nothing.
-		for i := range n.hostCache {
-			if e := &n.hostCache[i]; e.h != nil && e.addr == addr {
-				return e.h
-			}
+	n.owner.check("HostByAddr")
+	return n.lookupHost(addr)
+}
+
+// lookupHost is HostByAddr for callers already inside a checked entry
+// point: the ownerdebug check costs a stack walk per call, and the
+// delivery path looks a host up on every packet.
+func (n *Network) lookupHost(addr netip.Addr) *Host {
+	for i := range n.hostCache {
+		if e := &n.hostCache[i]; e.h != nil && e.addr == addr {
+			return e.h
 		}
-		h := n.hosts[addr]
-		if h != nil {
-			n.hostCacheIdx = (n.hostCacheIdx + 1) % len(n.hostCache)
-			n.hostCache[n.hostCacheIdx] = hostCacheEntry{addr: addr, h: h}
-		}
-		return h
 	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.hosts[addr]
+	h := n.hosts[addr]
+	if h != nil {
+		n.hostCacheIdx = (n.hostCacheIdx + 1) % len(n.hostCache)
+		n.hostCache[n.hostCacheIdx] = hostCacheEntry{addr: addr, h: h}
+	}
+	return h
 }
 
 // Hosts returns all registered hosts (deduplicated), sorted by primary
 // address so callers iterate in a deterministic order.
 func (n *Network) Hosts() []*Host {
-	n.mu.RLock()
 	seen := make(map[*Host]bool, len(n.hosts))
 	out := make([]*Host, 0, len(n.hosts))
 	for _, h := range n.hosts {
@@ -349,34 +316,10 @@ func (n *Network) Hosts() []*Host {
 			out = append(out, h)
 		}
 	}
-	n.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
 		return out[i].Addr.Compare(out[j].Addr) < 0
 	})
 	return out
-}
-
-// jitterDraw and reliabilityDraw consume the network's stochastic
-// stream under the lock: ResetStream replaces n.rng concurrently when a
-// parallel campaign resets a sibling shard, and the draws themselves
-// mutate source state. A slot-arena network is single-goroutine, so its
-// draws skip the lock.
-func (n *Network) jitterDraw() float64 {
-	if n.slotArena != nil {
-		return n.rng.NormFloat64()
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rng.NormFloat64()
-}
-
-func (n *Network) reliabilityDraw(p float64) bool {
-	if n.slotArena != nil {
-		return n.rng.Bool(p)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rng.Bool(p)
 }
 
 // baseRTT returns the modeled RTT between two coordinates with
@@ -386,10 +329,10 @@ func (n *Network) baseRTT(a, b geo.Coord) time.Duration {
 }
 
 // jitterRTT applies one jitter draw to an unjittered model RTT —
-// split from baseRTT so the path-cached exchange path consumes the
-// stochastic stream in exactly the same order as the uncached one.
+// split from baseRTT so Exchange can jitter a path-cached RTT with the
+// same single draw baseRTT would consume.
 func (n *Network) jitterRTT(ms float64) time.Duration {
-	jitter := 1 + 0.015*n.jitterDraw()
+	jitter := 1 + 0.015*n.rng.NormFloat64()
 	if jitter < 0.95 {
 		jitter = 0.95
 	}
@@ -407,6 +350,13 @@ func (n *Network) RTTBetween(a, b *Host) time.Duration {
 // time (one RTT for UDP/ICMP, two for TCP's handshake-plus-request, plus
 // Timeout on failures that time out).
 func (n *Network) Exchange(from *Host, pkt []byte) ([]byte, error) {
+	n.owner.check("Exchange")
+	return n.exchange(from, pkt)
+}
+
+// exchange is Exchange without the ownership check, for a stack's
+// physical interface (Stack.Send/SendVia already checked).
+func (n *Network) exchange(from *Host, pkt []byte) ([]byte, error) {
 	if t := telemetry.Active(); t != nil {
 		t.M.Exchanges.Add(1)
 	}
@@ -414,13 +364,13 @@ func (n *Network) Exchange(from *Host, pkt []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	target := n.HostByAddr(dst)
+	target := n.lookupHost(dst)
 	if target == nil {
 		// Unrouted destinations burn the full timeout.
 		n.Clock.Advance(Timeout)
 		return nil, n.errAddr(ErrNoRoute, dst, "")
 	}
-	if hook := n.fault(); hook != nil {
+	if hook := n.faultHook; hook != nil {
 		switch act := hook(n.Clock.Now(), from, dst, proto); {
 		case act.Refuse:
 			return nil, n.errAddr(ErrRefused, dst, " (fault injected)")
@@ -440,7 +390,7 @@ func (n *Network) Exchange(from *Host, pkt []byte) ([]byte, error) {
 		return n.expireAtHop(from, target, pkt, int(ttl), path.hops)
 	}
 	rtt := n.jitterRTT(path.rttMs)
-	if n.hostDown(target) || !n.reliabilityDraw(target.reliability()) {
+	if target.drop || !n.rng.Bool(target.reliability()) {
 		n.Clock.Advance(Timeout)
 		return nil, n.errAddrHost(ErrTimeout, dst, target.Name)
 	}
@@ -466,10 +416,10 @@ func (n *Network) Exchange(from *Host, pkt []byte) ([]byte, error) {
 }
 
 // deliveryRing accumulates the response packets one delivery pass
-// emits. Rings are pooled (a Network is race-exercised from concurrent
-// exchanges in tests, and tunnel termination nests deliveries), and the
-// packets they carry are owned copies, so draining the ring before
-// releasing it is safe.
+// emits. Rings are pooled because tunnel termination nests deliveries
+// (a raw handler's onward Exchange needs its own ring while the outer
+// one is live), and the packets they carry are owned copies, so
+// draining the ring before releasing it is safe.
 type deliveryRing struct {
 	pkts [][]byte
 	// emitFn is the bound emit method, created once per pooled ring so
@@ -583,7 +533,7 @@ func peekSrc(pkt []byte) (src netip.Addr, proto capture.IPProtocol, err error) {
 // into ring. Every emitted packet is an owned copy (slot arena when one
 // is installed), so the ring can be drained and recycled freely.
 func (n *Network) deliver(target *Host, pkt []byte, ring *deliveryRing) error {
-	if raw := n.hostRaw(target); raw != nil {
+	if raw := target.raw; raw != nil {
 		// A raw handler that reports handled consumes the packet; one
 		// that reports false falls through to port dispatch below (the
 		// VPN host serves both raw tunnel frames and plain provider DNS).
@@ -616,7 +566,7 @@ func (n *Network) deliver(target *Host, pkt []byte, ring *deliveryRing) error {
 		ring.emit(reply)
 
 	case capture.TypeUDP:
-		h := n.hostUDP(target, v.DstPort)
+		h := target.udp[v.DstPort]
 		if h == nil {
 			return n.errAddrPort(ErrRefused, "udp", v.Dst, v.DstPort)
 		}
@@ -633,7 +583,7 @@ func (n *Network) deliver(target *Host, pkt []byte, ring *deliveryRing) error {
 		ring.emit(reply)
 
 	case capture.TypeTCP:
-		h := n.hostTCP(target, v.DstPort)
+		h := target.tcp[v.DstPort]
 		if h == nil {
 			return n.errAddrPort(ErrRefused, "tcp", v.Dst, v.DstPort)
 		}
@@ -764,7 +714,7 @@ func (n *Network) buildOwned(ttl byte, src, dst netip.Addr, inner ...capture.Ser
 	if err != nil {
 		return nil, err
 	}
-	return n.ownedCopy(pkt), nil
+	return n.slotArena.Copy(pkt), nil
 }
 
 // BuildPacket builds a packet whose bytes are owned by the network's
@@ -809,8 +759,8 @@ func BuildPacketTTLInto(buf *capture.SerializeBuffer, ttl byte, src, dst netip.A
 // the clock like any exchange.
 func (n *Network) Ping(from *Host, dst netip.Addr) (time.Duration, error) {
 	before := n.Clock.Now()
-	buf := capture.GetSerializeBuffer()
-	defer buf.Release()
+	buf := n.AcquireBuffer()
+	defer n.ReleaseBuffer(buf)
 	pkt, err := n.BuildPacketInto(buf, from.Addr, dst,
 		&capture.ICMP{TypeCode: capture.ICMPEchoRequest, ID: 1, Seq: 1})
 	if err != nil {
@@ -839,12 +789,7 @@ func (n *Network) Traceroute(from *Host, dst netip.Addr) ([]Hop, error) {
 		n.Clock.Advance(Timeout)
 		return nil, n.errAddr(ErrNoRoute, dst, "")
 	}
-	dist := geo.DistanceKm(from.Coord, target.Coord)
-	// 3 hops locally, up to 9 intercontinentally.
-	hops := 3 + int(dist/2000)
-	if hops > 9 {
-		hops = 9
-	}
+	hops := pathHops(from.Coord, target.Coord)
 	out := make([]Hop, 0, hops)
 	for i := 1; i <= hops; i++ {
 		frac := float64(i) / float64(hops)

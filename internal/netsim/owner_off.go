@@ -1,0 +1,11 @@
+//go:build !ownerdebug
+
+package netsim
+
+// ownerStamp is zero-size in the default build and its checks compile
+// to nothing; -tags ownerdebug swaps in the asserting version
+// (owner_on.go).
+type ownerStamp struct{}
+
+func (*ownerStamp) check(string) {}
+func (*ownerStamp) take()        {}

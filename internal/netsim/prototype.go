@@ -22,9 +22,9 @@ import (
 // is the contract, proven differentially by FuzzPacketPrototype.
 //
 // The cache is flow-scoped and slot-scoped: it lives on the Network,
-// is gated on an installed slot arena (only single-goroutine worlds
-// have one), and is dropped by Network.BeginSlot together with the
-// arena reset that invalidates its header images.
+// keeps its header images in the slot arena (the heap before one is
+// installed), and is dropped by Network.BeginSlot together with the
+// arena reset that invalidates those images.
 
 // protoShape fingerprints the inner layer stack of a build request:
 // the transport layer type plus whether a payload layer follows.
@@ -39,7 +39,7 @@ type protoKey struct {
 // packetPrototype is the cached serialized image of a flow's first
 // packet, minus the payload, plus the field values needed to patch.
 type packetPrototype struct {
-	hdr     []byte // arena-owned IP+transport header image
+	hdr     []byte // IP+transport header image (slot arena or heap)
 	ipLen   int
 	v4      bool
 	proto   byte   // protocol / next-header byte as serialized
@@ -190,13 +190,8 @@ func (p *packetPrototype) patch(buf *capture.SerializeBuffer, ttl byte, transpor
 
 // BuildPacketTTLInto is the prototype-cached form of the package-level
 // BuildPacketTTLInto: byte-identical output, but after the first packet
-// on a flow the header is patched instead of re-serialized. Worlds
-// without a slot arena (the multi-goroutine-safe configuration) always
-// take the full path.
+// on a flow the header is patched instead of re-serialized.
 func (n *Network) BuildPacketTTLInto(buf *capture.SerializeBuffer, ttl byte, src, dst netip.Addr, inner ...capture.SerializableLayer) ([]byte, error) {
-	if n.slotArena == nil {
-		return buildPacketTTLInto(buf, ttl, src, dst, inner...)
-	}
 	transport, payload, shape, ok := splitInner(inner)
 	if !ok {
 		return buildPacketTTLInto(buf, ttl, src, dst, inner...)
@@ -227,12 +222,12 @@ func (n *Network) BuildPacketInto(buf *capture.SerializeBuffer, src, dst netip.A
 
 // BeginSlot recycles the slot arena and drops the packet-prototype
 // cache whose header images live in it. The campaign runner calls it at
-// every vantage-point slot boundary; worlds without an arena have
-// nothing to recycle.
+// every vantage-point slot boundary. It is also the one point where
+// ownership of the world may change hands: the calling goroutine
+// becomes the owner.
 func (n *Network) BeginSlot() {
-	if n.slotArena != nil {
-		n.slotArena.Reset()
-	}
+	n.owner.take()
+	n.slotArena.Reset()
 	clear(n.protos)
 	clear(n.paths)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"sync"
 
 	"vpnscope/internal/capture"
 )
@@ -43,12 +42,12 @@ const (
 // Stack is a client machine's network stack: interfaces, a routing
 // table, resolver configuration, IPv6 state, and an outbound firewall.
 // It is the layer VPN client software manipulates, and the layer whose
-// misconfigurations the paper's leak tests (§5.3.3) expose.
+// misconfigurations the paper's leak tests (§5.3.3) expose. A stack
+// belongs to its Network's owner goroutine, like the rest of the world.
 type Stack struct {
 	Host *Host
 	Net  *Network
 
-	mu        sync.Mutex
 	ifaces    map[string]*Interface
 	routes    []Route
 	resolvers []netip.Addr
@@ -91,7 +90,7 @@ func NewStack(n *Network, host *Host) *Stack {
 		Name: PhysicalName,
 		Addr: host.Addr,
 		Sink: capture.NewSink(),
-		send: func(pkt []byte) ([]byte, error) { return n.Exchange(host, pkt) },
+		send: func(pkt []byte) ([]byte, error) { return n.exchange(host, pkt) },
 	}
 	s.adoptSink(phys.Sink)
 	s.ifaces[PhysicalName] = phys
@@ -104,15 +103,11 @@ func NewStack(n *Network, host *Host) *Stack {
 
 // Interface returns the named interface, or nil.
 func (s *Stack) Interface(name string) *Interface {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.ifaces[name]
 }
 
 // AddInterface installs a new interface (a VPN tunnel device).
 func (s *Stack) AddInterface(name string, addr netip.Addr, send SendFunc) *Interface {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	iface := &Interface{Name: name, Addr: addr, Sink: capture.NewSink(), send: send}
 	if s.captureAlloc != nil {
 		iface.Sink.SetAlloc(s.captureAlloc)
@@ -123,30 +118,19 @@ func (s *Stack) AddInterface(name string, addr netip.Addr, send SendFunc) *Inter
 }
 
 // adoptSink registers a fresh sink for Retire and seeds it with a
-// recycled record array when the network runs in slot-scoped
-// (single-goroutine) mode. Callers hold s.mu or own the stack solely.
+// recycled record array.
 func (s *Stack) adoptSink(sink *capture.Sink) {
-	if s.Net.slotArena != nil {
-		// A slot-arena network is single-goroutine by contract, so its
-		// sinks can skip their mutex on the per-packet capture path.
-		sink.SetUnlocked(true)
-		if backing := s.Net.takeSinkBacking(); backing != nil {
-			sink.Rebase(backing)
-		}
+	if backing := s.Net.takeSinkBacking(); backing != nil {
+		sink.Rebase(backing)
 	}
 	s.allSinks = append(s.allSinks, sink)
 }
 
 // Retire hands every sink's record array back to the network's recycle
 // pool. The campaign runner calls it when a slot's client machine is
-// torn down; the stack must not capture traffic afterwards. No-op on a
-// multi-goroutine (heap-allocating) network.
+// torn down; the stack must not capture traffic afterwards, and its
+// sinks read back empty.
 func (s *Stack) Retire() {
-	if s.Net.slotArena == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, sink := range s.allSinks {
 		s.Net.putSinkBacking(sink.Rebase(nil))
 	}
@@ -158,8 +142,6 @@ func (s *Stack) Retire() {
 // the world's slot arena when captures are not being collected into
 // reports, so per-packet capture copies recycle at slot boundaries.
 func (s *Stack) SetCaptureAlloc(alloc func(n int) []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.captureAlloc = alloc
 	for _, iface := range s.ifaces {
 		iface.Sink.SetAlloc(alloc)
@@ -169,8 +151,6 @@ func (s *Stack) SetCaptureAlloc(alloc func(n int) []byte) {
 // RemoveInterface tears down the named interface and any routes through
 // it.
 func (s *Stack) RemoveInterface(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	delete(s.ifaces, name)
 	kept := s.routes[:0]
 	for _, r := range s.routes {
@@ -183,15 +163,11 @@ func (s *Stack) RemoveInterface(name string) {
 
 // AddRoute installs a route. Routes added later win ties.
 func (s *Stack) AddRoute(r Route) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.routes = append(s.routes, r)
 }
 
 // RemoveRoutes deletes all routes matching pred.
 func (s *Stack) RemoveRoutes(pred func(Route) bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	kept := s.routes[:0]
 	for _, r := range s.routes {
 		if !pred(r) {
@@ -203,26 +179,13 @@ func (s *Stack) RemoveRoutes(pred func(Route) bool) {
 
 // Routes returns a copy of the routing table.
 func (s *Stack) Routes() []Route {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]Route, len(s.routes))
 	copy(out, s.routes)
 	return out
 }
 
-// lockless reports whether the stack can skip its mutex: a slot-arena
-// network is single-goroutine by contract, and these stacks live and
-// die inside one vantage-point slot. The per-packet route/firewall/
-// interface lookups below are hot enough for the uncontended lock to
-// show up in campaign profiles.
-func (s *Stack) lockless() bool { return s.Net.slotArena != nil }
-
 // lookupRoute returns the best route for dst, or nil.
 func (s *Stack) lookupRoute(dst netip.Addr) *Route {
-	if !s.lockless() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	var best *Route
 	for i := range s.routes {
 		r := &s.routes[i]
@@ -240,25 +203,17 @@ func (s *Stack) lookupRoute(dst netip.Addr) *Route {
 
 // SetResolvers replaces the system DNS resolver list.
 func (s *Stack) SetResolvers(addrs ...netip.Addr) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.resolvers = append([]netip.Addr(nil), addrs...)
 }
 
 // Resolvers returns the configured DNS resolvers.
 func (s *Stack) Resolvers() []netip.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]netip.Addr(nil), s.resolvers...)
 }
 
 // Resolver0 returns the first configured resolver without copying the
 // whole list — the overwhelmingly common lookup on the DNS hot path.
 func (s *Stack) Resolver0() (netip.Addr, bool) {
-	if !s.lockless() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	if len(s.resolvers) == 0 {
 		return netip.Addr{}, false
 	}
@@ -267,17 +222,11 @@ func (s *Stack) Resolver0() (netip.Addr, bool) {
 
 // SetIPv6 toggles IPv6 on the stack.
 func (s *Stack) SetIPv6(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.ipv6 = on
 }
 
 // IPv6Enabled reports whether the stack will emit IPv6 packets.
 func (s *Stack) IPv6Enabled() bool {
-	if !s.lockless() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	return s.ipv6
 }
 
@@ -286,8 +235,6 @@ func (s *Stack) IPv6Enabled() bool {
 // switches. The resulting firewall drops packets to any destination not
 // listed.
 func (s *Stack) SetAllowOnly(addrs []netip.Addr) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if addrs == nil {
 		s.allowOnly = nil
 		return
@@ -302,8 +249,6 @@ func (s *Stack) SetAllowOnly(addrs []netip.Addr) {
 // AllowAlso adds addresses to an existing allowlist (no-op when the
 // firewall is disabled).
 func (s *Stack) AllowAlso(addrs ...netip.Addr) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.allowOnly == nil {
 		return
 	}
@@ -313,10 +258,6 @@ func (s *Stack) AllowAlso(addrs ...netip.Addr) {
 }
 
 func (s *Stack) blockedByFirewall(dst netip.Addr) bool {
-	if !s.lockless() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	return s.allowOnly != nil && !s.allowOnly[dst]
 }
 
@@ -324,6 +265,7 @@ func (s *Stack) blockedByFirewall(dst netip.Addr) bool {
 // capture, delivery, response capture. It returns the raw response
 // packet (nil for one-way traffic).
 func (s *Stack) Send(pkt []byte) ([]byte, error) {
+	s.Net.owner.check("Stack.Send")
 	dst, _, err := peekIP(pkt)
 	if err != nil {
 		return nil, err
@@ -338,21 +280,21 @@ func (s *Stack) Send(pkt []byte) ([]byte, error) {
 	if route.Blackhole {
 		return nil, fmt.Errorf("%w: blackhole route %v", ErrBlocked, route.Prefix)
 	}
-	return s.SendVia(route.Iface, pkt)
+	return s.sendVia(route.Iface, pkt)
 }
 
 // SendVia sends a raw IP packet out a specific interface, applying the
 // physical firewall and recording captures. VPN clients call this with
 // the physical interface to carry their encapsulated traffic.
 func (s *Stack) SendVia(ifaceName string, pkt []byte) ([]byte, error) {
-	var iface *Interface
-	if s.lockless() {
-		iface = s.ifaces[ifaceName]
-	} else {
-		s.mu.Lock()
-		iface = s.ifaces[ifaceName]
-		s.mu.Unlock()
-	}
+	s.Net.owner.check("Stack.SendVia")
+	return s.sendVia(ifaceName, pkt)
+}
+
+// sendVia is SendVia without the ownership check, for Send (which
+// already checked).
+func (s *Stack) sendVia(ifaceName string, pkt []byte) ([]byte, error) {
+	iface := s.ifaces[ifaceName]
 	if iface == nil {
 		return nil, fmt.Errorf("%w: interface %q gone", ErrNoRoute, ifaceName)
 	}
@@ -385,15 +327,7 @@ func (s *Stack) srcAddrFor(dst netip.Addr, route *Route) netip.Addr {
 		}
 		return netip.Addr{}
 	}
-	var iface *Interface
-	if s.lockless() {
-		iface = s.ifaces[route.Iface]
-	} else {
-		s.mu.Lock()
-		iface = s.ifaces[route.Iface]
-		s.mu.Unlock()
-	}
-	if iface != nil && iface.Addr.IsValid() {
+	if iface := s.ifaces[route.Iface]; iface != nil && iface.Addr.IsValid() {
 		return iface.Addr
 	}
 	return s.Host.Addr
@@ -479,15 +413,11 @@ func (s *Stack) Ping(dst netip.Addr) (rtt float64, err error) {
 
 // SetWebRTCMasked toggles the browser's WebRTC local-address masking.
 func (s *Stack) SetWebRTCMasked(masked bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.webrtcMasked = masked
 }
 
 // WebRTCMasked reports whether ICE gathering hides local addresses.
 func (s *Stack) WebRTCMasked() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.webrtcMasked
 }
 
@@ -495,8 +425,6 @@ func (s *Stack) WebRTCMasked() bool {
 // interfaces (plus the host's IPv6 address) — the host-candidate set
 // WebRTC ICE gathering exposes to web pages.
 func (s *Stack) InterfaceAddrs() []netip.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var out []netip.Addr
 	for _, iface := range s.ifaces {
 		if iface.Addr.IsValid() {
@@ -583,14 +511,8 @@ func (s *Stack) ephemeralPort() uint16 {
 // CaptureAll returns every record across all interfaces, ordered by
 // capture time (stable for equal times).
 func (s *Stack) CaptureAll() []capture.Record {
-	s.mu.Lock()
-	ifaces := make([]*Interface, 0, len(s.ifaces))
-	for _, i := range s.ifaces {
-		ifaces = append(ifaces, i)
-	}
-	s.mu.Unlock()
 	var out []capture.Record
-	for _, i := range ifaces {
+	for _, i := range s.ifaces {
 		out = append(out, i.Sink.Records()...)
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].Time < out[b].Time })
