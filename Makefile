@@ -13,8 +13,8 @@ race:
 
 # tier1 is the full verification gate: build, vet, tests, race subset
 # (the study wildcard covers internal/study/slotsched and the sharded
-# outcome log in internal/results/shardlog), the telemetry sink race
-# suite, the flight-recorder ring race suite, the daemon race suite
+# outcome log in internal/results/shardlog), the flight-recorder ring
+# race suite, the daemon race suite
 # (admission, drain, kill -9 chaos, panic/stall flight dumps), study
 # bench smoke, the alloc-gated fast-path, prototype-patch,
 # streaming-commit, and shard-log benches, the poisoned-arena
@@ -24,7 +24,6 @@ tier1: build
 	go vet ./...
 	go test ./...
 	$(MAKE) race
-	go test -race ./internal/telemetry/...
 	go test -race ./internal/flightrec/...
 	go test -race ./internal/server/...
 	go test -bench Study -benchtime 1x -run '^$$' .

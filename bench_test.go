@@ -22,7 +22,6 @@ import (
 	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/stats"
 	"vpnscope/internal/study"
-	"vpnscope/internal/telemetry"
 	"vpnscope/internal/torsim"
 	"vpnscope/internal/vpn"
 	"vpnscope/internal/vpntest"
@@ -449,20 +448,25 @@ func BenchmarkStudyParallelScaling(b *testing.B) {
 }
 
 // BenchmarkTelemetryOverhead quantifies the observability tax: the same
-// lossy parallel campaign with the telemetry sink disabled ("off", the
-// default state every other benchmark runs in) versus enabled with a
-// full complement of counters, histograms, and span tracks ("on"). The
-// "record" sub-benchmark times the raw instrumentation path and
-// enforces its zero-allocation ceiling — the property that lets every
-// hot seam carry a nil-guarded record site for free.
+// lossy parallel campaign with no flight recorder ("off", a nil ring —
+// the state every other benchmark runs in) versus an attached ring
+// sized for the whole campaign, deriving its counters, histograms, and
+// trace trail inline ("on"). The "record" sub-benchmark times the raw
+// record path — an event plus every explicit fact method — and enforces
+// its zero-allocation ceiling on a live ring and a nil one, the property
+// that lets every hot seam carry an unconditional record site.
 func BenchmarkTelemetryOverhead(b *testing.B) {
-	runStudy := func(b *testing.B) {
+	runStudy := func(b *testing.B, ring bool) {
 		w, err := study.Build(study.Options{Seed: 2018})
 		if err != nil {
 			b.Fatal(err)
 		}
 		w.EnableFaults(faultsim.Lossy)
-		res, err := w.RunWith(study.RunConfig{Parallel: 4})
+		cfg := study.RunConfig{Parallel: 4}
+		if ring {
+			cfg.Flight = flightrec.NewRing(flightrec.EventsFor(w.SlotCount()))
+		}
+		res, err := w.RunWith(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -471,60 +475,47 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		}
 	}
 	b.Run("off", func(b *testing.B) {
-		telemetry.Disable()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			runStudy(b)
+			runStudy(b, false)
 		}
 	})
 	b.Run("on", func(b *testing.B) {
-		telemetry.Enable()
-		defer telemetry.Disable()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			runStudy(b)
+			runStudy(b, true)
 		}
 	})
 	b.Run("record", func(b *testing.B) {
-		tel := telemetry.Enable()
-		defer telemetry.Disable()
-		tel.EnsureWorkerTracks(1)
-		tel.ObserveTest("geo", time.Millisecond)
-		sp := telemetry.Span{Kind: "slot", Slot: 1, Provider: "p", VP: "vp"}
-		record := func() {
-			tel.M.Exchanges.Add(1)
-			tel.M.RawFault(telemetry.FaultDropped)
-			tel.SlotWall.Observe(time.Millisecond)
-			tel.ObserveTest("geo", time.Millisecond)
-			tel.RecordSpan(0, sp)
+		ring := flightrec.NewRing(flightrec.DefaultEvents)
+		ring.BeginRun(1, 2)
+		ring.ObserveTest("geo", time.Millisecond) // allocate the histogram once
+		ev := flightrec.Event{Kind: flightrec.SlotFinish, Worker: 1, Slot: 3,
+			Provider: "p", VP: "vp", Detail: flightrec.OutcomeMeasured, V1: int64(time.Millisecond), V2: 2}
+		faults := flightrec.FaultCounts{Dropped: 1}
+		record := func(r *flightrec.Ring) func() {
+			return func() {
+				r.Record(ev)
+				r.CommitFacts(faults, true)
+				r.ObserveSuite(time.Minute)
+				r.ObserveTest("geo", time.Millisecond)
+				r.SlotRuntime(10, faults)
+				r.SchedulerScans(2, 1)
+				r.WorkerWorldBuilt()
+				r.CommitDrain(3)
+			}
 		}
-		if allocs := testing.AllocsPerRun(100, record); allocs > 0 {
+		if allocs := testing.AllocsPerRun(100, record(ring)); allocs > 0 {
 			b.Fatalf("record path allocates %.1f objects per op, ceiling is 0", allocs)
 		}
+		if allocs := testing.AllocsPerRun(100, record(nil)); allocs > 0 {
+			b.Fatalf("nil-ring record path allocates %.1f objects per op, ceiling is 0", allocs)
+		}
+		run := record(ring)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			record()
-		}
-	})
-	// The flight recorder rides the same hot seams as the telemetry
-	// sink, so it answers to the same ceiling: zero allocations per
-	// record — whether a ring is attached or the site is inert (nil).
-	b.Run("flightrec-record", func(b *testing.B) {
-		ring := flightrec.NewRing(flightrec.DefaultEvents)
-		ev := flightrec.Event{Kind: flightrec.SlotFinish, Worker: 1, Slot: 3,
-			Provider: "p", VP: "vp", Detail: "measured", V1: int64(time.Millisecond), V2: 2}
-		if allocs := testing.AllocsPerRun(100, func() { ring.Record(ev) }); allocs > 0 {
-			b.Fatalf("flightrec record allocates %.1f objects per op, ceiling is 0", allocs)
-		}
-		var nilRing *flightrec.Ring
-		if allocs := testing.AllocsPerRun(100, func() { nilRing.Record(ev) }); allocs > 0 {
-			b.Fatalf("nil-ring record allocates %.1f objects per op, ceiling is 0", allocs)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ring.Record(ev)
+			run()
 		}
 	})
 }

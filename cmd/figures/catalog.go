@@ -24,7 +24,7 @@ type catalogParams struct {
 	outcomes, faults        string
 	fullVPs, retries        int
 	quarantine, parallel    int
-	stopProgress            func()
+	rec                     *recorder
 }
 
 // runCatalogMode is the ecosystem-scale entry point: every outcome is
@@ -42,7 +42,7 @@ func runCatalogMode(ctx context.Context, stopSignals func(), p catalogParams) {
 	}
 
 	baseLog, baseLean, w := auditMonth(ctx, stopSignals, p, entries, 0)
-	p.stopProgress()
+	p.rec.stopProgress()
 	var scanErr error
 	src := baseLog.Reports(&scanErr)
 	writeReport(out, src, baseLean, w, nil)
@@ -120,11 +120,12 @@ func auditMonth(ctx context.Context, stopSignals func(), p catalogParams, entrie
 		}
 		w.EnableFaults(profile)
 	}
+	ring := p.rec.attach(w, p.months+1)
 
 	if !lg.Complete() {
 		cfg := study.RunConfig{
 			ConnectAttempts: p.retries, QuarantineAfter: p.quarantine,
-			Parallel: p.parallel, Ctx: ctx, Stream: lg.Append,
+			Parallel: p.parallel, Ctx: ctx, Stream: lg.Append, Flight: ring,
 		}
 		if lg.NextRank() > 0 {
 			lean, err := lg.Resume()

@@ -42,11 +42,11 @@ import (
 
 	"vpnscope/internal/analysis"
 	"vpnscope/internal/faultsim"
+	"vpnscope/internal/flightrec"
 	"vpnscope/internal/profiling"
 	"vpnscope/internal/report"
 	"vpnscope/internal/results"
 	"vpnscope/internal/study"
-	"vpnscope/internal/telemetry"
 )
 
 func main() {
@@ -64,7 +64,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write an allocation profile (pprof format) to this file on exit")
 	blockprofile := flag.String("blockprofile", "", "write a goroutine blocking profile (pprof format) to this file on exit")
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex contention profile (pprof format) to this file on exit")
-	metricsOut := flag.String("metrics", "", "write a telemetry metrics snapshot (JSON) to this file")
+	metricsOut := flag.String("metrics", "", "write the campaign's metrics snapshot (JSON) to this file")
 	traceOut := flag.String("trace", "", "write a campaign trace (Chrome trace-event JSON, load in chrome://tracing) to this file")
 	progress := flag.Bool("progress", false, "print a periodic progress line to stderr")
 	catalogN := flag.Int("catalog", 0, "sweep the first N catalog providers (synthetic profiles for untested entries; 0 = the tested 62)")
@@ -91,16 +91,8 @@ func main() {
 	}
 	defer stopProf()
 
-	var tel *telemetry.Sink
-	stopProgress := func() {}
-	if *metricsOut != "" || *traceOut != "" || *progress {
-		tel = telemetry.Enable()
-		defer telemetry.Disable()
-		if *progress {
-			stopProgress = tel.StartProgress(os.Stderr, 2*time.Second)
-			defer stopProgress()
-		}
-	}
+	rec := &recorder{want: *metricsOut != "" || *traceOut != "" || *progress, progress: *progress}
+	defer rec.stopProgress()
 
 	// SIGINT/SIGTERM cancel the campaign at the next vantage-point slot
 	// boundary: with -outcomes, the interrupted run resumes from its log
@@ -113,12 +105,12 @@ func main() {
 			seed: *seed, catalog: *catalogN, months: *months, shards: *shards,
 			outcomes: *outcomes, faults: *faults, fullVPs: *fullVPs,
 			retries: *retries, quarantine: *quarantine, parallel: *parallel,
-			stopProgress: stopProgress,
+			rec: rec,
 		})
-		writeTelemetry(tel, *metricsOut, *traceOut)
-		if tel != nil {
-			report.WriteTelemetrySummary(os.Stdout, tel.Snapshot())
+		if err := rec.ring.WriteFiles(*metricsOut, *traceOut); err != nil {
+			log.Print(err) // not fatal: the results are already in hand
 		}
+		report.WriteTelemetrySummary(os.Stdout, rec.ring.Metrics())
 		return
 	}
 
@@ -134,7 +126,8 @@ func main() {
 		w.EnableFaults(profile)
 	}
 
-	cfg := study.RunConfig{ConnectAttempts: *retries, QuarantineAfter: *quarantine, Parallel: *parallel, Ctx: ctx}
+	cfg := study.RunConfig{ConnectAttempts: *retries, QuarantineAfter: *quarantine, Parallel: *parallel, Ctx: ctx,
+		Flight: rec.attach(w, 1)}
 
 	var res *study.Result
 	if *provider != "" {
@@ -142,7 +135,7 @@ func main() {
 	} else {
 		res, err = w.RunWith(cfg)
 	}
-	stopProgress() // final progress line before the report starts
+	rec.stopProgress() // final progress line before the report starts
 	if errors.Is(err, study.ErrCanceled) {
 		stopSignals() // a second signal now kills the process the hard way
 		at := 0
@@ -155,7 +148,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	writeTelemetry(tel, *metricsOut, *traceOut)
+	if err := rec.ring.WriteFiles(*metricsOut, *traceOut); err != nil {
+		log.Print(err) // not fatal: the results are already in hand
+	}
 	out := os.Stdout
 
 	if *jsonPath != "" {
@@ -176,7 +171,36 @@ func main() {
 		fmt.Fprintf(out, "raw results saved to %s\n", *jsonPath)
 	}
 
-	writeReport(out, analysis.Slice(res.Reports), res, w, tel)
+	writeReport(out, analysis.Slice(res.Reports), res, w, rec.ring)
+}
+
+// recorder is the run's one flight recorder when -metrics, -trace or
+// -progress asks for one. The ring is built once the first world is
+// known, because the world's slot count sizes it.
+type recorder struct {
+	want, progress bool
+	ring           *flightrec.Ring
+	stop           func()
+}
+
+// attach returns the ring for campaigns over w, creating it on first
+// use with room for runs campaigns of w's size (nil when no recorder
+// was asked for).
+func (r *recorder) attach(w *study.World, runs int) *flightrec.Ring {
+	if r.want && r.ring == nil {
+		r.ring = flightrec.NewRing(flightrec.EventsFor(runs * w.SlotCount()))
+		if r.progress {
+			r.stop = r.ring.StartProgress(os.Stderr, 2*time.Second)
+		}
+	}
+	return r.ring
+}
+
+// stopProgress prints the final progress line, once.
+func (r *recorder) stopProgress() {
+	if r.stop != nil {
+		r.stop()
+	}
 }
 
 // writeReport renders every §6 artifact from a report stream. src may
@@ -185,7 +209,7 @@ func main() {
 // the result set. res supplies the campaign bookkeeping (counts,
 // failures, quarantines) — in streaming mode that is the lean result
 // reconstructed from the log, whose report stubs carry identity only.
-func writeReport(out io.Writer, src analysis.Reports, res *study.Result, w *study.World, tel *telemetry.Sink) {
+func writeReport(out io.Writer, src analysis.Reports, res *study.Result, w *study.World, ring *flightrec.Ring) {
 	fmt.Fprintf(out, "Study complete: %d vantage points attempted, %d measured, %d connect failures\n\n",
 		res.VPsAttempted, len(res.Reports), len(res.ConnectFailures))
 
@@ -366,33 +390,7 @@ func writeReport(out io.Writer, src analysis.Reports, res *study.Result, w *stud
 				{"Tunnel-reset drops", fmt.Sprint(s.TunnelResets)},
 			})
 	}
-	if tel != nil {
-		report.WriteTelemetrySummary(out, tel.Snapshot())
-	}
-}
-
-// writeTelemetry dumps the metrics snapshot and/or trace file. Failures
-// are logged, not fatal: the study results are already in hand.
-func writeTelemetry(tel *telemetry.Sink, metricsPath, tracePath string) {
-	if tel == nil {
-		return
-	}
-	write := func(path string, fn func(*os.File) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			log.Print(err)
-			return
-		}
-		defer f.Close()
-		if err := fn(f); err != nil {
-			log.Printf("writing %s: %v", path, err)
-		}
-	}
-	write(metricsPath, func(f *os.File) error { return tel.WriteMetricsTo(f) })
-	write(tracePath, func(f *os.File) error { return tel.WriteTraceTo(f) })
+	report.WriteTelemetrySummary(out, ring.Metrics())
 }
 
 func toRows(xs []string) [][]string {

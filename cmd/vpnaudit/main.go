@@ -30,10 +30,10 @@ import (
 	"path/filepath"
 	"vpnscope/internal/ecosystem"
 	"vpnscope/internal/faultsim"
+	"vpnscope/internal/flightrec"
 	"vpnscope/internal/profiling"
 	"vpnscope/internal/report"
 	"vpnscope/internal/results/shardlog"
-	"vpnscope/internal/telemetry"
 
 	"vpnscope/internal/study"
 	"vpnscope/internal/vpntest"
@@ -57,7 +57,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write an allocation profile (pprof format) to this file on exit")
 	blockprofile := flag.String("blockprofile", "", "write a goroutine blocking profile (pprof format) to this file on exit")
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex contention profile (pprof format) to this file on exit")
-	metricsOut := flag.String("metrics", "", "write a telemetry metrics snapshot (JSON) to this file")
+	metricsOut := flag.String("metrics", "", "write the audit's metrics snapshot (JSON) to this file")
 	traceOut := flag.String("trace", "", "write a campaign trace (Chrome trace-event JSON, load in chrome://tracing) to this file")
 	progress := flag.Bool("progress", false, "print a periodic progress line to stderr")
 	flag.Parse()
@@ -72,17 +72,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer stopProf()
-
-	var tel *telemetry.Sink
-	stopProgress := func() {}
-	if *metricsOut != "" || *traceOut != "" || *progress {
-		tel = telemetry.Enable()
-		defer telemetry.Disable()
-		if *progress {
-			stopProgress = tel.StartProgress(os.Stderr, 2*time.Second)
-			defer stopProgress()
-		}
-	}
 
 	if *list {
 		if *catalogN > 0 {
@@ -129,6 +118,16 @@ func main() {
 		}
 		w.EnableFaults(profile)
 	}
+	// The audit's one flight recorder, sized from the world's slot count.
+	var ring *flightrec.Ring
+	if *metricsOut != "" || *traceOut != "" || *progress {
+		ring = flightrec.NewRing(flightrec.EventsFor(w.SlotCount()))
+	}
+	stopProgress := func() {}
+	if *progress {
+		stopProgress = ring.StartProgress(os.Stderr, 2*time.Second)
+		defer stopProgress()
+	}
 	pcap := func(r *vpntest.VPReport) {
 		if *pcapDir != "" && len(r.Captures) > 0 {
 			if err := writePcap(*pcapDir, r); err != nil {
@@ -141,7 +140,7 @@ func main() {
 	// so rerunning with the same flags resumes the audit.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	cfg := study.RunConfig{ConnectAttempts: *retries, QuarantineAfter: *quarantine, Parallel: *parallel, Ctx: ctx}
+	cfg := study.RunConfig{ConnectAttempts: *retries, QuarantineAfter: *quarantine, Parallel: *parallel, Ctx: ctx, Flight: ring}
 	var lg *shardlog.Log
 	if *outcomes != "" {
 		lg, err = shardlog.Open(*outcomes, shardlog.Meta{Seed: *seed, Shards: 1, FaultProfile: *faults, Month: *month})
@@ -190,7 +189,10 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	writeTelemetry(tel, *metricsOut, *traceOut)
+	// Failures are logged, not fatal: the audit results are in hand.
+	if err := ring.WriteFiles(*metricsOut, *traceOut); err != nil {
+		log.Print(err)
+	}
 	out := os.Stdout
 	for _, rec := range res.Recoveries {
 		fmt.Fprintf(out, "~~ connected after %d attempts: %s\n", rec.Attempts, rec.VPLabel)
@@ -207,33 +209,7 @@ func main() {
 		pcap(r) // in-memory audits only: a log strips captures
 	}
 	report.WriteCollectionHealth(out, res)
-	if tel != nil {
-		report.WriteTelemetrySummary(out, tel.Snapshot())
-	}
-}
-
-// writeTelemetry dumps the metrics snapshot and/or trace file. Failures
-// are logged, not fatal: the audit results are already in hand.
-func writeTelemetry(tel *telemetry.Sink, metricsPath, tracePath string) {
-	if tel == nil {
-		return
-	}
-	write := func(path string, fn func(*os.File) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			log.Print(err)
-			return
-		}
-		defer f.Close()
-		if err := fn(f); err != nil {
-			log.Printf("writing %s: %v", path, err)
-		}
-	}
-	write(metricsPath, func(f *os.File) error { return tel.WriteMetricsTo(f) })
-	write(tracePath, func(f *os.File) error { return tel.WriteTraceTo(f) })
+	report.WriteTelemetrySummary(out, ring.Metrics())
 }
 
 // writePcap dumps one vantage point's trace as <dir>/<label>.pcap.

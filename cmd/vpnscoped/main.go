@@ -9,7 +9,7 @@
 //
 //	vpnscoped -state DIR [-addr HOST:PORT] [-queue N] [-fleet N]
 //	          [-tenant-quota N] [-drain-grace DUR] [-retry-after DUR]
-//	          [-metrics] [-flightrec-events N] [-watchdog-interval DUR]
+//	          [-flightrec-events N] [-watchdog-interval DUR]
 //	          [-stall-multiple F] [-stall-floor DUR]
 //	vpnscoped -oneshot SPEC.json [-out FILE]
 //
@@ -39,7 +39,6 @@ import (
 
 	"vpnscope/internal/results"
 	"vpnscope/internal/server"
-	"vpnscope/internal/telemetry"
 )
 
 func main() {
@@ -52,7 +51,6 @@ func main() {
 	tenantQuota := flag.Int("tenant-quota", 0, "max queued+running campaigns per tenant (0 = unlimited)")
 	drainGrace := flag.Duration("drain-grace", 2*time.Second, "how long a drain lets campaigns finish before stopping them for resume")
 	retryAfter := flag.Duration("retry-after", 2*time.Second, "Retry-After hint on backpressure responses")
-	metrics := flag.Bool("metrics", false, "enable the telemetry sink backing /metricsz")
 	flightEvents := flag.Int("flightrec-events", 0, "flight-recorder ring size in events per campaign (0 = default 4096, negative disables recorder and watchdog)")
 	watchdogInterval := flag.Duration("watchdog-interval", time.Second, "stall-watchdog sweep period (negative disables the watchdog)")
 	stallMultiple := flag.Float64("stall-multiple", 8, "slot-stall threshold as a multiple of the campaign's rolling p99 slot time")
@@ -60,11 +58,6 @@ func main() {
 	oneshot := flag.String("oneshot", "", "run a campaign spec file synchronously (no daemon) and exit")
 	out := flag.String("out", "", "with -oneshot: write the result envelope to this file (default stdout)")
 	flag.Parse()
-
-	if *metrics {
-		telemetry.Enable()
-		defer telemetry.Disable()
-	}
 
 	if *oneshot != "" {
 		runOneShot(*oneshot, *out)

@@ -3,8 +3,6 @@ package capture
 import (
 	"net/netip"
 	"sync"
-
-	"vpnscope/internal/telemetry"
 )
 
 // PacketDecoder is a reusable, allocation-free alternative to NewPacket
@@ -37,12 +35,7 @@ func NewPacketDecoder() *PacketDecoder {
 }
 
 var packetDecoderPool = sync.Pool{
-	New: func() any {
-		if t := telemetry.Active(); t != nil {
-			t.M.DecoderNews.Add(1)
-		}
-		return NewPacketDecoder()
-	},
+	New: func() any { return NewPacketDecoder() },
 }
 
 // AcquirePacketDecoder returns a decoder from a process-wide pool. Pair
@@ -50,9 +43,6 @@ var packetDecoderPool = sync.Pool{
 // inner packet while the outer decode is still live) must each acquire
 // their own decoder.
 func AcquirePacketDecoder() *PacketDecoder {
-	if t := telemetry.Active(); t != nil {
-		t.M.DecoderGets.Add(1)
-	}
 	return packetDecoderPool.Get().(*PacketDecoder)
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-
-	"vpnscope/internal/telemetry"
 )
 
 // Packet is a decoded stack of layers over a single buffer of packet
@@ -325,21 +323,13 @@ func (b *SerializeBuffer) Reserve(n int) []byte {
 }
 
 var serializeBufferPool = sync.Pool{
-	New: func() any {
-		if t := telemetry.Active(); t != nil {
-			t.M.SerializeBufferNews.Add(1)
-		}
-		return NewSerializeBuffer()
-	},
+	New: func() any { return NewSerializeBuffer() },
 }
 
 // GetSerializeBuffer returns a cleared buffer from a process-wide pool.
 // Pair it with Release once every slice obtained from Bytes() is either
 // copied or dead; the pool reuses the backing array.
 func GetSerializeBuffer() *SerializeBuffer {
-	if t := telemetry.Active(); t != nil {
-		t.M.SerializeBufferGets.Add(1)
-	}
 	b := serializeBufferPool.Get().(*SerializeBuffer)
 	b.Clear()
 	return b

@@ -29,7 +29,6 @@ import (
 	"vpnscope/internal/capture"
 	"vpnscope/internal/netsim"
 	"vpnscope/internal/simrand"
-	"vpnscope/internal/telemetry"
 )
 
 // Profile parameterizes a fault plan. The zero value injects nothing.
@@ -158,7 +157,6 @@ func (s Stats) Total() int {
 }
 
 // faultKind names one injection kind; kindNone means no fault fired.
-// The non-none values map positionally onto telemetry.FaultKind.
 type faultKind int
 
 const (
@@ -244,7 +242,7 @@ func phaseOffset(seed uint64, kind string, every time.Duration) time.Duration {
 	if every <= 0 {
 		return 0
 	}
-	return time.Duration(simrand.New(seed).Fork("faultsim-offset:" + kind).Uint64() % uint64(every))
+	return time.Duration(simrand.New(seed).Fork("faultsim-offset:"+kind).Uint64() % uint64(every))
 }
 
 // Profile returns the plan's profile.
@@ -338,13 +336,6 @@ func (p *Plan) decide(now time.Duration, dst netip.Addr, proto capture.IPProtoco
 	}
 	if kind != kindNone {
 		*p.stats.counter(kind)++
-		// Raw per-injection counters are execution-shape telemetry: a
-		// parallel run's worker plans draw faults for speculative slots
-		// that are later discarded, so these can exceed the committed
-		// totals the campaign section reports.
-		if t := telemetry.Active(); t != nil {
-			t.M.RawFault(telemetry.FaultKind(kind - 1))
-		}
 	}
 	if !act.Drop {
 		p.lastPass = now

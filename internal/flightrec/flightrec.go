@@ -1,25 +1,25 @@
-// Package flightrec is the black-box flight recorder: a bounded,
-// allocation-free ring buffer of structured runtime events that is
-// carried alongside a campaign (or the daemon as a whole) and dumped —
-// as NDJSON, next to the campaign's spec and outcome log — when something
-// goes wrong: a panic, a cancellation, a watchdog-detected stall, or an
-// operator request. It is the diagnostic complement to
-// internal/telemetry: telemetry answers "how much / how fast",
-// flightrec answers "what was the system doing right before it died".
+// Package flightrec is a campaign's one recorder: a bounded,
+// allocation-free ring buffer of structured runtime events plus the
+// counters and histograms those events imply, carried alongside one
+// campaign (RunConfig.Flight) or the daemon as a whole. Every view of
+// a campaign's execution is derived from it: the metrics snapshot
+// (Metrics, schema MetricsSchema), the Chrome trace (WriteTraceTo),
+// the progress line (StartProgress), the daemon's per-campaign and
+// fleet metrics, the stall watchdog's active-slot table, and the
+// NDJSON dump taken when something goes wrong — a panic, a
+// cancellation, a watchdog-detected stall, or an operator request.
 //
-// The recording discipline matches telemetry's: every record site is
-// nil-guarded (a nil *Ring is a valid, inert recorder), the hot path
-// performs no allocation (gated by AllocsPerRun in both packages'
-// tests and in BenchmarkTelemetryOverhead), and nothing recorded ever
-// feeds back into campaign execution — events are runtime shape only,
-// so golden byte-identity suites hold with the recorder enabled.
+// The recording discipline: a nil *Ring is a valid, inert recorder, so
+// record sites call it unconditionally and a campaign without a ring
+// pays one nil check per site; the record path performs no allocation
+// (gated by AllocsPerRun here and in BenchmarkTelemetryOverhead); and
+// nothing recorded ever feeds back into campaign execution, so golden
+// byte-identity suites hold with the recorder attached.
 package flightrec
 
 import (
 	"sync"
 	"time"
-
-	"vpnscope/internal/telemetry"
 )
 
 // Kind classifies a flight-recorder event.
@@ -29,11 +29,13 @@ const (
 	// KindNone is the zero Kind; it never appears in a recorded event.
 	KindNone Kind = iota
 	// SlotStart marks a worker beginning to measure a vantage-point
-	// slot. Worker/Slot/Provider/VP identify it.
+	// slot. Worker/Slot/Provider/VP identify it; VirtNs is the virtual
+	// campaign offset the slot's window opens at.
 	SlotStart
 	// SlotFinish marks a measured slot leaving the worker. V1 is the
-	// wall time in nanoseconds, V2 the connect attempts used; Detail is
-	// "measured" or "failed".
+	// wall time in nanoseconds, V2 the connect attempts used, VirtNs
+	// the virtual time the slot consumed; Detail is OutcomeMeasured or
+	// OutcomeFailed.
 	SlotFinish
 	// SlotSteal marks the work-stealing scheduler handing a worker a
 	// slot from another worker's queue. V1 is the victim worker index.
@@ -57,7 +59,7 @@ const (
 	// the number of faults drawn.
 	FaultDraws
 	// Commit marks the committer committing a slot in canonical order.
-	// Detail is the slot outcome.
+	// Detail is the slot outcome (OutcomeMeasured or OutcomeFailed).
 	Commit
 	// Checkpoint marks a timed persistence step: one outcome handed to
 	// RunConfig.Stream. V1 is the wall latency in nanoseconds; Detail is
@@ -119,11 +121,18 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
+// Slot outcomes, as carried in the Detail of SlotFinish and Commit.
+const (
+	OutcomeMeasured = "measured"
+	OutcomeFailed   = "failed"
+)
+
 // Event is one flight-recorder entry. Seq and WallNs are assigned by
 // Record; everything else is caller-provided. Detail must be a static
 // or pre-built string — record sites never format on the hot path.
-// The meaning of Slot/Worker/V1/V2 is per-Kind (see the Kind docs);
-// unused fields stay zero. Worker -1 denotes the committer/daemon.
+// The meaning of Slot/Worker/V1/V2/VirtNs is per-Kind (see the Kind
+// docs); unused fields stay zero. Worker -1 denotes the
+// committer/daemon.
 type Event struct {
 	Seq      uint64
 	WallNs   int64
@@ -135,6 +144,7 @@ type Event struct {
 	VP       string
 	Detail   string
 	V1, V2   int64
+	VirtNs   int64
 }
 
 // DefaultEvents is the per-ring event capacity when the operator does
@@ -143,10 +153,13 @@ type Event struct {
 // anything bigger.
 const DefaultEvents = 4096
 
-// maxWorkers bounds the per-worker active-slot table. Worker indices
-// at or above it still record events; they just aren't tracked as
-// active slots (the executor clamps workers far below this).
-const maxWorkers = 64
+// EventsFor is a ring capacity that holds a whole campaign of slots
+// vantage-point slots without wrapping: a slot records well under 16
+// events at the default connect budget, plus headroom for lifecycle
+// events.
+func EventsFor(slots int) int {
+	return 16*slots + 256
+}
 
 type activeSlot struct {
 	slot     int
@@ -170,22 +183,26 @@ type ActiveSlot struct {
 // r.Record(...) unconditionally. All methods are safe for concurrent
 // use.
 //
-// Beyond the raw event trail the ring maintains the derived state the
-// stall watchdog needs, updated inline on the record path: the
-// active-slot table (SlotStart/SlotFinish pairing per worker), the
-// last-finish and last-commit wall stamps (committer liveness), and a
-// rolling slot wall-time histogram (the adaptive stall threshold's p99
-// source).
+// Beyond the raw event trail the ring maintains, inline on the record
+// path, the state derived from each event's kind: the active-slot
+// table (SlotStart/SlotFinish pairing per worker), the last-finish and
+// last-commit wall stamps (committer liveness), and the campaign
+// counters and histograms (see tally). Facts no event carries arrive
+// through a few explicit methods, each called from the one site that
+// knows the fact.
 type Ring struct {
-	mu  sync.Mutex
-	buf []Event
-	n   uint64 // total recorded; buf holds the most recent min(n, cap)
+	mu    sync.Mutex
+	buf   []Event
+	n     uint64 // total recorded; buf holds the most recent min(n, cap)
+	start time.Time
 
-	active       [maxWorkers]activeSlot
+	// active has one entry per campaign worker, sized by BeginRun;
+	// sequential campaigns measure on worker 0.
+	active       []activeSlot
 	lastFinishNs int64
 	lastCommitNs int64
 
-	slotWall telemetry.Histogram
+	t tally
 }
 
 // NewRing returns a recorder holding the most recent capacity events
@@ -194,13 +211,13 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultEvents
 	}
-	return &Ring{buf: make([]Event, capacity)}
+	return &Ring{buf: make([]Event, capacity), start: time.Now(), active: make([]activeSlot, 1)}
 }
 
 // Record appends one event, stamping its sequence number and wall
-// clock. When the ring is full the oldest event is overwritten (the
-// drop is counted, never silent). Never allocates; a nil receiver is a
-// no-op.
+// clock, and updates the state its kind implies. When the ring is full
+// the oldest event is overwritten (the drop is counted, never silent).
+// Never allocates; a nil receiver is a no-op.
 func (r *Ring) Record(ev Event) {
 	if r == nil {
 		return
@@ -213,19 +230,133 @@ func (r *Ring) Record(ev Event) {
 	r.n++
 	switch ev.Kind {
 	case SlotStart:
-		if w := ev.Worker; w >= 0 && w < maxWorkers {
+		if w := ev.Worker; w >= 0 && w < len(r.active) {
 			r.active[w] = activeSlot{slot: ev.Slot, provider: ev.Provider, vp: ev.VP, startNs: now}
 		}
 	case SlotFinish:
-		if w := ev.Worker; w >= 0 && w < maxWorkers {
+		if w := ev.Worker; w >= 0 && w < len(r.active) {
 			r.active[w] = activeSlot{}
 		}
 		r.lastFinishNs = now
-		r.slotWall.Observe(time.Duration(ev.V1))
+		r.t.c[nSlotsMeasured]++
+		r.t.slotWall.Observe(time.Duration(ev.V1))
+	case SlotSteal:
+		r.t.c[nSteals]++
+	case QuarantineTrip:
+		r.t.c[nQuarantineTrips]++
 	case Commit, Checkpoint, CommitWait, SlotResume, QuarantineSkip, SlotDiscard:
 		// Anything the committer does counts as committer liveness.
 		r.lastCommitNs = now
+		r.t.committer(&ev)
 	}
+	r.mu.Unlock()
+}
+
+// BeginRun announces a campaign run of slots vantage-point slots
+// measured by workers workers: the slots join the campaign total, and
+// the active-slot table grows to one entry per worker so every
+// worker's in-flight slot is visible to the watchdog. A ring carried
+// across several runs (a multi-month sweep) accumulates them.
+func (r *Ring) BeginRun(slots, workers int) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.t.c[nSlotsTotal] += int64(slots)
+	if workers > len(r.active) {
+		r.active = append(r.active, make([]activeSlot, workers-len(r.active))...)
+	}
+	r.mu.Unlock()
+}
+
+// CommitFacts folds what a committed slot's Commit event does not
+// carry: the fault-plan delta the slot absorbed and whether its
+// vantage point needed more than one connect attempt.
+func (r *Ring) CommitFacts(faults FaultCounts, recovered bool) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.t.faultsCommitted.add(faults)
+	if recovered {
+		r.t.c[nRecoveries]++
+	}
+	r.mu.Unlock()
+}
+
+// ObserveSuite records one committed report's suite virtual time.
+func (r *Ring) ObserveSuite(d time.Duration) {
+	if r == nil {
+		return
+	}
+	r.t.suiteVirtual.Observe(d)
+}
+
+// ObserveTest records one committed suite step's virtual-time cost
+// under its test name. The first observation of a new test name
+// allocates its histogram; subsequent ones do not.
+func (r *Ring) ObserveTest(name string, d time.Duration) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	h := r.t.tests[name]
+	if h == nil {
+		if r.t.tests == nil {
+			r.t.tests = map[string]*Histogram{}
+		}
+		h = &Histogram{}
+		r.t.tests[name] = h
+	}
+	r.mu.Unlock()
+	h.Observe(d)
+}
+
+// SlotRuntime records one measured slot's execution shape: the packet
+// exchanges its world ran and the faults its plan injected. Measured
+// slots include speculative ones the committer later discards, so
+// these can exceed the committed totals.
+func (r *Ring) SlotRuntime(exchanges int64, faults FaultCounts) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.t.c[nExchanges] += exchanges
+	r.t.faultsRaw.add(faults)
+	r.mu.Unlock()
+}
+
+// SchedulerScans records the work-stealing scheduler's victim scans
+// and steal rescans at the end of a parallel run.
+func (r *Ring) SchedulerScans(victimScans, rescans int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.t.c[nVictimScans] += victimScans
+	r.t.c[nStealRescans] += rescans
+	r.mu.Unlock()
+}
+
+// WorkerWorldBuilt records one lazily built worker world replica.
+func (r *Ring) WorkerWorldBuilt() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.t.c[nWorkerWorldBuilds]++
+	r.mu.Unlock()
+}
+
+// CommitDrain records one intake batch the committer pulled and the
+// slot results it carried.
+func (r *Ring) CommitDrain(batched int) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.t.c[nCommitDrains]++
+	r.t.c[nCommitBatched] += int64(batched)
 	r.mu.Unlock()
 }
 
@@ -243,6 +374,10 @@ func (r *Ring) Stats() Stats {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.statsLocked()
+}
+
+func (r *Ring) statsLocked() Stats {
 	s := Stats{Events: r.n, Capacity: len(r.buf)}
 	if r.n > uint64(len(r.buf)) {
 		s.Dropped = r.n - uint64(len(r.buf))
@@ -318,11 +453,10 @@ func (r *Ring) Liveness() (lastFinish, lastCommit time.Time) {
 
 // SlotWall exposes the rolling slot wall-time histogram fed by
 // SlotFinish events (nil for a nil ring). The watchdog derives its
-// adaptive stall threshold from its p99; the per-campaign metrics
-// endpoint exports it.
-func (r *Ring) SlotWall() *telemetry.Histogram {
+// adaptive stall threshold from its p99; the metrics views export it.
+func (r *Ring) SlotWall() *Histogram {
 	if r == nil {
 		return nil
 	}
-	return &r.slotWall
+	return &r.t.slotWall
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -32,6 +33,55 @@ func TestRingWrapAndStats(t *testing.T) {
 	}
 }
 
+// TestSpanRingWrapCountsDrops: slot spans are derived from the ring,
+// so a wrap drops the spans whose events were overwritten — but never
+// the counts. The metrics snapshot still sees every slot and reports
+// the drops, and the trace keeps the newest window of spans.
+func TestSpanRingWrapCountsDrops(t *testing.T) {
+	const capacity, slots = 8, 14
+	r := NewRing(capacity)
+	r.BeginRun(slots, 1)
+	for i := 0; i < slots; i++ {
+		r.Record(Event{Kind: SlotStart, Worker: 0, Slot: i, Provider: "p", VP: "vp"})
+		r.Record(Event{Kind: SlotFinish, Worker: 0, Slot: i, V1: int64(time.Millisecond)})
+		r.Record(Event{Kind: Commit, Worker: -1, Slot: i})
+	}
+	// 42 events through an 8-slot ring: 34 dropped, and the retained
+	// window starts mid-slot, so only complete Start/Finish pairs
+	// become spans.
+	m := r.Metrics()
+	if m.Runtime.EventsDropped != 3*slots-capacity {
+		t.Fatalf("events_dropped = %d, want %d", m.Runtime.EventsDropped, 3*slots-capacity)
+	}
+	if m.Campaign.SlotsCommitted != slots || m.Runtime.SlotsMeasured != slots || m.Wall.SlotWall.Count != slots {
+		t.Fatalf("wrap lost counts: committed=%d measured=%d slot wall=%d, want %d each",
+			m.Campaign.SlotsCommitted, m.Runtime.SlotsMeasured, m.Wall.SlotWall.Count, slots)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteTraceTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var tf struct {
+		TraceEvents []struct {
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	var spanSlots []float64
+	for _, ev := range tf.TraceEvents {
+		if ev.Ph == "X" {
+			spanSlots = append(spanSlots, ev.Args["slot"].(float64))
+		}
+	}
+	// Retained: Finish(11) Commit(11) | Start/Finish/Commit 12 and 13.
+	if len(spanSlots) != 2 || spanSlots[0] != 12 || spanSlots[1] != 13 {
+		t.Fatalf("trace after wrap holds spans for slots %v, want [12 13]", spanSlots)
+	}
+}
+
 // TestRingDefaultCapacity: non-positive capacities fall back to
 // DefaultEvents.
 func TestRingDefaultCapacity(t *testing.T) {
@@ -47,6 +97,18 @@ func TestRingDefaultCapacity(t *testing.T) {
 func TestNilRingInert(t *testing.T) {
 	var r *Ring
 	r.Record(Event{Kind: SlotStart, Worker: 3})
+	r.BeginRun(4, 4)
+	r.CommitFacts(FaultCounts{Dropped: 1}, true)
+	r.ObserveSuite(time.Second)
+	r.ObserveTest("geo", time.Second)
+	r.SlotRuntime(1, FaultCounts{Dropped: 1})
+	r.SchedulerScans(1, 1)
+	r.WorkerWorldBuilt()
+	r.CommitDrain(1)
+	r.StartProgress(io.Discard, time.Hour)()
+	if r.Metrics() != nil {
+		t.Fatal("nil ring Metrics != nil")
+	}
 	if st := r.Stats(); st != (Stats{}) {
 		t.Fatalf("nil ring Stats = %+v, want zero", st)
 	}
@@ -79,6 +141,7 @@ func TestNilRingInert(t *testing.T) {
 // SlotFinish clears it, and the dst buffer is append-reused.
 func TestActiveSlots(t *testing.T) {
 	r := NewRing(16)
+	r.BeginRun(4, 3)
 	r.Record(Event{Kind: SlotStart, Worker: 0, Slot: 10, Provider: "Mullvad", VP: "se-1"})
 	r.Record(Event{Kind: SlotStart, Worker: 2, Slot: 11, Provider: "NordVPN", VP: "us-3"})
 	got := r.ActiveSlots(nil)
@@ -98,10 +161,35 @@ func TestActiveSlots(t *testing.T) {
 		t.Fatalf("after finish, ActiveSlots = %+v, want only worker 2", got)
 	}
 
-	// Out-of-table worker indices record without corrupting the table.
-	r.Record(Event{Kind: SlotStart, Worker: maxWorkers + 5, Slot: 99})
+	// Worker indices beyond the run's worker count record without
+	// corrupting the table.
+	r.Record(Event{Kind: SlotStart, Worker: 5, Slot: 99})
 	if got = r.ActiveSlots(got[:0]); len(got) != 1 {
-		t.Fatalf("oversized worker index leaked into active table: %+v", got)
+		t.Fatalf("out-of-range worker index leaked into active table: %+v", got)
+	}
+}
+
+// TestActiveSlotsManyWorkers: the active table is sized from the run's
+// worker count, so a daemon campaign wider than any fixed bound (here
+// 96 workers) keeps every worker's in-flight slot visible to the
+// watchdog.
+func TestActiveSlotsManyWorkers(t *testing.T) {
+	const workers = 96
+	r := NewRing(1024)
+	r.BeginRun(workers, workers)
+	for w := 0; w < workers; w++ {
+		r.Record(Event{Kind: SlotStart, Worker: w, Slot: 1000 + w})
+	}
+	got := r.ActiveSlots(nil)
+	if len(got) != workers {
+		t.Fatalf("ActiveSlots = %d entries, want %d", len(got), workers)
+	}
+	if a := got[80]; a.Worker != 80 || a.Slot != 1080 {
+		t.Fatalf("worker 80's active slot = %+v", a)
+	}
+	r.Record(Event{Kind: SlotFinish, Worker: 80, Slot: 1080})
+	if got = r.ActiveSlots(got[:0]); len(got) != workers-1 {
+		t.Fatalf("after worker 80 finished, ActiveSlots = %d entries, want %d", len(got), workers-1)
 	}
 }
 
@@ -199,8 +287,9 @@ func TestWriteNDJSON(t *testing.T) {
 // nothing, enabled or nil.
 func TestRecordZeroAlloc(t *testing.T) {
 	r := NewRing(64)
+	r.BeginRun(4, 2)
 	ev := Event{Kind: SlotFinish, Worker: 1, Slot: 3, Provider: "Mullvad", VP: "se-1",
-		Detail: "measured", V1: int64(time.Millisecond), V2: 2}
+		Detail: OutcomeMeasured, V1: int64(time.Millisecond), V2: 2}
 	if allocs := testing.AllocsPerRun(200, func() { r.Record(ev) }); allocs > 0 {
 		t.Fatalf("Record allocates %.1f objects per op on a live ring, ceiling is 0", allocs)
 	}
@@ -216,10 +305,54 @@ func TestRecordZeroAlloc(t *testing.T) {
 	}
 }
 
+// recordFacts drives every record path an instrumented run uses: the
+// event itself plus each explicit fact method.
+func recordFacts(r *Ring, ev Event) func() {
+	return func() {
+		r.Record(ev)
+		r.CommitFacts(FaultCounts{Dropped: 1}, true)
+		r.ObserveSuite(time.Minute)
+		r.ObserveTest("geo", time.Millisecond)
+		r.SlotRuntime(10, FaultCounts{Delayed: 1})
+		r.SchedulerScans(2, 1)
+		r.WorkerWorldBuilt()
+		r.CommitDrain(3)
+	}
+}
+
+// TestDisabledRecordPathAllocs: with recording off the ring is nil, and
+// every record site — event and fact methods alike — must cost zero
+// allocations, so an uninstrumented run pays nothing.
+func TestDisabledRecordPathAllocs(t *testing.T) {
+	ev := Event{Kind: SlotFinish, Worker: 1, Slot: 3, Detail: OutcomeMeasured, V1: int64(time.Millisecond)}
+	if allocs := testing.AllocsPerRun(1000, recordFacts(nil, ev)); allocs != 0 {
+		t.Fatalf("disabled record path allocates %.1f objects per op, want 0", allocs)
+	}
+}
+
+// TestEnabledRecordPathAllocs: on a live ring the same record sites —
+// counters, fault breakdowns, histograms, a per-test observe of a
+// known name — are allocation-free too.
+func TestEnabledRecordPathAllocs(t *testing.T) {
+	r := NewRing(64)
+	r.BeginRun(4, 2)
+	r.ObserveTest("geo", time.Millisecond) // allocate the histogram once
+	ev := Event{Kind: SlotFinish, Worker: 1, Slot: 3, Provider: "Mullvad", VP: "se-1",
+		Detail: OutcomeMeasured, V1: int64(time.Millisecond), V2: 2}
+	if allocs := testing.AllocsPerRun(1000, recordFacts(r, ev)); allocs != 0 {
+		t.Fatalf("enabled record path allocates %.1f objects per op, want 0", allocs)
+	}
+	if m := r.Metrics(); m.Runtime.Exchanges == 0 || m.Campaign.Recoveries == 0 {
+		t.Fatalf("fact methods recorded nothing: exchanges=%d recoveries=%d",
+			m.Runtime.Exchanges, m.Campaign.Recoveries)
+	}
+}
+
 // TestConcurrentUse hammers the ring from recorders and readers at
 // once; run under -race this is the ring's data-race proof.
 func TestConcurrentUse(t *testing.T) {
 	r := NewRing(128)
+	r.BeginRun(1000, 4)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -256,5 +389,53 @@ func TestConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if r.Stats().Events == 0 {
 		t.Fatal("hammer recorded nothing")
+	}
+}
+
+// TestConcurrentRecordingAndSnapshot records facts from every worker
+// while readers take metrics, fleet sums, traces and progress lines;
+// under -race it proves the derived views are data-race free, and the
+// final counts prove no concurrent record was lost.
+func TestConcurrentRecordingAndSnapshot(t *testing.T) {
+	const workers, perWorker = 8, 500
+	r := NewRing(128)
+	r.BeginRun(workers*perWorker, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				r.Record(Event{Kind: SlotStart, Worker: w, Slot: i})
+				r.Record(Event{Kind: SlotFinish, Worker: w, Slot: i, V1: int64(i) * int64(time.Microsecond)})
+				r.SlotRuntime(1, FaultCounts{Dropped: 1})
+				r.ObserveTest("ping", time.Millisecond)
+				if i%100 == 0 {
+					r.Record(Event{Kind: Checkpoint, Worker: -1, V1: int64(time.Microsecond)})
+				}
+			}
+		}(w)
+	}
+	stopProgress := r.StartProgress(io.Discard, time.Millisecond)
+	for i := 0; i < 10; i++ {
+		r.Metrics()
+		Sum(r)
+		r.SlotWall().Quantile(0.99)
+		r.WriteTraceTo(io.Discard)
+	}
+	wg.Wait()
+	stopProgress()
+
+	m := r.Metrics()
+	const total = workers * perWorker
+	if m.Runtime.Exchanges != total || m.Runtime.FaultsRaw.Dropped != total {
+		t.Fatalf("exchanges=%d raw dropped=%d, want %d each", m.Runtime.Exchanges, m.Runtime.FaultsRaw.Dropped, total)
+	}
+	if m.Wall.SlotWall.Count != total || m.Campaign.TestVirtual["ping"].Count != total {
+		t.Fatalf("slot wall count=%d ping count=%d, want %d each",
+			m.Wall.SlotWall.Count, m.Campaign.TestVirtual["ping"].Count, total)
+	}
+	if want := int64(workers * perWorker / 100); m.Campaign.Checkpoints != want {
+		t.Fatalf("checkpoints = %d, want %d", m.Campaign.Checkpoints, want)
 	}
 }

@@ -45,6 +45,7 @@ type eventJSON struct {
 	Detail   string `json:"detail,omitempty"`
 	V1       int64  `json:"v1"`
 	V2       int64  `json:"v2"`
+	VirtNs   int64  `json:"virt_ns"`
 }
 
 // WriteNDJSON dumps the ring as NDJSON: one header line (schema,
@@ -60,10 +61,7 @@ func (r *Ring) WriteNDJSON(w io.Writer, meta DumpMeta) error {
 	if r != nil {
 		r.mu.Lock()
 		events = r.snapshotLocked()
-		stats = Stats{Events: r.n, Capacity: len(r.buf)}
-		if stats.Events > uint64(stats.Capacity) {
-			stats.Dropped = stats.Events - uint64(stats.Capacity)
-		}
+		stats = r.statsLocked()
 		r.mu.Unlock()
 	}
 	bw := bufio.NewWriter(w)
@@ -94,6 +92,7 @@ func (r *Ring) WriteNDJSON(w io.Writer, meta DumpMeta) error {
 			Detail:   ev.Detail,
 			V1:       ev.V1,
 			V2:       ev.V2,
+			VirtNs:   ev.VirtNs,
 		}
 		if err := enc.Encode(line); err != nil {
 			return err

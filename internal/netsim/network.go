@@ -12,7 +12,6 @@ import (
 	"vpnscope/internal/capture"
 	"vpnscope/internal/geo"
 	"vpnscope/internal/simrand"
-	"vpnscope/internal/telemetry"
 )
 
 // Errors returned by exchanges.
@@ -114,6 +113,10 @@ type Network struct {
 	// dropped whenever the registry changes (AddHost/RewindHosts).
 	hostCache    [4]hostCacheEntry
 	hostCacheIdx int
+
+	// exchanges counts packet exchanges over the world's lifetime; the
+	// campaign runner reads its per-slot delta.
+	exchanges int64
 }
 
 type hostCacheEntry struct {
@@ -207,6 +210,9 @@ func (n *Network) SetSlotArena(a *arena.Arena) { n.slotArena = a }
 
 // SlotArena returns the installed slot arena (nil when unset).
 func (n *Network) SlotArena() *arena.Arena { return n.slotArena }
+
+// Exchanges returns how many packet exchanges the network has run.
+func (n *Network) Exchanges() int64 { return n.exchanges }
 
 // SetFaultHook installs (or, with nil, removes) the fault injector
 // consulted on every exchange.
@@ -357,9 +363,7 @@ func (n *Network) Exchange(from *Host, pkt []byte) ([]byte, error) {
 // exchange is Exchange without the ownership check, for a stack's
 // physical interface (Stack.Send/SendVia already checked).
 func (n *Network) exchange(from *Host, pkt []byte) ([]byte, error) {
-	if t := telemetry.Active(); t != nil {
-		t.M.Exchanges.Add(1)
-	}
+	n.exchanges++
 	dst, proto, err := peekIP(pkt)
 	if err != nil {
 		return nil, err

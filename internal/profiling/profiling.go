@@ -20,8 +20,8 @@ type Config struct {
 	// BlockProfile and MutexProfile capture goroutine blocking and
 	// mutex contention over the whole run (rate/fraction 1 — full
 	// sampling; these runs are for diagnosis, not production). Useful
-	// alongside the telemetry steal/commit-wait counters: the counters
-	// say the executor stalled, the profiles say on which lock.
+	// alongside the flight recorder's steal/commit-wait counters: the
+	// counters say the executor stalled, the profiles say on which lock.
 	BlockProfile string
 	MutexProfile string
 }

@@ -14,7 +14,6 @@ import (
 	"vpnscope/internal/results"
 	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
-	"vpnscope/internal/vpn"
 )
 
 // Config tunes the daemon. The zero value is not runnable: StateDir is
@@ -391,13 +390,7 @@ func (d *Daemon) streamLog(ctx context.Context, c *campaign, need, month int) (*
 	if err != nil {
 		return fail(fmt.Errorf("building month %d world: %w", month, err))
 	}
-	slotsTotal := 0
-	for _, p := range w.Providers {
-		if p.Spec.Client == vpn.BrowserExtension {
-			continue
-		}
-		slotsTotal += len(p.VPs)
-	}
+	slotsTotal := w.SlotCount()
 	c.mu.Lock()
 	c.slotsTotal = slotsTotal
 	c.mu.Unlock()

@@ -14,9 +14,9 @@
 //	GET    /readyz                admission readiness (503 while draining)
 //	GET    /metricsz              daemon metrics: queue depth, per-tenant
 //	                              admissions, watchdog fires, flight-
-//	                              recorder stats, plus the telemetry
-//	                              snapshot when -metrics is on. JSON by
-//	                              default, Prometheus text exposition
+//	                              recorder stats, plus the sum of every
+//	                              campaign ring's metrics snapshot. JSON
+//	                              by default, Prometheus text exposition
 //	                              with ?format=prom
 //	GET    /debugz/flightrec      on-demand flight-recorder dump (NDJSON;
 //	                              daemon ring, or ?campaign=id for one
@@ -39,7 +39,6 @@ import (
 
 	"vpnscope/internal/flightrec"
 	"vpnscope/internal/results/shardlog"
-	"vpnscope/internal/telemetry"
 )
 
 // Handler returns the daemon's HTTP API.
@@ -69,9 +68,9 @@ func (d *Daemon) Handler() http.Handler {
 }
 
 // handleMetrics serves the daemon-wide registry. The JSON body always
-// has the daemon section; the telemetry section appears when the
-// process-wide sink is enabled (-metrics). ?format=prom switches to
-// Prometheus text exposition.
+// has the daemon section; the telemetry section, summed over every
+// campaign ring, appears whenever flight recording is on. ?format=prom
+// switches to Prometheus text exposition.
 func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prom" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -80,16 +79,13 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	doc := metricsDoc{Schema: MetricsSchemaVersion, Daemon: d.metricsView()}
-	if tel := telemetry.Active(); tel != nil {
-		doc.Telemetry = tel.Snapshot()
-	}
+	doc := metricsDoc{Schema: MetricsSchemaVersion, Daemon: d.metricsView(), Telemetry: d.fleetMetrics()}
 	writeJSON(w, http.StatusOK, doc)
 }
 
 // handleCampaignMetrics serves one campaign's scoped view: progress
-// counts, flight-recorder stats, in-flight slots, and the slot
-// wall-time histogram with its p99.
+// counts, flight-recorder stats, in-flight slots, the slot wall-time
+// histogram with its p99, and the ring's full metrics snapshot.
 func (d *Daemon) handleCampaignMetrics(w http.ResponseWriter, r *http.Request) {
 	c, ok := d.campaignOr404(w, r)
 	if !ok {

@@ -1,9 +1,10 @@
-// The daemon's operational metrics surface: a small registry of
-// admission/watchdog/flight-recorder counters kept by the daemon
-// itself (as opposed to internal/telemetry, which instruments the
-// measurement engine), exposed by /metricsz as JSON and as Prometheus
-// text exposition (?format=prom), and scoped per campaign by
-// /campaigns/{id}/metricsz.
+// The daemon's operational metrics surface, exposed by /metricsz as
+// JSON and as Prometheus text exposition (?format=prom), and scoped per
+// campaign by /campaigns/{id}/metricsz. Two sources feed it: a small
+// registry of admission/watchdog/dump counters for facts no campaign
+// owns, kept by the daemon itself; and the campaigns' flight recorders,
+// which instrument the measurement engine — a campaign's view is its
+// own ring's snapshot, the fleet view the sum of every campaign ring.
 package server
 
 import (
@@ -16,7 +17,6 @@ import (
 	"time"
 
 	"vpnscope/internal/flightrec"
-	"vpnscope/internal/telemetry"
 )
 
 // MetricsSchemaVersion identifies the /metricsz JSON layout.
@@ -92,12 +92,26 @@ type daemonMetricsView struct {
 	Flightrec    flightView            `json:"flightrec"`
 }
 
-// metricsDoc is the full /metricsz JSON body. The telemetry section is
-// present only when the process-wide sink is enabled (-metrics).
+// metricsDoc is the full /metricsz JSON body. The telemetry section —
+// the sum of every campaign ring — is present whenever flight
+// recording is on.
 type metricsDoc struct {
-	Schema    string              `json:"schema"`
-	Daemon    daemonMetricsView   `json:"daemon"`
-	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
+	Schema    string             `json:"schema"`
+	Daemon    daemonMetricsView  `json:"daemon"`
+	Telemetry *flightrec.Metrics `json:"telemetry,omitempty"`
+}
+
+// fleetMetrics is the fleet view: one snapshot summing every campaign
+// ring the daemon holds. Nil when flight recording is off.
+func (d *Daemon) fleetMetrics() *flightrec.Metrics {
+	if d.rec == nil {
+		return nil
+	}
+	var rings []*flightrec.Ring
+	for _, c := range d.Campaigns() {
+		rings = append(rings, c.flight)
+	}
+	return flightrec.Sum(rings...)
 }
 
 // metricsView assembles the daemon section.
@@ -178,11 +192,11 @@ func (p *promWriter) family(name, typ, help string) {
 	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// histogram writes one telemetry histogram as a cumulative Prometheus
-// histogram in seconds. Bounds are the sink's millisecond buckets; the
-// snapshot lists occupied buckets in ascending order, which exposition
-// permits (le sets need not be dense).
-func (p *promWriter) histogram(name, help string, hs telemetry.HistogramSnapshot, labels string) {
+// histogram writes one flight-recorder histogram as a cumulative
+// Prometheus histogram in seconds. Bounds are the recorder's
+// millisecond buckets; the snapshot lists occupied buckets in ascending
+// order, which exposition permits (le sets need not be dense).
+func (p *promWriter) histogram(name, help string, hs flightrec.HistogramSnapshot, labels string) {
 	p.family(name, "histogram", help)
 	cum := int64(0)
 	for _, b := range hs.Buckets {
@@ -258,8 +272,7 @@ func (d *Daemon) writeProm(w io.Writer) error {
 	p.family("vpnscoped_flightrec_dropped_total", "counter", "Ring-wrap drops, daemon ring plus all campaign rings.")
 	p.printf("vpnscoped_flightrec_dropped_total %d\n", v.Flightrec.DaemonDropped+v.Flightrec.CampaignDropped)
 
-	if tel := telemetry.Active(); tel != nil {
-		s := tel.Snapshot()
+	if s := d.fleetMetrics(); s != nil {
 		p.family("vpnscope_slots_done_total", "counter", "Vantage-point slots decided (committed, resumed, or skipped).")
 		p.printf("vpnscope_slots_done_total %d\n", s.Campaign.SlotsDone)
 		p.family("vpnscope_reports_total", "counter", "Vantage points measured successfully.")
@@ -271,7 +284,7 @@ func (d *Daemon) writeProm(w io.Writer) error {
 		p.histogram("vpnscope_slot_wall_seconds", "Wall time per measured slot.", s.Wall.SlotWall, "")
 		p.histogram("vpnscope_checkpoint_wall_seconds", "Wall time per outcome-log append.", s.Wall.CheckpointWall, "")
 		p.family("vpnscope_slot_wall_p99_seconds", "gauge", "Rolling p99 slot wall time (bucket upper bound).")
-		p.printf("vpnscope_slot_wall_p99_seconds %g\n", tel.SlotWall.Quantile(0.99).Seconds())
+		p.printf("vpnscope_slot_wall_p99_seconds %g\n", s.Wall.SlotWall.Quantile(0.99).Seconds())
 	}
 	return p.err
 }
@@ -289,8 +302,10 @@ type campaignMetricsView struct {
 
 	Flightrec   flightrec.Stats              `json:"flightrec"`
 	ActiveSlots []activeSlotView             `json:"active_slots,omitempty"`
-	SlotWallMs  *telemetry.HistogramSnapshot `json:"slot_wall_ms,omitempty"`
+	SlotWallMs  *flightrec.HistogramSnapshot `json:"slot_wall_ms,omitempty"`
 	SlotWallP99 float64                      `json:"slot_wall_p99_ms,omitempty"`
+	// Telemetry is the campaign ring's full metrics snapshot.
+	Telemetry *flightrec.Metrics `json:"telemetry,omitempty"`
 }
 
 type activeSlotView struct {
@@ -321,10 +336,10 @@ func campaignMetricsViewOf(c *campaign, now time.Time) campaignMetricsView {
 				RunningMs: float64(now.Sub(a.Start)) / float64(time.Millisecond),
 			})
 		}
-		if h := r.SlotWall(); h.Count() > 0 {
-			hs := h.Snapshot()
-			v.SlotWallMs = &hs
-			v.SlotWallP99 = float64(h.Quantile(0.99)) / float64(time.Millisecond)
+		v.Telemetry = r.Metrics()
+		if hs := &v.Telemetry.Wall.SlotWall; hs.Count > 0 {
+			v.SlotWallMs = hs
+			v.SlotWallP99 = float64(hs.Quantile(0.99)) / float64(time.Millisecond)
 		}
 	}
 	return v

@@ -5,6 +5,8 @@ package server
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -208,6 +210,81 @@ func TestCampaignMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestCampaignMetricsAttribution: two campaigns running at once on one
+// daemon, with different seeds and worker counts, each see exactly
+// their own slots. A campaign's metricsz campaign section is
+// byte-identical to a one-shot run of its spec on a ring of its own,
+// and the daemon-wide /metricsz campaign section is their sum.
+func TestCampaignMetricsAttribution(t *testing.T) {
+	specs := []CampaignSpec{
+		{Seed: 31, Providers: []string{"Mullvad", "NordVPN"}, FaultProfile: "lossy", Workers: 2,
+			VPsPerProvider: 3, ExtraTLSHosts: 10, LandmarkCount: 20},
+		{Seed: 32, Providers: []string{"Seed4.me", "Windscribe"}, FaultProfile: "lossy", Workers: 1,
+			VPsPerProvider: 3, ExtraTLSHosts: 10, LandmarkCount: 20},
+	}
+	d := newTestDaemon(t, Config{FleetWorkers: 3})
+	var cs []*campaign
+	for _, spec := range specs {
+		cs = append(cs, submitOK(t, d, spec))
+	}
+	// Both fit the fleet at once, so they run concurrently.
+	for _, c := range cs {
+		waitState(t, c, StateDone)
+	}
+
+	// campaignSection extracts the served campaign section, compacted.
+	campaignSection := func(path string, body []byte) []byte {
+		t.Helper()
+		var doc struct {
+			Telemetry *struct {
+				Campaign json.RawMessage `json:"campaign"`
+			} `json:"telemetry"`
+		}
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatalf("decoding %s: %v", path, err)
+		}
+		if doc.Telemetry == nil {
+			t.Fatalf("%s has no telemetry section", path)
+		}
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, doc.Telemetry.Campaign); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var refs []*flightrec.Ring
+	for i, spec := range specs {
+		w, err := buildWorldFn(&spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := flightrec.NewRing(0)
+		cfg := spec.runConfig(context.Background(), spec.Workers)
+		cfg.Flight = ring
+		cfg.Stream = func(study.Outcome) error { return nil }
+		if _, err := w.RunWith(cfg); err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, ring)
+		want, err := json.Marshal(ring.Metrics().Campaign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := "/campaigns/" + cs[i].id + "/metricsz"
+		if got := campaignSection(path, get(t, d, path).Body.Bytes()); !bytes.Equal(got, want) {
+			t.Errorf("campaign %d (seed %d, %d workers): served campaign section differs from its one-shot run:\n%s\nvs\n%s",
+				i, spec.Seed, spec.Workers, got, want)
+		}
+	}
+	want, err := json.Marshal(flightrec.Sum(refs...).Campaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := campaignSection("/metricsz", get(t, d, "/metricsz").Body.Bytes()); !bytes.Equal(got, want) {
+		t.Errorf("/metricsz campaign section is not the sum of the campaigns:\n%s\nvs\n%s", got, want)
+	}
+}
+
 // TestFlightrecEndpoint: on-demand dumps for the daemon ring and one
 // campaign's ring; 404 for unknown campaigns and disabled recorders.
 func TestFlightrecEndpoint(t *testing.T) {
@@ -312,6 +389,27 @@ func TestWatchdogSlotStall(t *testing.T) {
 	}
 	if !sawWatchdog {
 		t.Error("watchdog event not recorded on the stalled ring")
+	}
+}
+
+// TestWatchdogForgetsFinishedCampaigns: the slot-stall dedup state of a
+// campaign is dropped once it stops running, so the watchdog's memory
+// does not grow with the daemon's lifetime.
+func TestWatchdogForgetsFinishedCampaigns(t *testing.T) {
+	d := newTestDaemon(t, Config{FleetWorkers: 1, StallFloor: 50 * time.Millisecond, WatchdogInterval: -1})
+	r := flightrec.NewRing(64)
+	c := stalledCampaign(d, "cfinished", r)
+	r.Record(flightrec.Event{Kind: flightrec.SlotStart, Worker: 0, Slot: 3, Provider: "Avira", VP: "de-1"})
+	d.watchdogSweep(time.Now().Add(time.Second))
+	if n := d.metrics.watchdogSlotStalls.Load(); n != 1 {
+		t.Fatalf("slot stall fires = %d, want 1", n)
+	}
+	c.mu.Lock()
+	c.state = StateDone
+	c.mu.Unlock()
+	d.watchdogSweep(time.Now().Add(2 * time.Second))
+	if n := len(d.wd.slotFired); n != 0 {
+		t.Fatalf("watchdog still holds slot-stall state for %d finished campaigns", n)
 	}
 }
 

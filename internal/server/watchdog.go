@@ -22,7 +22,6 @@ package server
 import (
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -35,8 +34,8 @@ type watchdog struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	slotFired   map[string]bool // campaign ":" slot → already fired
-	commitFired map[string]bool // campaign id → already fired
+	slotFired   map[string]map[int]bool // campaign id → slot → already fired
+	commitFired map[string]bool         // campaign id → already fired
 	drainFired  bool
 	activeBuf   []flightrec.ActiveSlot // reused sweep scratch
 }
@@ -44,7 +43,7 @@ type watchdog struct {
 func newWatchdog() *watchdog {
 	return &watchdog{
 		stop:        make(chan struct{}),
-		slotFired:   map[string]bool{},
+		slotFired:   map[string]map[int]bool{},
 		commitFired: map[string]bool{},
 	}
 }
@@ -101,6 +100,7 @@ func (d *Daemon) watchdogSweep(now time.Time) {
 		c.mu.Unlock()
 		r := c.flight
 		if !running || r == nil {
+			delete(d.wd.slotFired, c.id)
 			delete(d.wd.commitFired, c.id)
 			continue
 		}
@@ -113,11 +113,15 @@ func (d *Daemon) watchdogSweep(now time.Time) {
 			if elapsed <= thr {
 				continue
 			}
-			key := c.id + ":" + strconv.Itoa(a.Slot)
-			if d.wd.slotFired[key] {
+			fired := d.wd.slotFired[c.id]
+			if fired[a.Slot] {
 				continue
 			}
-			d.wd.slotFired[key] = true
+			if fired == nil {
+				fired = map[int]bool{}
+				d.wd.slotFired[c.id] = fired
+			}
+			fired[a.Slot] = true
 			d.metrics.watchdogSlotStalls.Add(1)
 			d.fireWatchdog(r, c.id, "slot_stall",
 				fmt.Sprintf("worker %d slot %d (%s %s) running %s, threshold %s",

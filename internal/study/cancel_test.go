@@ -43,7 +43,7 @@ func runCanceledAt(t *testing.T, build func() *study.World, k, killPar, resumePa
 	if n := durable(t, dir); n < k {
 		t.Fatalf("cancel at %d: log holds %d outcomes, want >= %d", k, n, k)
 	}
-	return resumeLog(t, build, dir, resumePar)
+	return resumeLog(t, build, dir, resumePar, nil)
 }
 
 // TestCancelResumeByteIdentical is the quick (-short) form: cancel a

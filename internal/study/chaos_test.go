@@ -321,7 +321,7 @@ func TestChaosResumeByteIdentical(t *testing.T) {
 	if n := durable(t, dir); n != 4 {
 		t.Errorf("killed log holds %d outcomes, want 4", n)
 	}
-	if !bytes.Equal(refBuf.Bytes(), resumeLog(t, build, dir, 0)) {
+	if !bytes.Equal(refBuf.Bytes(), resumeLog(t, build, dir, 0, nil)) {
 		t.Error("killed-then-resumed chaos campaign is not byte-identical to the uninterrupted run")
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"vpnscope/internal/flightrec"
-	"vpnscope/internal/telemetry"
 )
 
 // committerWorker tags flight-recorder events emitted on the committing
@@ -158,10 +157,6 @@ func (c *committer) prepare(s slotSpec) (needMeasure bool, err error) {
 	if outcome := c.done[s.key]; outcome != outcomeNone {
 		// Resumed: its own records carry rank == s.order.
 		c.migrate(s.order + 1)
-		if tel := telemetry.Active(); tel != nil {
-			tel.M.SlotsDone.Add(1)
-			tel.M.SlotsResumed.Add(1)
-		}
 		c.cfg.Flight.Record(flightrec.Event{
 			Kind: flightrec.SlotResume, Worker: committerWorker,
 			Slot: s.order, Provider: s.provider, VP: s.label,
@@ -185,9 +180,6 @@ func (c *committer) prepare(s slotSpec) (needMeasure bool, err error) {
 	if !st.quarantined && c.cfg.QuarantineAfter > 0 && st.streak >= c.cfg.QuarantineAfter {
 		c.insertQuarantine(Quarantine{Provider: s.provider, TrippedAfter: st.streak})
 		st.quarantined = true
-		if tel := telemetry.Active(); tel != nil {
-			tel.M.QuarantineTrips.Add(1)
-		}
 		c.cfg.Flight.Record(flightrec.Event{
 			Kind: flightrec.QuarantineTrip, Worker: committerWorker,
 			Slot: s.order, Provider: s.provider, V1: int64(st.streak),
@@ -198,10 +190,6 @@ func (c *committer) prepare(s slotSpec) (needMeasure bool, err error) {
 	}
 	if st.quarantined {
 		c.res.VPsAttempted++
-		if tel := telemetry.Active(); tel != nil {
-			tel.M.SlotsDone.Add(1)
-			tel.M.QuarantineSkipped.Add(1)
-		}
 		qi := -1
 		for i := range c.res.Quarantines {
 			if c.res.Quarantines[i].Provider == s.provider {
@@ -247,19 +235,21 @@ func (c *committer) insertQuarantine(q Quarantine) {
 // commit records a fresh measurement outcome for s (prepare must have
 // returned needMeasure) and streams it.
 //
-// Deterministic campaign telemetry is recorded here, not at measure
+// Deterministic campaign metrics are recorded here, not at measure
 // time: the committer runs single-threaded in canonical slot order and
 // never sees the speculative slots the parallel executor discards, so
-// the `campaign` counters and virtual-time histograms come out
-// identical for any worker count.
+// the flight recorder's `campaign` counters and virtual-time
+// histograms come out identical for any worker count.
 func (c *committer) commit(s slotSpec, out vpResult) error {
 	st := c.provState(s.provIdx)
 	c.res.VPsAttempted++
 	o := Outcome{Rank: s.order}
+	outcome := flightrec.OutcomeMeasured
 	if out.failure != nil {
 		c.res.ConnectFailures = append(c.res.ConnectFailures, *out.failure)
 		st.streak++
 		o.Failure = out.failure
+		outcome = flightrec.OutcomeFailed
 	} else {
 		if out.recovery != nil {
 			c.res.Recoveries = append(c.res.Recoveries, *out.recovery)
@@ -271,36 +261,18 @@ func (c *committer) commit(s slotSpec, out vpResult) error {
 		o.Report = out.report
 		st.streak = 0
 	}
-	if tel := telemetry.Active(); tel != nil {
-		tel.M.SlotsDone.Add(1)
-		tel.M.SlotsCommitted.Add(1)
-		d := out.faultDelta
-		tel.M.AddCommittedFaults(int64(d.Dropped), int64(d.Flapped), int64(d.Refused),
-			int64(d.Delayed), int64(d.Blackouts), int64(d.TunnelResets))
-		if out.failure != nil {
-			tel.M.ConnectFailures.Add(1)
-		} else {
-			tel.M.Reports.Add(1)
-			if out.recovery != nil {
-				tel.M.Recoveries.Add(1)
-			}
-			if rep := out.report; rep != nil {
-				tel.SuiteVirtual.Observe(rep.FinishedAt - rep.StartedAt)
-				for _, tt := range rep.TestTimings {
-					tel.ObserveTest(tt.Test, tt.Virtual)
-				}
-			}
-		}
-	}
 	if fr := c.cfg.Flight; fr != nil {
-		detail := "measured"
-		if out.failure != nil {
-			detail = "failed"
-		}
 		fr.Record(flightrec.Event{
 			Kind: flightrec.Commit, Worker: committerWorker,
-			Slot: s.order, Provider: s.provider, VP: s.label, Detail: detail,
+			Slot: s.order, Provider: s.provider, VP: s.label, Detail: outcome,
 		})
+		fr.CommitFacts(faultCounts(out.faultDelta), out.recovery != nil)
+		if rep := out.report; rep != nil {
+			fr.ObserveSuite(rep.FinishedAt - rep.StartedAt)
+			for _, tt := range rep.TestTimings {
+				fr.ObserveTest(tt.Test, tt.Virtual)
+			}
+		}
 	}
 	return c.stream(o)
 }
@@ -312,23 +284,16 @@ func (c *committer) stream(o Outcome) error {
 	if c.cfg.Stream == nil {
 		return nil
 	}
-	tel := telemetry.Active()
 	fr := c.cfg.Flight
 	var t0 time.Time
-	if tel != nil || fr != nil {
+	if fr != nil {
 		t0 = time.Now()
 	}
 	err := c.cfg.Stream(o)
-	if tel != nil || fr != nil {
-		d := time.Since(t0)
-		if tel != nil {
-			tel.M.Checkpoints.Add(1)
-			tel.CheckpointWall.Observe(d)
-			tel.RecordCommitSpan(telemetry.Span{Kind: "stream", WallStart: t0, WallDur: d})
-		}
+	if fr != nil {
 		fr.Record(flightrec.Event{
 			Kind: flightrec.Checkpoint, Worker: committerWorker,
-			Slot: o.Rank, Detail: "stream", V1: int64(d),
+			Slot: o.Rank, Detail: "stream", V1: int64(time.Since(t0)),
 		})
 	}
 	if err != nil {

@@ -1,7 +1,8 @@
 // Flight-recorder golden tests: attaching a Ring to RunConfig must
-// never perturb campaign bytes — the recorder observes runtime shape
-// only. This is the same acceptance bar the telemetry sink passes in
-// telemetry_test.go, applied to the second observability channel.
+// never perturb campaign bytes, and its event trail must cover the
+// campaign — the derived state (active slots, slot wall histogram,
+// resume events) the watchdog and the metrics views read. Its metrics
+// snapshot is held to the same bar in telemetry_test.go.
 package study_test
 
 import (
@@ -10,31 +11,17 @@ import (
 
 	"vpnscope/internal/faultsim"
 	"vpnscope/internal/flightrec"
-	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
 )
-
-// runLossySubsetFlight is runLossySubset with a flight recorder
-// attached.
-func runLossySubsetFlight(t *testing.T, workers int, r *flightrec.Ring) *study.Result {
-	t.Helper()
-	w := buildSubset(t, 2018, "Seed4.me", "WorldVPN", "Windscribe")
-	w.EnableFaults(faultsim.Lossy)
-	res, err := w.RunWith(study.RunConfig{Parallel: workers, Flight: r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
 
 // TestFlightRecorderDoesNotPerturbResults: the recorder-off sequential
 // envelope is the baseline; recorder-on runs at every worker count must
 // match it byte for byte, while actually recording a full event trail.
 func TestFlightRecorderDoesNotPerturbResults(t *testing.T) {
-	baseline := envelope(t, runLossySubsetFlight(t, 1, nil))
+	baseline := envelope(t, runLossySubset(t, 1, nil))
 	for _, workers := range []int{1, 2, 4, 8} {
 		r := flightrec.NewRing(1 << 14)
-		res := runLossySubsetFlight(t, workers, r)
+		res := runLossySubset(t, workers, r)
 		if got := envelope(t, res); !bytes.Equal(got, baseline) {
 			t.Errorf("Parallel=%d with flight recorder diverges from recorder-off sequential run", workers)
 		}
@@ -73,7 +60,7 @@ func TestFlightRecorderDoesNotPerturbResults(t *testing.T) {
 // TestFlightRecorderResume: a resumed run records SlotResume for
 // log-absorbed slots and still matches the uninterrupted bytes.
 func TestFlightRecorderResume(t *testing.T) {
-	full := envelope(t, runLossySubsetFlight(t, 2, nil))
+	full := envelope(t, runLossySubset(t, 2, nil))
 
 	r := flightrec.NewRing(1 << 14)
 	build := func() *study.World {
@@ -83,26 +70,7 @@ func TestFlightRecorderResume(t *testing.T) {
 	}
 	dir := t.TempDir()
 	mustInterrupt(t, interruptIntoLog(t, build, dir, 3, 2, false), false)
-	lg, err := shardlog.Open(dir, lossyLog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lg.Close()
-	lean, err := lg.Resume()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := build().RunWith(study.RunConfig{Parallel: 2, Resume: lean, Stream: lg.Append, Flight: r}); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.MarkComplete(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := lg.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := envelope(t, res); !bytes.Equal(got, full) {
+	if got := resumeLog(t, build, dir, 2, r); !bytes.Equal(got, full) {
 		t.Error("resumed run with flight recorder diverges from uninterrupted run")
 	}
 	resumes := 0

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"vpnscope/internal/flightrec"
 	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
 )
@@ -52,15 +53,16 @@ func interruptIntoLog(t *testing.T, build func() *study.World, dir string, k, pa
 }
 
 // resumeLog recovers the log at dir, resumes build()'s campaign from it
-// on par workers, seals the log, and returns the envelope of its fold.
-func resumeLog(t *testing.T, build func() *study.World, dir string, par int) []byte {
+// on par workers recording into r (nil: no recorder), seals the log,
+// and returns the envelope of its fold.
+func resumeLog(t *testing.T, build func() *study.World, dir string, par int, r *flightrec.Ring) []byte {
 	t.Helper()
 	lg, err := shardlog.Open(dir, lossyLog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lg.Close()
-	cfg := study.RunConfig{Parallel: par, Stream: lg.Append}
+	cfg := study.RunConfig{Parallel: par, Stream: lg.Append, Flight: r}
 	if lg.NextRank() > 0 {
 		if cfg.Resume, err = lg.Resume(); err != nil {
 			t.Fatal(err)

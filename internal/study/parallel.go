@@ -29,7 +29,6 @@ import (
 
 	"vpnscope/internal/flightrec"
 	"vpnscope/internal/study/slotsched"
-	"vpnscope/internal/telemetry"
 )
 
 // slotRank maps every outcome of a campaign to its canonical position:
@@ -123,10 +122,6 @@ func (w *World) runParallelSlots(specs []slotSpec, c *committer, workers int) (*
 	// spec's index equals its canonical rank — so the scheduler's
 	// slot-steal events line up with every other event's Slot field.
 	sched.SetFlight(cfg.Flight)
-	tel := telemetry.Active()
-	if tel != nil {
-		tel.EnsureWorkerTracks(workers)
-	}
 
 	var (
 		q    = newIntake()
@@ -144,7 +139,7 @@ func (w *World) runParallelSlots(specs []slotSpec, c *committer, workers int) (*
 		go func(id int) {
 			defer wg.Done()
 			pprof.Do(context.Background(), pprof.Labels("worker", strconv.Itoa(id)), func(ctx context.Context) {
-				w.workerLoop(ctx, id, specs, sched, cfg, flags, tel, &stop, deliver)
+				w.workerLoop(ctx, id, specs, sched, cfg, flags, &stop, deliver)
 			})
 		}(k)
 	}
@@ -157,9 +152,8 @@ func (w *World) runParallelSlots(specs []slotSpec, c *committer, workers int) (*
 		for _, d := range batch {
 			pending[d.idx] = d.out
 		}
-		if tel != nil && len(batch) > 0 {
-			tel.M.CommitDrains.Add(1)
-			tel.M.CommitBatched.Add(int64(len(batch)))
+		if len(batch) > 0 {
+			cfg.Flight.CommitDrain(len(batch))
 		}
 	}
 
@@ -179,9 +173,6 @@ func (w *World) runParallelSlots(specs []slotSpec, c *committer, workers int) (*
 			// measurement a worker already published for this slot.
 			absorb(q.tryDrain())
 			if _, speculative := pending[i]; speculative {
-				if tel != nil {
-					tel.M.SpeculativeDiscards.Add(1)
-				}
 				cfg.Flight.Record(flightrec.Event{
 					Kind: flightrec.SlotDiscard, Worker: committerWorker,
 					Slot: s.order, Provider: s.provider, VP: s.label,
@@ -197,21 +188,17 @@ func (w *World) runParallelSlots(specs []slotSpec, c *committer, workers int) (*
 		}
 		if !ok {
 			var waitStart time.Time
-			if tel != nil || cfg.Flight != nil {
+			if cfg.Flight != nil {
 				waitStart = time.Now()
 			}
 			for !ok {
 				absorb(q.drain())
 				out, ok = pending[i]
 			}
-			if tel != nil || cfg.Flight != nil {
-				waited := time.Since(waitStart)
-				if tel != nil {
-					tel.M.CommitWaitNs.Add(waited.Nanoseconds())
-				}
+			if cfg.Flight != nil {
 				cfg.Flight.Record(flightrec.Event{
 					Kind: flightrec.CommitWait, Worker: committerWorker,
-					Slot: s.order, Provider: s.provider, V1: int64(waited),
+					Slot: s.order, Provider: s.provider, V1: int64(time.Since(waitStart)),
 				})
 			}
 		}
@@ -235,12 +222,8 @@ func (w *World) runParallelSlots(specs []slotSpec, c *committer, workers int) (*
 	// Workers never block on the intake (put is append-and-go), so the
 	// pool just drains the scheduler and exits.
 	wg.Wait()
-	if tel != nil {
-		st := sched.Stats()
-		tel.M.Steals.Add(st.Steals)
-		tel.M.VictimScans.Add(st.VictimScans)
-		tel.M.StealRescans.Add(st.Rescans)
-	}
+	st := sched.Stats()
+	cfg.Flight.SchedulerScans(st.VictimScans, st.Rescans)
 	return c.finish(), retErr
 }
 
@@ -319,10 +302,10 @@ func (q *intake) swapLocked() []slotDelivery {
 // under (slot, provider) labels so a profile can be cut by any of the
 // three dimensions.
 func (w *World) workerLoop(ctx context.Context, id int, specs []slotSpec, sched *slotsched.Scheduler,
-	cfg *RunConfig, flags []atomic.Bool, tel *telemetry.Sink, stop *atomic.Bool, deliver func(int, *vpResult)) {
+	cfg *RunConfig, flags []atomic.Bool, stop *atomic.Bool, deliver func(int, *vpResult)) {
 	var cw *World
 	for {
-		i, from, ok := sched.NextFrom(id)
+		i, ok := sched.Next(id)
 		if !ok {
 			return
 		}
@@ -350,15 +333,8 @@ func (w *World) workerLoop(ctx context.Context, id int, specs []slotSpec, sched 
 				continue
 			}
 			cw.markCampaign()
-			cw.telWorker = id
-			if tel != nil {
-				tel.M.WorkerWorldBuilds.Add(1)
-			}
-		}
-		if from == id {
-			cw.telStealFrom = -1
-		} else {
-			cw.telStealFrom = from
+			cw.worker = id
+			cfg.Flight.WorkerWorldBuilt()
 		}
 		var out vpResult
 		pprof.Do(ctx, pprof.Labels("slot", strconv.Itoa(s.order), "provider", s.provider), func(context.Context) {

@@ -191,7 +191,7 @@ func TestParallelKillResumeFuzz(t *testing.T) {
 			t.Fatalf("k=%d: killed log holds %d outcomes", k, n)
 		}
 		for _, resumePar := range []int{1, 2, 4} {
-			if !bytes.Equal(refBytes, resumeLog(t, build, copyLog(t, dir), resumePar)) {
+			if !bytes.Equal(refBytes, resumeLog(t, build, copyLog(t, dir), resumePar, nil)) {
 				t.Errorf("k=%d (killed under Parallel=%d, resumed under Parallel=%d): envelope differs from reference",
 					k, killPar, resumePar)
 			}

@@ -11,7 +11,6 @@ import (
 	"vpnscope/internal/faultsim"
 	"vpnscope/internal/flightrec"
 	"vpnscope/internal/simrand"
-	"vpnscope/internal/telemetry"
 	"vpnscope/internal/vpn"
 	"vpnscope/internal/vpntest"
 )
@@ -175,13 +174,15 @@ type RunConfig struct {
 	// replicas are rebuilt from Options and cannot observe such
 	// mutations.
 	Parallel int
-	// Flight, when non-nil, is the campaign's flight recorder: every
-	// slot start/finish, retry, steal, quarantine decision, commit, and
-	// stream call records a bounded, runtime-shape-only event into it
-	// (see internal/flightrec). A nil ring disables recording at zero
-	// cost; the record path never allocates either way, and nothing
-	// recorded feeds back into execution, so results stay byte-identical
-	// with the recorder on or off.
+	// Flight, when non-nil, is the campaign's one recorder: every slot
+	// start/finish, retry, steal, quarantine decision, commit, and
+	// stream call records a bounded, runtime-shape-only event into it,
+	// along with the counters and histograms its metrics snapshot,
+	// trace, and progress line are derived from (see internal/flightrec).
+	// A nil ring disables recording at the cost of a nil check; the
+	// record path never allocates either way, and nothing recorded
+	// feeds back into execution, so results stay byte-identical with the
+	// recorder on or off.
 	Flight *flightrec.Ring
 	// Ctx, when non-nil, cancels the campaign cooperatively: no new
 	// vantage-point slot starts once the context is done, the committer
@@ -268,6 +269,18 @@ type slotSpec struct {
 	key      string
 }
 
+// SlotCount is the number of vantage-point slots a full campaign over
+// this world measures.
+func (w *World) SlotCount() int {
+	n := 0
+	for _, p := range w.Providers {
+		if p.Spec.Client != vpn.BrowserExtension {
+			n += len(p.VPs)
+		}
+	}
+	return n
+}
+
 // campaignSpecs enumerates the full campaign: every vantage point of
 // every actively tested provider (browser extensions are excluded from
 // active testing, §4), in provider order.
@@ -324,7 +337,7 @@ type vpResult struct {
 	// error), surfaced by the committer in slot order.
 	err error
 	// attempts is how many connect attempts the slot consumed (0 when
-	// the client machine could not be provisioned); telemetry only.
+	// the client machine could not be provisioned); flight recorder only.
 	attempts int
 }
 
@@ -335,7 +348,6 @@ type vpResult struct {
 func (w *World) markCampaign() {
 	w.hostMark = w.Net.HostMark()
 	w.authMark = w.Authority.LogMark()
-	w.telStealFrom = -1 // until the parallel executor says otherwise
 	// From here on the world measures slots single-threaded, and every
 	// transient packet dies inside its slot — install the slot arena so
 	// delivery-path copies become bump allocations recycled by beginSlot.
@@ -377,24 +389,26 @@ func (w *World) beginSlot(cfg *RunConfig, s slotSpec) {
 }
 
 // measureVP measures one vantage point inside its own virtual-time
-// slot, bracketing the measurement with telemetry: the slot's fault-
-// counter delta (absorbed by the committer only if the slot commits)
-// and, when a sink is enabled, a trace span on the measuring worker's
-// track. Works identically for the sequential world and parallel
-// worker replicas.
+// slot and takes the slot's fault-counter delta, which the committer
+// absorbs only if the slot commits. With a flight recorder attached it
+// brackets the measurement with SlotStart/SlotFinish (plus FaultDraws)
+// events on the measuring worker and records the slot's exchange and
+// raw fault deltas. Works identically for the sequential world and
+// parallel worker replicas.
 func (w *World) measureVP(cfg *RunConfig, s slotSpec) vpResult {
-	tel := telemetry.Active()
 	fr := cfg.Flight
-	var wallStart time.Time
-	if tel != nil {
-		tel.M.SlotsMeasured.Add(1)
-	}
-	if tel != nil || fr != nil {
+	virtStart := campaignBase + time.Duration(s.order)*cfg.VPSlot
+	var (
+		wallStart time.Time
+		exchanges int64
+	)
+	if fr != nil {
 		wallStart = time.Now()
+		exchanges = w.Net.Exchanges()
 	}
 	fr.Record(flightrec.Event{
-		Kind: flightrec.SlotStart, Worker: w.telWorker,
-		Slot: s.order, Provider: s.provider, VP: s.label,
+		Kind: flightrec.SlotStart, Worker: w.worker,
+		Slot: s.order, Provider: s.provider, VP: s.label, VirtNs: int64(virtStart),
 	})
 	if h := SlotHook; h != nil {
 		h(w.Opts.Seed, s.order)
@@ -409,50 +423,35 @@ func (w *World) measureVP(cfg *RunConfig, s slotSpec) vpResult {
 	if w.faults != nil {
 		out.faultDelta = w.faults.Stats().Sub(before)
 	}
-	var wallDur time.Duration
-	if tel != nil || fr != nil {
-		wallDur = time.Since(wallStart)
-	}
 	if fr != nil {
-		outcome := "measured"
+		outcome := flightrec.OutcomeMeasured
 		if out.failure != nil {
-			outcome = "failed"
+			outcome = flightrec.OutcomeFailed
 		}
 		fr.Record(flightrec.Event{
-			Kind: flightrec.SlotFinish, Worker: w.telWorker,
-			Slot: s.order, Provider: s.provider, VP: s.label,
-			Detail: outcome, V1: int64(wallDur), V2: int64(out.attempts),
+			Kind: flightrec.SlotFinish, Worker: w.worker,
+			Slot: s.order, Provider: s.provider, VP: s.label, Detail: outcome,
+			V1: int64(time.Since(wallStart)), V2: int64(out.attempts),
+			VirtNs: int64(w.Net.Clock.Now() - virtStart),
 		})
 		if n := out.faultDelta.Total(); n > 0 {
 			fr.Record(flightrec.Event{
-				Kind: flightrec.FaultDraws, Worker: w.telWorker,
+				Kind: flightrec.FaultDraws, Worker: w.worker,
 				Slot: s.order, Provider: s.provider, V1: int64(n),
 			})
 		}
-	}
-	if tel != nil {
-		virtStart := campaignBase + time.Duration(s.order)*cfg.VPSlot
-		outcome := "measured"
-		if out.failure != nil {
-			outcome = "failed"
-		}
-		tel.RecordSpan(w.telWorker, telemetry.Span{
-			Kind:       "slot",
-			Slot:       s.order,
-			Provider:   s.provider,
-			VP:         s.label,
-			WallStart:  wallStart,
-			WallDur:    wallDur,
-			VirtStart:  virtStart,
-			VirtDur:    w.Net.Clock.Now() - virtStart,
-			Attempts:   out.attempts,
-			Faults:     out.faultDelta.Total(),
-			StolenFrom: w.telStealFrom,
-			Outcome:    outcome,
-		})
-		tel.SlotWall.Observe(wallDur)
+		fr.SlotRuntime(w.Net.Exchanges()-exchanges, faultCounts(out.faultDelta))
 	}
 	return out
+}
+
+// faultCounts converts a fault-plan counter delta to the recorder's
+// per-kind breakdown.
+func faultCounts(d faultsim.Stats) flightrec.FaultCounts {
+	return flightrec.FaultCounts{
+		Dropped: int64(d.Dropped), Flapped: int64(d.Flapped), Refused: int64(d.Refused),
+		Delayed: int64(d.Delayed), Blackouts: int64(d.Blackouts), TunnelResets: int64(d.TunnelResets),
+	}
 }
 
 // measureSlot is measureVP's measurement body. Client teardown is
@@ -498,7 +497,7 @@ func (w *World) measureSlot(cfg *RunConfig, s slotSpec) vpResult {
 		jitter := 0.5 + backoffRNG.Float64()
 		backoff := time.Duration(float64(wait) * jitter)
 		cfg.Flight.Record(flightrec.Event{
-			Kind: flightrec.Retry, Worker: w.telWorker,
+			Kind: flightrec.Retry, Worker: w.worker,
 			Slot: s.order, Provider: s.provider, VP: s.label,
 			V1: int64(attempts), V2: int64(backoff),
 		})
@@ -515,6 +514,7 @@ func (w *World) measureSlot(cfg *RunConfig, s slotSpec) vpResult {
 		CollectCaptures: w.Opts.CollectCaptures,
 		TestBudget:      cfg.TestBudget,
 		SuiteBudget:     cfg.SuiteBudget,
+		Timings:         cfg.Flight != nil,
 	}
 	if s.vpIdx >= w.Opts.MaxFullSuiteVPs {
 		opts.PingOnly = true
@@ -575,9 +575,6 @@ func (w *World) runCampaign(cfg RunConfig, specs []slotSpec) (*Result, error) {
 	if cfg.Resume != nil && cfg.Stream == nil {
 		return nil, errors.New("study: RunConfig.Resume requires Stream (resume from the campaign's outcome log)")
 	}
-	if tel := telemetry.Active(); tel != nil {
-		tel.AddSlotsTotal(len(specs))
-	}
 	c := newCommitter(&cfg, specRanks(specs))
 	schedulable := 0
 	multiProvider := false
@@ -595,7 +592,11 @@ func (w *World) runCampaign(cfg RunConfig, specs []slotSpec) (*Result, error) {
 	if workers > schedulable {
 		workers = schedulable
 	}
-	if workers > 1 && multiProvider {
+	if workers < 1 || !multiProvider {
+		workers = 1
+	}
+	cfg.Flight.BeginRun(len(specs), workers)
+	if workers > 1 {
 		return w.runParallelSlots(specs, c, workers)
 	}
 	return w.runSequential(specs, c)

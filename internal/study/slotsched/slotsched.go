@@ -139,8 +139,7 @@ func (s *Scheduler) Next(worker int) (slot int, ok bool) {
 
 // NextFrom is Next plus provenance: from is the queue the slot came
 // off (== worker for an own-queue pop, the victim index for a steal;
-// -1 when ok is false). The telemetry layer uses it to tag each slot
-// span with its steal origin.
+// -1 when ok is false).
 func (s *Scheduler) NextFrom(worker int) (slot, from int, ok bool) {
 	if slot, ok = s.queues[worker].popFront(); ok {
 		s.ownPops.Add(1)

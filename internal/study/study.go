@@ -90,12 +90,10 @@ type World struct {
 	// log back to them at every slot boundary.
 	hostMark int
 	authMark int
-	// telWorker/telStealFrom identify, for telemetry spans only, which
-	// executor worker measures on this world and where its current slot
-	// came from (-1 = the worker's own queue). The sequential runner
-	// uses worker 0; the parallel executor stamps each replica.
-	telWorker    int
-	telStealFrom int
+	// worker is the executor worker measuring on this world, as tagged
+	// on its flight-recorder events. The sequential runner uses worker
+	// 0; the parallel executor stamps each replica.
+	worker int
 	// dnsIntern and certCache are the world-lived lookup caches handed
 	// to every slot's web client: slots resolve the same static
 	// hostnames and fetch the same certificates over and over, and a

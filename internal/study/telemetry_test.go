@@ -1,9 +1,10 @@
-// Telemetry golden tests: enabling metrics, tracing, and progress must
-// never perturb the byte-identical-to-sequential guarantee, and the
-// deterministic ("campaign") section of the snapshot must itself be
-// reproducible — identical across worker counts and across repeat runs
-// at the same seed. These are the acceptance criteria of the
-// observability layer (DESIGN.md, "Observability").
+// Telemetry golden tests: attaching a flight recorder — the source of
+// the metrics snapshot, the trace, and the progress line — must never
+// perturb the byte-identical-to-sequential guarantee, and the
+// deterministic ("campaign") section of its metrics snapshot must
+// itself be reproducible — identical across worker counts and across
+// repeat runs at the same seed. These are the acceptance criteria of
+// the observability layer (DESIGN.md, "Observability").
 package study_test
 
 import (
@@ -12,27 +13,29 @@ import (
 	"testing"
 
 	"vpnscope/internal/faultsim"
+	"vpnscope/internal/flightrec"
 	"vpnscope/internal/study"
-	"vpnscope/internal/telemetry"
 )
 
 // runLossySubset runs the standard 3-provider lossy campaign used by
-// the parallel byte-identity suite.
-func runLossySubset(t *testing.T, workers int) *study.Result {
+// the parallel byte-identity suite, recording into r (nil: no
+// recorder).
+func runLossySubset(t *testing.T, workers int, r *flightrec.Ring) *study.Result {
 	t.Helper()
 	w := buildSubset(t, 2018, "Seed4.me", "WorldVPN", "Windscribe")
 	w.EnableFaults(faultsim.Lossy)
-	res, err := w.RunWith(study.RunConfig{Parallel: workers})
+	res, err := w.RunWith(study.RunConfig{Parallel: workers, Flight: r})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-// campaignJSON extracts the deterministic section of a sink's snapshot.
-func campaignJSON(t *testing.T, s *telemetry.Sink) []byte {
+// campaignJSON extracts the deterministic section of a ring's metrics
+// snapshot.
+func campaignJSON(t *testing.T, r *flightrec.Ring) []byte {
 	t.Helper()
-	b, err := json.MarshalIndent(s.Snapshot().Campaign, "", "  ")
+	b, err := json.MarshalIndent(r.Metrics().Campaign, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,27 +43,24 @@ func campaignJSON(t *testing.T, s *telemetry.Sink) []byte {
 }
 
 // TestTelemetryDoesNotPerturbResults is the golden invariant: a faulty
-// parallel run with metrics and tracing enabled serializes
-// byte-identically to a telemetry-off sequential run, at every worker
-// count — and the campaign section of the snapshot is identical across
-// worker counts.
+// parallel run with a recorder attached serializes byte-identically to
+// a recorder-off sequential run, at every worker count — and the
+// campaign section of the snapshot is identical across worker counts.
 func TestTelemetryDoesNotPerturbResults(t *testing.T) {
-	telemetry.Disable()
-	baseline := envelope(t, runLossySubset(t, 1))
+	baseline := envelope(t, runLossySubset(t, 1, nil))
 
 	var campaigns [][]byte
 	workerCounts := []int{1, 2, 4, 8}
 	for _, workers := range workerCounts {
-		tel := telemetry.Enable()
-		res := runLossySubset(t, workers)
-		telemetry.Disable()
+		tel := flightrec.NewRing(1 << 14)
+		res := runLossySubset(t, workers, tel)
 
 		if got := envelope(t, res); !bytes.Equal(got, baseline) {
 			t.Errorf("Parallel=%d with telemetry enabled diverges from telemetry-off sequential run", workers)
 		}
 		campaigns = append(campaigns, campaignJSON(t, tel))
 
-		// The exporters must work on a real campaign's sink.
+		// The exporters must work on a real campaign's ring.
 		var metrics, trace bytes.Buffer
 		if err := tel.WriteMetricsTo(&metrics); err != nil {
 			t.Fatalf("Parallel=%d: WriteMetricsTo: %v", workers, err)
@@ -72,7 +72,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 			t.Fatalf("Parallel=%d: exporter emitted invalid JSON", workers)
 		}
 
-		snap := tel.Snapshot()
+		snap := tel.Metrics()
 		if snap.Campaign.SlotsDone != snap.Campaign.SlotsTotal || snap.Campaign.SlotsTotal == 0 {
 			t.Fatalf("Parallel=%d: campaign incomplete: %d/%d slots",
 				workers, snap.Campaign.SlotsDone, snap.Campaign.SlotsTotal)
@@ -92,9 +92,8 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 // steals, pool traffic, and latencies are execution-shape.)
 func TestTelemetryCampaignSnapshotReproducible(t *testing.T) {
 	run := func() []byte {
-		tel := telemetry.Enable()
-		runLossySubset(t, 4)
-		telemetry.Disable()
+		tel := flightrec.NewRing(1 << 14)
+		runLossySubset(t, 4, tel)
 		return campaignJSON(t, tel)
 	}
 	first, second := run(), run()
@@ -116,11 +115,10 @@ func TestTelemetryResumeAccounting(t *testing.T) {
 	dir := t.TempDir()
 	mustInterrupt(t, interruptIntoLog(t, build, dir, 3, 2, false), false)
 
-	tel := telemetry.Enable()
-	resumeLog(t, build, dir, 2)
-	telemetry.Disable()
+	tel := flightrec.NewRing(1 << 14)
+	resumeLog(t, build, dir, 2, tel)
 
-	snap := tel.Snapshot()
+	snap := tel.Metrics()
 	c := snap.Campaign
 	if c.SlotsResumed == 0 {
 		t.Error("resumed run recorded no resumed slots")

@@ -9,13 +9,13 @@ import (
 	"vpnscope/internal/capture"
 	"vpnscope/internal/geo"
 	"vpnscope/internal/netsim"
-	"vpnscope/internal/telemetry"
 )
 
 // TestTiming records one executed suite step's virtual-time cost.
-// Collected only while telemetry is enabled, and excluded from result
-// serialization (the campaign's committer folds timings into telemetry
-// histograms instead), so enabling it cannot change result bytes.
+// Collected only when SuiteOptions.Timings asks, and excluded from
+// result serialization (the campaign's committer folds timings into
+// its flight recorder's histograms instead), so collecting them cannot
+// change result bytes.
 type TestTiming struct {
 	Test    string
 	Virtual time.Duration
@@ -55,9 +55,9 @@ type VPReport struct {
 	// Errors collects per-test failures without aborting the run.
 	Errors []string
 
-	// TestTimings holds per-test virtual durations for telemetry; only
-	// populated while a telemetry sink is enabled and never serialized
-	// with results (see TestTiming).
+	// TestTimings holds per-test virtual durations; only populated under
+	// SuiteOptions.Timings and never serialized with results (see
+	// TestTiming).
 	TestTimings []TestTiming `json:"-"`
 }
 
@@ -96,6 +96,9 @@ type SuiteOptions struct {
 	// remaining tests are skipped with a note rather than run. Zero
 	// means unlimited.
 	SuiteBudget time.Duration
+	// Timings fills VPReport.TestTimings. The campaign runner sets it
+	// exactly when a flight recorder is attached to take them.
+	Timings bool
 }
 
 // RunSuite executes the test suite against a connected environment and
@@ -112,7 +115,6 @@ func RunSuite(env *Env, opts SuiteOptions) *VPReport {
 	}
 	clock := env.Stack.Net.Clock
 	start := clock.Now()
-	collectTimings := telemetry.Active() != nil
 	step := func(test string, fn func() error) {
 		if opts.SuiteBudget > 0 && clock.Now()-start >= opts.SuiteBudget {
 			r.Errors = append(r.Errors,
@@ -123,7 +125,7 @@ func RunSuite(env *Env, opts SuiteOptions) *VPReport {
 		if err := runRecovered(fn); err != nil {
 			r.Errors = append(r.Errors, fmt.Sprintf("%s: %v", test, err))
 		}
-		if collectTimings {
+		if opts.Timings {
 			r.TestTimings = append(r.TestTimings, TestTiming{Test: test, Virtual: clock.Now() - began})
 		}
 		if opts.TestBudget > 0 {

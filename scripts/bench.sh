@@ -33,18 +33,19 @@ go test -bench 'BenchmarkFullStudy$|BenchmarkStudySequential$|BenchmarkStudyPara
     -benchtime 1x -benchmem -run '^$' . |
     go run ./cmd/benchtrend -out "$out" -label "$label"
 
-# Observability tax: the same campaign with the telemetry sink off vs
-# on. Cheap enough to repeat: -benchtime 3x -count 3 with best-of
-# recording — BENCH_6 recorded telemetry *on* as faster than *off*
-# because single 1x iterations on a shared host swing tens of percent
-# run to run, and the minimum across repeats is the stablest estimator
-# of true cost.
+# Observability tax: the same campaign with no flight recorder (off)
+# vs an attached ring (on). Cheap enough to repeat: -benchtime 3x
+# -count 3 with best-of recording — BENCH_6 recorded *on* as faster
+# than *off* because single 1x iterations on a shared host swing tens
+# of percent run to run, and the minimum across repeats is the
+# stablest estimator of true cost.
 go test -bench 'BenchmarkTelemetryOverhead/(off|on)$' \
     -benchtime 3x -count 3 -benchmem -run '^$' . |
     go run ./cmd/benchtrend -best -out "$out" -label "$label"
 
-# The raw record path (its zero-alloc gate lives inside the benchmark
-# and fails the run if an instrumentation site regresses) is a ~200ns
+# The raw record path — Ring.Record plus every explicit fact method
+# (its zero-alloc gate, live and nil ring, lives inside the benchmark
+# and fails the run if a record site regresses) — is a sub-µs
 # micro-op: it needs thousands of iterations per sample, not the 3x the
 # campaign benchmarks above use, or scheduler jitter dominates and the
 # trend gate trips on noise.

@@ -19,7 +19,7 @@ OUT="$(mktemp -d)"
 trap 'rm -rf "$OUT"' EXIT
 
 go build -o "$OUT/vpnscoped" ./cmd/vpnscoped
-"$OUT/vpnscoped" -state "$OUT/state" -addr 127.0.0.1:0 -queue 8 -metrics \
+"$OUT/vpnscoped" -state "$OUT/state" -addr 127.0.0.1:0 -queue 8 \
     2>"$OUT/daemon.log" &
 DPID=$!
 
