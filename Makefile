@@ -11,16 +11,17 @@ test:
 race:
 	go test -race -short ./internal/study/... ./internal/faultsim/... ./internal/netsim/... ./internal/results/...
 
-# tier1 is the full verification gate: build, vet, tests, race subset
-# (the study wildcard covers internal/study/slotsched and the sharded
-# outcome log in internal/results/shardlog), the flight-recorder ring
-# race suite, the daemon race suite
+# tier1 is the full verification gate: build, gofmt, vet, tests, race
+# subset (the study wildcard covers internal/study/slotsched and the
+# sharded outcome log in internal/results/shardlog), the
+# flight-recorder ring race suite, the daemon race suite
 # (admission, drain, kill -9 chaos, panic/stall flight dumps), study
 # bench smoke, the alloc-gated fast-path, prototype-patch,
-# streaming-commit, and shard-log benches, the poisoned-arena
-# prototype retention suite, and the world suites under the ownerdebug
-# single-owner assertion.
+# streaming-commit, shard-log, and one-suite benches, the
+# poisoned-arena prototype retention suite, and the world suites under
+# the ownerdebug single-owner assertion.
 tier1: build
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	go vet ./...
 	go test ./...
 	$(MAKE) race
@@ -30,6 +31,7 @@ tier1: build
 	go test -bench 'Exchange|BuildPacket|Deliver|PrototypePatch' -benchtime 1x -run '^$$' ./internal/netsim
 	go test -bench 'CommitStream' -benchtime 1x -run '^$$' ./internal/study
 	go test -bench 'ShardedOutcomes' -benchtime 1x -run '^$$' ./internal/results/shardlog
+	go test -bench 'FullSuiteOneVP' -benchtime 1x -run '^$$' ./internal/vpntest
 	go test -tags arenadebug -run 'Prototype' ./internal/netsim
 	go test -tags ownerdebug -short ./internal/netsim/... ./internal/capture/... ./internal/vpn/... ./internal/vpntest/... ./internal/study/... ./internal/server/...
 

@@ -216,10 +216,10 @@ func TestDNSManipulationSummary(t *testing.T) {
 
 func TestNormalizeDest(t *testing.T) {
 	cases := map[string]string{
-		"http://195.175.254.2":           "http://195.175.254.2",
-		"http://warning.or.kr/path?x=1":  "http://warning.or.kr",
-		"https://www.ziggo.nl/blocked":   "https://www.ziggo.nl",
-		"not a url":                      "not a url",
+		"http://195.175.254.2":          "http://195.175.254.2",
+		"http://warning.or.kr/path?x=1": "http://warning.or.kr",
+		"https://www.ziggo.nl/blocked":  "https://www.ziggo.nl",
+		"not a url":                     "not a url",
 	}
 	for in, want := range cases {
 		if got := normalizeDest(in); got != want {

@@ -70,7 +70,10 @@ func TestImpossibilityCatchesVirtualVP(t *testing.T) {
 
 func TestImpossibilitySparesHonestVPs(t *testing.T) {
 	cfg := testLandmarks(t, "Prague", "Berlin", "Tokyo", "New York", "Seattle", "Miami")
-	honest := []struct{ claim geo.Country; city string }{
+	honest := []struct {
+		claim geo.Country
+		city  string
+	}{
 		{"CZ", "Prague"},
 		{"JP", "Tokyo"},
 		// Large-country case: claims US, sits in Seattle — far from DC

@@ -345,6 +345,12 @@ func TestSinkAndPcapRoundTrip(t *testing.T) {
 	if len(outOnly) != 1 || outOnly[0].Interface != "en0" {
 		t.Fatalf("filter = %+v", outOnly)
 	}
+	if v := s.View(1); len(v) != 1 || v[0].Interface != "utun0" || !bytes.Equal(v[0].Data, d2) {
+		t.Fatalf("view from 1 = %+v", v)
+	}
+	if v := s.View(s.Len()); len(v) != 0 {
+		t.Fatalf("view from len = %+v", v)
+	}
 
 	var buf bytes.Buffer
 	if err := WritePcap(&buf, s.Records()); err != nil {

@@ -44,10 +44,10 @@ type Sink struct {
 func NewSink() *Sink { return &Sink{} }
 
 // SetAlloc installs the allocator backing record payload copies — a
-// slot arena when the records provably die with the slot (leak tests
-// count them in place and nothing snapshots them out). Nil restores the
+// slot arena when the records provably die with the slot (readers scan
+// them through View and nothing copies them out). Nil restores the
 // heap, which is required whenever records outlive the sink's scope
-// (pcap collection).
+// (pcap collection through Records).
 func (s *Sink) SetAlloc(alloc func(n int) []byte) { s.alloc = alloc }
 
 // Capture appends a record. The packet bytes are copied.
@@ -62,12 +62,20 @@ func (s *Sink) Capture(t time.Duration, iface string, dir Direction, data []byte
 	s.records = append(s.records, Record{t, iface, dir, cp})
 }
 
-// Records returns a snapshot of all captured records in capture order.
+// Records returns a copy of the record list in capture order, for
+// callers that keep it past the sink's scope (pcap collection). The
+// copied records still share their payload bytes with the sink.
 func (s *Sink) Records() []Record {
 	out := make([]Record, len(s.records))
 	copy(out, s.records)
 	return out
 }
+
+// View returns the records from index from onward (capture order)
+// without copying. The view is read-only and valid until the next
+// Capture, Rebase or Reset; callers that only scan the capture (the
+// leak and peer-exit tests) use it instead of Records.
+func (s *Sink) View(from int) []Record { return s.records[from:] }
 
 // Len returns the number of captured packets.
 func (s *Sink) Len() int { return len(s.records) }
@@ -79,8 +87,8 @@ func (s *Sink) Reset() { s.records = nil }
 // and returns the previous one, emptied and with its payload
 // references cleared. A recycler (the simulator's slot runner) threads
 // backings from retired sinks into fresh ones so per-slot captures
-// stop regrowing the record list from scratch; snapshots handed out by
-// Records are copies, so rebasing never invalidates them.
+// stop regrowing the record list from scratch. Rebasing ends every
+// View handed out before it; copies made by Records survive.
 func (s *Sink) Rebase(backing []Record) []Record {
 	old := s.records
 	clear(old)
@@ -91,7 +99,7 @@ func (s *Sink) Rebase(backing []Record) []Record {
 // Filter returns the records matching pred, in order.
 func (s *Sink) Filter(pred func(Record) bool) []Record {
 	var out []Record
-	for _, r := range s.Records() {
+	for _, r := range s.records {
 		if pred(r) {
 			out = append(out, r)
 		}

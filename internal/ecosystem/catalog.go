@@ -10,9 +10,9 @@ import (
 
 // pinnedFacts records provider facts the paper states individually.
 type pinnedFacts struct {
-	BusinessCountry geo.Country
-	Founded         int
-	ClaimedServers  int
+	BusinessCountry  geo.Country
+	Founded          int
+	ClaimedServers   int
 	ClaimedCountries int
 }
 

@@ -88,9 +88,9 @@ type CatalogEntry struct {
 	AllowsP2P               bool
 	MilitaryGradeMarketing  bool
 	// Selection-category provenance (Table 2; non-exclusive).
-	FromPopular, FromReddit, FromPersonal      bool
-	FromCheapFree, FromMultiLang, FromManyVPs  bool
-	FromOther                                  bool
+	FromPopular, FromReddit, FromPersonal     bool
+	FromCheapFree, FromMultiLang, FromManyVPs bool
+	FromOther                                 bool
 	// Tested is non-nil for the 62 actively evaluated services.
 	Tested *TestedInfo
 }
@@ -136,9 +136,9 @@ func ReviewSites() []ReviewSite {
 // CategoryCounts reproduces Table 2: providers per (overlapping)
 // selection source.
 type CategoryCounts struct {
-	Popular, Reddit, Personal          int
+	Popular, Reddit, Personal            int
 	CheapFree, MultiLang, ManyVPs, Other int
-	Total                              int
+	Total                                int
 }
 
 // Categories tallies the catalog's selection categories.

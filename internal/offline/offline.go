@@ -20,13 +20,13 @@ import (
 
 // FlowSummary aggregates one directed transport flow in a trace.
 type FlowSummary struct {
-	Src, Dst   netip.Addr
-	Proto      string // "udp", "tcp", "icmp", "tunnel", "other"
-	SrcPort    uint16
-	DstPort    uint16
-	Packets    int
-	Bytes      int
-	FirstSeen  int // record index
+	Src, Dst  netip.Addr
+	Proto     string // "udp", "tcp", "icmp", "tunnel", "other"
+	SrcPort   uint16
+	DstPort   uint16
+	Packets   int
+	Bytes     int
+	FirstSeen int // record index
 }
 
 // Findings is the outcome of offline trace analysis.

@@ -14,12 +14,12 @@ func TestPublicSuffix(t *testing.T) {
 		{"warning.or.kr", "or.kr"},
 		{"fz139.ttk.ru", "ru"},
 		{"example.guide", "guide"},
-		{"foo.ck", "foo.ck"},      // wildcard *.ck
-		{"a.foo.ck", "foo.ck"},    // under wildcard suffix
-		{"www.ck", "ck"},          // exception rule
-		{"unknowntld.zz", "zz"},   // implicit rule
-		{"Example.COM.", "com"},   // normalization
-		{"195.175.254.2", ""},     // IP literal
+		{"foo.ck", "foo.ck"},    // wildcard *.ck
+		{"a.foo.ck", "foo.ck"},  // under wildcard suffix
+		{"www.ck", "ck"},        // exception rule
+		{"unknowntld.zz", "zz"}, // implicit rule
+		{"Example.COM.", "com"}, // normalization
+		{"195.175.254.2", ""},   // IP literal
 		{"", ""},
 	}
 	for _, c := range cases {
@@ -36,7 +36,7 @@ func TestRegisteredDomain(t *testing.T) {
 		{"a.b.example.co.uk", "example.co.uk"},
 		{"warning.or.kr", "warning.or.kr"},
 		{"www.warning.or.kr", "warning.or.kr"},
-		{"com", ""},      // a bare public suffix has no registered domain
+		{"com", ""}, // a bare public suffix has no registered domain
 		{"co.uk", ""},
 		{"10.0.0.1", ""}, // IP literal
 		{"", ""},

@@ -8,21 +8,21 @@
 //
 // The robustness contract, stated once and tested in chaos_test.go:
 //
-//	admission → queue → fleet → committer → drain
+//		admission → queue → fleet → committer → drain
 //
-//   - Admission is explicit: a bounded queue with 429/Retry-After
-//     backpressure when full, plus per-tenant quotas. Nothing is ever
-//     accepted that the daemon has not durably recorded (the spec file
-//     is fsynced before the 202 goes out).
-//   - Execution is isolated: each campaign runs under its own context
-//     (deadline, drain, or client cancellation stop it at the next
-//     vantage-point slot boundary) and its own panic shield — one
-//     poisoned campaign cannot take down the fleet.
-//   - Results are deterministic: the final envelope of a campaign that
-//     was queued, preempted, crashed, and resumed is byte-identical to
-//     the same spec run uninterrupted in one shot (RunOneShot), because
-//     the study layer's slot-aligned determinism contract makes every
-//     durable log prefix a resumable pure prefix.
+//	  - Admission is explicit: a bounded queue with 429/Retry-After
+//	    backpressure when full, plus per-tenant quotas. Nothing is ever
+//	    accepted that the daemon has not durably recorded (the spec file
+//	    is fsynced before the 202 goes out).
+//	  - Execution is isolated: each campaign runs under its own context
+//	    (deadline, drain, or client cancellation stop it at the next
+//	    vantage-point slot boundary) and its own panic shield — one
+//	    poisoned campaign cannot take down the fleet.
+//	  - Results are deterministic: the final envelope of a campaign that
+//	    was queued, preempted, crashed, and resumed is byte-identical to
+//	    the same spec run uninterrupted in one shot (RunOneShot), because
+//	    the study layer's slot-aligned determinism contract makes every
+//	    durable log prefix a resumable pure prefix.
 package server
 
 import (

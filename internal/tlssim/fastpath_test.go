@@ -70,9 +70,9 @@ func TestParseCertJSONMatchesUnmarshal(t *testing.T) {
 	}
 	// Shapes the fast parser must reject (fallback decides their fate).
 	for _, bad := range []string{
-		`{ "subject":"a","issuer":"b","serial":1,"sig":2}`, // whitespace
-		`{"issuer":"b","subject":"a","serial":1,"sig":2}`,  // reordered
-		`{"subject":"a","issuer":"b","serial":-1,"sig":2}`, // negative
+		`{ "subject":"a","issuer":"b","serial":1,"sig":2}`,                   // whitespace
+		`{"issuer":"b","subject":"a","serial":1,"sig":2}`,                    // reordered
+		`{"subject":"a","issuer":"b","serial":-1,"sig":2}`,                   // negative
 		`{"subject":"a","issuer":"b","serial":99999999999999999999,"sig":2}`, // overflow
 		`{"subject":"a","issuer":"b","serial":1,"sig":2,}`,
 		`{"subject":"a\"x","issuer":"b","serial":1,"sig":2}`,

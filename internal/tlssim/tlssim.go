@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
 )
 
 // Certificate is a simulated X.509 leaf or root certificate.

@@ -20,6 +20,7 @@ import (
 	"vpnscope/internal/geo"
 	"vpnscope/internal/netsim"
 	"vpnscope/internal/tlssim"
+	"vpnscope/internal/websim"
 )
 
 // ClientType classifies how users run the provider's tunnels, which
@@ -189,6 +190,8 @@ type VantagePoint struct {
 	// (same single-goroutine, serialize-before-reuse contract as ls).
 	helloBuf []byte
 	mitmBuf  []byte
+	// regen is the transparent proxy's rewrite scratch (same contract).
+	regen websim.HeaderRegenerator
 }
 
 // ID returns a stable identifier like "HideMyAss#17".

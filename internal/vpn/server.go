@@ -223,7 +223,7 @@ func (vp *VantagePoint) forwardTCP(n *netsim.Network, env *ServerEnv, egress, sr
 
 	// Transparent proxy: parse and regenerate HTTP request headers.
 	if dstPort == 80 && spec.TransparentProxy {
-		payload = websim.RegenerateHeaders(payload)
+		payload = vp.regen.Regenerate(payload)
 	}
 
 	// TLS interception: terminate the client's hello, fetch upstream,

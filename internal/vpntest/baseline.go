@@ -3,7 +3,6 @@ package vpntest
 import (
 	"fmt"
 	"net/netip"
-	"net/url"
 
 	"vpnscope/internal/websim"
 )
@@ -75,13 +74,4 @@ func CollectBaseline(cfg *Config, client *websim.Client) (*Baseline, error) {
 		b.DNSAnswers[host] = addr
 	}
 	return b, nil
-}
-
-// hostOf extracts the hostname of a URL (empty on parse failure).
-func hostOf(raw string) string {
-	u, err := url.Parse(raw)
-	if err != nil {
-		return ""
-	}
-	return u.Hostname()
 }

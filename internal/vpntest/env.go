@@ -136,7 +136,7 @@ func (c *Config) legitNames(b *Baseline) map[string]bool {
 func buildLegitNames(c *Config, b *Baseline) map[string]bool {
 	exact := map[string]bool{}
 	addURL := func(raw string) {
-		if h := hostOf(raw); h != "" {
+		if h := websim.URLHost(raw); h != "" {
 			exact[strings.ToLower(h)] = true
 		}
 	}

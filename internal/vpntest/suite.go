@@ -31,18 +31,18 @@ type VPReport struct {
 	StartedAt      time.Duration // virtual time
 	FinishedAt     time.Duration
 
-	Geo          *GeoResult
-	DNS          *DNSManipulationResult
-	DOM          *DOMResult
-	TLS          *TLSResult
-	Proxy        *ProxyResult
-	Origin       *OriginResult
-	Pings        *PingResult
-	Traces       *TraceResult
-	Leaks        *LeakResult
-	WebRTC       *WebRTCResult
-	P2P          *P2PResult
-	Failure      *FailureResult
+	Geo     *GeoResult
+	DNS     *DNSManipulationResult
+	DOM     *DOMResult
+	TLS     *TLSResult
+	Proxy   *ProxyResult
+	Origin  *OriginResult
+	Pings   *PingResult
+	Traces  *TraceResult
+	Leaks   *LeakResult
+	WebRTC  *WebRTCResult
+	P2P     *P2PResult
+	Failure *FailureResult
 	// Metadata snapshot (§5.3.4): routes and resolvers at test time.
 	Routes    []netsim.Route
 	Resolvers []netip.Addr

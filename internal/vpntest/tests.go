@@ -130,8 +130,8 @@ func RunDOMCollection(env *Env) (*DOMResult, error) {
 		}
 		res.PagesLoaded++
 
-		origHost := hostOf(pageURL)
-		finalHost := hostOf(final.URL)
+		origHost := websim.URLHost(pageURL)
+		finalHost := websim.URLHost(final.URL)
 		if finalHost != "" && !psl.Related(origHost, finalHost, nil) {
 			res.Redirections = append(res.Redirections, Redirection{
 				FromURL:     pageURL,
@@ -253,7 +253,7 @@ func RunTLS(env *Env) (*TLSResult, error) {
 			continue
 		}
 		httpFinal := httpChain[len(httpChain)-1]
-		finalHost := hostOf(httpFinal.URL)
+		finalHost := websim.URLHost(httpFinal.URL)
 		if finalHost != "" && !psl.Related(host, finalHost, nil) {
 			res.Redirections = append(res.Redirections, Redirection{
 				FromURL:     urls.http,
@@ -291,7 +291,7 @@ type ProxyResult struct {
 // RunProxyDetection sends a canary request to the echo service and
 // diffs what the server saw against what we sent.
 func RunProxyDetection(env *Env) (*ProxyResult, error) {
-	host := hostOf(env.Cfg.EchoURL)
+	host := websim.URLHost(env.Cfg.EchoURL)
 	addr, err := env.Client.Resolve(host, false)
 	if err != nil {
 		return nil, fmt.Errorf("vpntest: resolving echo host: %w", err)
@@ -597,7 +597,9 @@ func RunLeakTests(env *Env) (*LeakResult, error) {
 
 	res := &LeakResult{}
 	var v capture.PacketView
-	for _, rec := range phys.Sink.Records()[mark:] {
+	// The scans below read the sink in place: nothing they call
+	// captures, so the views stay valid for the whole loop.
+	for _, rec := range phys.Sink.View(mark) {
 		if rec.Dir != capture.DirOut {
 			continue
 		}
@@ -620,7 +622,7 @@ func RunLeakTests(env *Env) (*LeakResult, error) {
 		res.IPv6Probes++
 		_, _ = env.Stack.ExchangeTCP(env.Cfg.IPv6ProbeHosts[host], 80, env.Cfg.v6ProbeReqs[i])
 	}
-	for _, rec := range phys.Sink.Records()[mark:] {
+	for _, rec := range phys.Sink.View(mark) {
 		if rec.Dir == capture.DirOut && len(rec.Data) > 0 && rec.Data[0]>>4 == 6 {
 			res.IPv6LeakCount++
 		}
@@ -654,7 +656,7 @@ type WebRTCResult struct {
 // interface address is gathered as a host candidate and reported to the
 // page, which reflects what it saw.
 func RunWebRTCLeak(env *Env) (*WebRTCResult, error) {
-	probeHost := hostOf(env.Cfg.WebRTCProbeURL)
+	probeHost := websim.URLHost(env.Cfg.WebRTCProbeURL)
 	if probeHost == "" {
 		return nil, errors.New("vpntest: no WebRTC probe configured")
 	}
@@ -756,7 +758,8 @@ func RunP2PDetection(env *Env) (*P2PResult, error) {
 	seen := map[string]bool{}
 	var v capture.PacketView
 	var msg dnssim.Message
-	for _, rec := range phys.Sink.Records() {
+	// Read in place: decoding a query captures nothing.
+	for _, rec := range phys.Sink.View(0) {
 		if rec.Dir != capture.DirOut {
 			continue
 		}
@@ -837,17 +840,19 @@ func RunTunnelFailure(env *Env) (*FailureResult, error) {
 		window = 3 * time.Minute
 	}
 	probe := env.Cfg.TunnelFailureProbe
-	host := hostOf(env.Cfg.TunnelFailureURL)
+	host := websim.URLHost(env.Cfg.TunnelFailureURL)
 	env.Stack.SetAllowOnly([]netip.Addr{probe})
 	defer env.Stack.SetAllowOnly(nil)
 
 	res := &FailureResult{}
 	clock := env.Stack.Net.Clock
 	start := clock.Now()
+	// Every attempt sends the same bytes, and the stack copies them
+	// into each packet, so one encoding serves the whole window.
+	wire := websim.NewRequest("GET", host, "/").AppendEncode(nil)
 	for clock.Now()-start < window {
 		res.Attempts++
-		req := websim.NewRequest("GET", host, "/")
-		raw, err := env.Stack.ExchangeTCP(probe, 80, req.Encode())
+		raw, err := env.Stack.ExchangeTCP(probe, 80, wire)
 		if err == nil && raw != nil {
 			res.Leaked = true
 			res.SecondsToLeak = (clock.Now() - start).Seconds()

@@ -1,6 +1,7 @@
 package vpntest_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -266,13 +267,49 @@ func TestBaselineCompleteness(t *testing.T) {
 	}
 }
 
+// Allocation ceilings for one full suite on the harness's vantage
+// point, about 1.5x the measured steady state (7.8k allocs, 2.1 MB on
+// amd64). They are gates, not observations: BenchmarkFullSuiteOneVP
+// fails above them even at -benchtime 1x. The harness runs without a
+// slot arena, so capture copies and reply packets are heap
+// allocations and make up most of both figures; the rest is the
+// measurement layer's own garbage (HTTP parsing, redirect chains,
+// capture scans), which campaigns pay per slot.
+const (
+	suiteAllocCeiling = 12000
+	suiteByteCeiling  = 3 << 20
+)
+
 func BenchmarkFullSuiteOneVP(b *testing.B) {
 	h := newHarness(b, "Windscribe")
 	defer h.client.Disconnect()
+	// Skip the failure test: it firewalls the stack and would leave the
+	// client failed for later iterations.
+	run := func() { _ = vpntest.RunSuite(h.env, vpntest.SuiteOptions{SkipFailure: true}) }
+	allocs, bytes := suiteCost(run, 3)
+	b.Logf("suite: %.0f allocs, %.0f bytes (ceilings %d, %d)", allocs, bytes, suiteAllocCeiling, suiteByteCeiling)
+	if allocs > suiteAllocCeiling || bytes > suiteByteCeiling {
+		b.Fatalf("one suite allocates %.0f objects / %.0f bytes, ceilings are %d / %d — the measurement path's allocation regressed",
+			allocs, bytes, suiteAllocCeiling, suiteByteCeiling)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Skip the failure test: it firewalls the stack and would
-		// leave the client failed for later iterations.
-		_ = vpntest.RunSuite(h.env, vpntest.SuiteOptions{SkipFailure: true})
+		run()
 	}
+}
+
+// suiteCost is testing.AllocsPerRun extended to bytes: it warms run
+// once, then returns the mean objects and bytes allocated over n runs,
+// measured on one P so no other goroutine's garbage is counted.
+func suiteCost(run func(), n int) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"vpnscope/internal/capture"
 	"vpnscope/internal/dnssim"
 	"vpnscope/internal/netsim"
 	"vpnscope/internal/tlssim"
@@ -18,7 +17,9 @@ import (
 // configured DNS path (typically Client.Resolve over the stack).
 type Resolver func(host string) (netip.Addr, error)
 
-// FetchResult is the outcome of fetching one URL.
+// FetchResult is the outcome of fetching one URL. Results returned by
+// Client.Get live in the client's scratch: see Get for how long they
+// stay valid.
 type FetchResult struct {
 	URL      string
 	Response *Response
@@ -55,6 +56,9 @@ type Client struct {
 	// same way.
 	reqBuf   []byte
 	helloBuf []byte
+	// page is Get's result scratch; sub serves LoadPage's subresource
+	// fetches, so they leave the page's chain intact.
+	page, sub fetchScratch
 
 	// Intern, when set, replaces the client's private DNS-name interner
 	// with a longer-lived one (the campaign runner hands every slot's
@@ -69,19 +73,43 @@ type Client struct {
 	// surfaces the same (host, cause) failure dozens of times in a row
 	// — retries, redirect chains, subresource fetches — and the netsim
 	// layer interns its exchange errors, so cause identity is stable.
-	lastResolve  resolveErrKey
-	lastResolveE error
-	lastNX       nxErrKey
-	lastNXE      error
-	lastEmpty    emptyErrKey
-	lastEmptyE   error
+	lastResolve *resolveErr
+	lastNX      nxErrKey
+	lastNXE     error
+	lastEmpty   emptyErrKey
+	lastEmptyE  error
 }
 
-type resolveErrKey struct {
+// fetchScratch holds one redirect chain: chain is the slice a fetch
+// returns and hops[i] the parsed response of hop i, each with its own
+// head buffer, so a redirect's Location survives the next hop. The
+// next fetch through the same scratch reuses both.
+type fetchScratch struct {
+	chain []FetchResult
+	hops  []*Response
+}
+
+// resolveErr is fmt.Errorf("resolving %q via %v: %w", host, server,
+// cause) rendered on demand: lossy paths fail resolutions under many
+// distinct keys, and most of those errors are dropped unread.
+type resolveErr struct {
 	host   string
 	server netip.Addr
 	cause  error
 }
+
+func (e *resolveErr) Error() string {
+	b := make([]byte, 0, 96)
+	b = append(b, "resolving "...)
+	b = strconv.AppendQuote(b, e.host)
+	b = append(b, " via "...)
+	b = e.server.AppendTo(b)
+	b = append(b, ": "...)
+	b = append(b, e.cause.Error()...)
+	return string(b)
+}
+
+func (e *resolveErr) Unwrap() error { return e.cause }
 
 type nxErrKey struct {
 	host  string
@@ -112,21 +140,13 @@ func (c *Client) interner() *dnssim.Interner {
 	return &c.dnsIntern
 }
 
-// errResolveVia renders fmt.Errorf("resolving %q via %v: %w", host,
-// server, cause), memoized on the last distinct key.
+// errResolveVia returns the resolveErr for (host, server, cause),
+// memoized on the last distinct key.
 func (c *Client) errResolveVia(host string, server netip.Addr, cause error) error {
-	key := resolveErrKey{host, server, cause}
-	if key != c.lastResolve || c.lastResolveE == nil {
-		b := make([]byte, 0, 96)
-		b = append(b, "resolving "...)
-		b = strconv.AppendQuote(b, host)
-		b = append(b, " via "...)
-		b = server.AppendTo(b)
-		b = append(b, ": "...)
-		b = append(b, cause.Error()...)
-		c.lastResolve, c.lastResolveE = key, &wrappedErr{cause, string(b)}
+	if e := c.lastResolve; e == nil || e.host != host || e.server != server || e.cause != cause {
+		c.lastResolve = &resolveErr{host, server, cause}
 	}
-	return c.lastResolveE
+	return c.lastResolve
 }
 
 // errNXDomain renders fmt.Errorf("%w: %q (rcode %d)", ErrNXDomain,
@@ -218,19 +238,34 @@ func (c *Client) ResolveVia(server netip.Addr, host string, v6 bool) (netip.Addr
 // Get fetches rawURL, following redirects. Each element of the returned
 // slice is one hop of the redirect chain; the last is the final
 // response.
+//
+// The chain and its Responses are the client's scratch, valid until
+// its next Get or LoadPage: a caller that keeps a hop past that clones
+// what it keeps. Each hop's URL is an owned string (rawURL itself for
+// the first hop), so it may be kept freely; a Response's strings alias
+// the client's parse buffers and its Body aliases the reply wire.
 func (c *Client) Get(rawURL string) ([]FetchResult, error) {
+	return c.get(rawURL, &c.page)
+}
+
+// get is Get over an explicit chain scratch.
+func (c *Client) get(rawURL string, s *fetchScratch) ([]FetchResult, error) {
 	max := c.MaxRedirects
 	if max <= 0 {
 		max = 10
 	}
-	var chain []FetchResult
+	chain := s.chain[:0]
 	current := rawURL
 	for hop := 0; hop <= max; hop++ {
+		if hop == len(s.hops) {
+			s.hops = append(s.hops, new(Response))
+		}
 		var res FetchResult
-		if err := c.fetchOne(current, &res); err != nil {
+		if err := c.fetchOne(current, s.hops[hop], &res); err != nil {
 			return chain, err
 		}
 		chain = append(chain, res)
+		s.chain = chain
 		if res.Response == nil || res.Response.Status < 300 || res.Response.Status >= 400 {
 			return chain, nil
 		}
@@ -238,6 +273,8 @@ func (c *Client) Get(rawURL string) ([]FetchResult, error) {
 		if !ok {
 			return chain, nil
 		}
+		// loc aliases this hop's head buffer; resolveRef's result never
+		// does, so the next hop's URL survives the next Get.
 		next, err := resolveRef(current, loc)
 		if err != nil {
 			return chain, err
@@ -248,9 +285,9 @@ func (c *Client) Get(rawURL string) ([]FetchResult, error) {
 }
 
 // fetchOne performs a single HTTP(S) request with no redirect chasing,
-// filling out (which stays caller-owned so redirect chains can keep the
-// hop records on the stack or in a grown slice).
-func (c *Client) fetchOne(rawURL string, out *FetchResult) error {
+// parsing the reply into resp and filling out (both caller-owned, so
+// Get can keep them in its chain scratch).
+func (c *Client) fetchOne(rawURL string, resp *Response, out *FetchResult) error {
 	scheme, host, path, ok := splitURL(rawURL)
 	if !ok {
 		// General shapes (ports, userinfo, query, escapes) take the
@@ -293,8 +330,7 @@ func (c *Client) fetchOne(rawURL string, out *FetchResult) error {
 		if raw == nil {
 			return c.errWrapURL(true, rawURL, ErrEmptyResponse)
 		}
-		resp, err := ParseResponse(raw)
-		if err != nil {
+		if err := ParseResponseInto(resp, raw); err != nil {
 			return err
 		}
 		out.Response = resp
@@ -311,8 +347,7 @@ func (c *Client) fetchOne(rawURL string, out *FetchResult) error {
 		cert, inner, err := c.Certs.ParseServerHello(raw)
 		if errors.Is(err, tlssim.ErrDowngraded) {
 			// Cleartext where TLS was expected: surface, don't fail.
-			resp, perr := ParseResponse(raw)
-			if perr != nil {
+			if perr := ParseResponseInto(resp, raw); perr != nil {
 				return err
 			}
 			out.Response, out.Downgraded = resp, true
@@ -321,8 +356,7 @@ func (c *Client) fetchOne(rawURL string, out *FetchResult) error {
 		if err != nil {
 			return err
 		}
-		resp, err := ParseResponse(inner)
-		if err != nil {
+		if err := ParseResponseInto(resp, inner); err != nil {
 			return err
 		}
 		out.Response, out.Cert, out.TLS = resp, cert, true
@@ -388,16 +422,17 @@ func splitURL(raw string) (scheme, host, path string, ok bool) {
 }
 
 // resolveRef resolves a possibly relative redirect Location against the
-// current URL.
+// current URL. The result never aliases ref, which may live in a
+// response's head buffer.
 func resolveRef(base, ref string) (string, error) {
 	// Fast paths for the two shapes the simulated web emits: an
-	// absolute http(s) Location (returned verbatim — resolution is the
+	// absolute http(s) Location (a copy of ref — resolution is the
 	// identity for absolute refs) and a root-relative path against a
 	// plain absolute base. Both are gated on splitURL's conservative
 	// shape check so anything unusual still takes net/url.
 	if _, _, path, ok := splitURL(ref); ok && plainURLPath(path) {
 		if _, _, _, ok := splitURL(base); ok {
-			return ref, nil
+			return strings.Clone(ref), nil
 		}
 	} else if len(ref) > 1 && ref[0] == '/' && ref[1] != '/' && plainURLPath(ref) {
 		if scheme, host, _, ok := splitURL(base); ok {
@@ -438,9 +473,10 @@ func plainURLPath(path string) bool {
 // LoadPage fetches a page and all subresources its DOM references,
 // returning the final page result, the set of hostnames contacted, and
 // the DOM body. This mirrors the paper's Selenium DOM-and-request
-// collection.
+// collection. The page result lives in the client's scratch under the
+// same rules as Get's.
 func (c *Client) LoadPage(rawURL string) (page *FetchResult, hosts []string, dom string, err error) {
-	chain, err := c.Get(rawURL)
+	chain, err := c.get(rawURL, &c.page)
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -448,13 +484,7 @@ func (c *Client) LoadPage(rawURL string) (page *FetchResult, hosts []string, dom
 	dom = string(final.Response.Body)
 	seen := map[string]bool{}
 	addHost := func(raw string) {
-		hn := ""
-		if _, h, _, ok := splitURL(raw); ok {
-			hn = h
-		} else if u, err := url.Parse(raw); err == nil {
-			hn = u.Hostname()
-		}
-		if hn != "" && !seen[hn] {
+		if hn := URLHost(raw); hn != "" && !seen[hn] {
 			seen[hn] = true
 			hosts = append(hosts, hn)
 		}
@@ -466,9 +496,39 @@ func (c *Client) LoadPage(rawURL string) (page *FetchResult, hosts []string, dom
 		addHost(src)
 		// Best-effort subresource fetch; failures (e.g. unknown ad
 		// hosts) still count as load attempts, as in a real browser.
-		_, _ = c.Get(src)
+		_, _ = c.get(src, &c.sub)
 	}
 	return final, hosts, dom, nil
+}
+
+// URLHost returns the hostname of a URL, exactly as net/url's
+// Parse(raw).Hostname() would, or "" when raw does not parse. Plain
+// http(s) URLs whose host and path net/url would accept verbatim skip
+// the parser.
+func URLHost(raw string) string {
+	if _, host, path, ok := splitURL(raw); ok && plainHost(host) && plainURLPath(path) {
+		return host
+	}
+	u, err := url.Parse(raw)
+	if err != nil {
+		return ""
+	}
+	return u.Hostname()
+}
+
+// plainHost reports whether host is made only of letters, digits and
+// the unreserved marks, which net/url accepts in a host unchanged.
+func plainHost(host string) bool {
+	for i := 0; i < len(host); i++ {
+		c := host[i]
+		switch {
+		case 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9':
+		case c == '-' || c == '.' || c == '_' || c == '~':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // ExtractScriptSrcs pulls script src URLs out of a DOM.
@@ -488,10 +548,4 @@ func ExtractScriptSrcs(dom string) []string {
 		out = append(out, rest[:j])
 		rest = rest[j:]
 	}
-}
-
-// Captures returns the stack's physical-interface capture sink, which
-// tests inspect for leaked cleartext.
-func (c *Client) Captures() []capture.Record {
-	return c.Stack.Interface(netsim.PhysicalName).Sink.Records()
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Header is one HTTP header line, preserved verbatim.
@@ -29,6 +30,10 @@ type Request struct {
 	Path    string
 	Headers []Header
 	Body    []byte
+
+	// head is the parse scratch the string fields alias after
+	// ParseRequestInto; see there for how long they stay valid.
+	head []byte
 }
 
 // Response is an HTTP/1.1 response.
@@ -37,6 +42,10 @@ type Response struct {
 	Reason  string
 	Headers []Header
 	Body    []byte
+
+	// head is the parse scratch the string fields alias after
+	// ParseResponseInto; see there for how long they stay valid.
+	head []byte
 }
 
 // Codec errors.
@@ -136,12 +145,19 @@ func ParseRequest(data []byte) (*Request, error) {
 	return req, nil
 }
 
-// ParseRequestInto decodes data into req, reusing req.Headers capacity.
-// Acceptance, rejection, and error text match ParseRequest exactly;
-// servers that field one request at a time use it to keep a single
-// Request scratch alive across their whole lifetime.
+// ParseRequestInto decodes data into req, reusing req's header slice
+// and head buffer. Acceptance, rejection, and error text match
+// ParseRequest exactly; servers that field one request at a time use
+// it to keep a single Request scratch alive across their whole
+// lifetime.
+//
+// Ownership: Method, Path and the header strings alias req's head
+// buffer and Body aliases data. They stay valid until the next
+// ParseRequestInto on req (or until data is reused), so a handler that
+// keeps any of them past its request — a cache key, say — must clone
+// it. A failed parse leaves req's fields unspecified.
 func ParseRequestInto(req *Request, data []byte) error {
-	head, body, err := splitHead(data)
+	head, body, err := ownHead(&req.head, data)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrMalformedRequest, err)
 	}
@@ -155,7 +171,7 @@ func ParseRequestInto(req *Request, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrMalformedRequest, err)
 	}
-	*req = Request{Method: method, Path: path, Headers: hs, Body: body}
+	req.Method, req.Path, req.Headers, req.Body = method, path, hs, body
 	return nil
 }
 
@@ -186,42 +202,62 @@ func (r *Response) AppendEncode(dst []byte) []byte {
 // Encode serializes the response into a fresh buffer.
 func (r *Response) Encode() []byte { return r.AppendEncode(nil) }
 
-// ParseResponse decodes a response.
+// ParseResponse decodes a response into a fresh Response.
 func ParseResponse(data []byte) (*Response, error) {
-	head, body, err := splitHead(data)
+	resp := &Response{}
+	if err := ParseResponseInto(resp, data); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// ParseResponseInto decodes data into resp, reusing resp's header
+// slice and head buffer; acceptance, rejection, and error text match
+// ParseResponse. Reason and the header strings alias resp's head
+// buffer and Body aliases data, under the same ownership rules as
+// ParseRequestInto: valid until the next ParseResponseInto on resp,
+// cloned by whoever keeps them longer.
+func ParseResponseInto(resp *Response, data []byte) error {
+	head, body, err := ownHead(&resp.head, data)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformedResponse, err)
+		return fmt.Errorf("%w: %v", ErrMalformedResponse, err)
 	}
 	line0, rest := cutLine(head)
 	proto, after, ok := strings.Cut(line0, " ")
 	if !ok || !strings.HasPrefix(proto, "HTTP/1.") {
-		return nil, fmt.Errorf("%w: bad status line %q", ErrMalformedResponse, line0)
+		return fmt.Errorf("%w: bad status line %q", ErrMalformedResponse, line0)
 	}
 	code, reason, _ := strings.Cut(after, " ")
 	status, err := strconv.Atoi(code)
 	if err != nil {
-		return nil, fmt.Errorf("%w: bad status %q", ErrMalformedResponse, code)
+		return fmt.Errorf("%w: bad status %q", ErrMalformedResponse, code)
 	}
-	resp := &Response{Status: status, Reason: reason, Body: body}
-	hs, err := parseHeaders(rest)
+	hs, err := parseHeadersInto(resp.Headers[:0], rest)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformedResponse, err)
+		return fmt.Errorf("%w: %v", ErrMalformedResponse, err)
 	}
-	resp.Headers = hs
-	return resp, nil
+	resp.Status, resp.Reason, resp.Headers, resp.Body = status, reason, hs, body
+	return nil
 }
 
-func splitHead(data []byte) (string, []byte, error) {
+// ownHead copies the head of the HTTP message in data into *buf,
+// reusing its capacity, and returns it as a string aliasing *buf along
+// with the body, which aliases data. The copy is what keeps parsed
+// strings off the reply wire, which netsim reuses; the string alias is
+// what keeps steady-state parsing allocation-free. *buf is written
+// only here, so the string stays intact until the next ownHead on buf.
+func ownHead(buf *[]byte, data []byte) (string, []byte, error) {
 	head, body, ok := bytes.Cut(data, []byte("\r\n\r\n"))
 	if !ok {
 		return "", nil, errors.New("no header terminator")
 	}
-	return string(head), body, nil
+	*buf = append((*buf)[:0], head...)
+	return unsafe.String(unsafe.SliceData(*buf), len(*buf)), body, nil
 }
 
 // cutLine splits off the first \r\n-terminated line of head. The
-// returned substrings alias head, so parsing a whole header block costs
-// exactly one string allocation (made by splitHead).
+// returned substrings alias head, so parsing a whole header block
+// allocates nothing beyond the head copy ownHead makes.
 func cutLine(head string) (line, rest string) {
 	if i := strings.Index(head, "\r\n"); i >= 0 {
 		return head[:i], head[i+2:]
@@ -229,13 +265,9 @@ func cutLine(head string) (line, rest string) {
 	return head, ""
 }
 
-func parseHeaders(head string) ([]Header, error) {
-	return parseHeadersInto(nil, head)
-}
-
 // parseHeadersInto appends parsed headers onto dst (pre-sizing it when
 // it has no capacity to reuse) and returns nil, not an empty slice, for
-// a headerless message — the historical parseHeaders contract.
+// a headerless message.
 func parseHeadersInto(dst []Header, head string) ([]Header, error) {
 	if cap(dst) == 0 {
 		dst = make([]Header, 0, strings.Count(head, "\r\n")+1)

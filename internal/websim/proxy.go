@@ -6,36 +6,48 @@ import (
 	"strings"
 )
 
-// RegenerateHeaders re-emits a request the way a transparent proxy that
+// HeaderRegenerator is a transparent proxy's request-rewriting scratch:
+// the parsed request, the regenerated header list and the output
+// buffer, all reused across requests. One proxy drives it at a time.
+type HeaderRegenerator struct {
+	req     Request
+	headers []Header
+	buf     []byte
+}
+
+// Regenerate re-emits a request the way a transparent proxy that
 // parses and regenerates traffic would: header names are canonicalized
 // to Title-Case, whitespace is normalized, and the Host header is moved
 // first. No headers are added or removed — the paper found exactly this
 // "modified existing headers in ways consistent with parsing and
-// subsequent regeneration" signature (§6.2.1).
-func RegenerateHeaders(raw []byte) []byte {
-	var req Request
-	if err := ParseRequestInto(&req, raw); err != nil {
+// subsequent regeneration" signature (§6.2.1). Bytes that do not parse
+// as HTTP come back as raw itself; otherwise the result lives in g and
+// is valid until the next Regenerate.
+func (g *HeaderRegenerator) Regenerate(raw []byte) []byte {
+	req := &g.req
+	if err := ParseRequestInto(req, raw); err != nil {
 		return raw // not HTTP; pass through untouched
 	}
-	regen := Request{Method: req.Method, Path: req.Path, Body: req.Body}
-	var host *Header
-	rest := make([]Header, 0, len(req.Headers))
+	hs := append(g.headers[:0], Header{}) // [0] is kept for Host
+	haveHost := false
 	for _, h := range req.Headers {
 		ch := Header{Name: canonicalHeaderName(h.Name), Value: strings.TrimSpace(h.Value)}
-		if strings.EqualFold(ch.Name, "Host") && host == nil {
-			host = &ch
+		if strings.EqualFold(ch.Name, "Host") && !haveHost {
+			hs[0], haveHost = ch, true
 			continue
 		}
 		if strings.EqualFold(ch.Name, "Content-Length") {
-			continue // recomputed by Encode
+			continue // recomputed by AppendEncode
 		}
-		rest = append(rest, ch)
+		hs = append(hs, ch)
 	}
-	if host != nil {
-		regen.Headers = append(regen.Headers, *host)
+	g.headers = hs
+	if !haveHost {
+		hs = hs[1:]
 	}
-	regen.Headers = append(regen.Headers, rest...)
-	return regen.Encode()
+	regen := Request{Method: req.Method, Path: req.Path, Headers: hs, Body: req.Body}
+	g.buf = regen.AppendEncode(g.buf[:0])
+	return g.buf
 }
 
 // canonicalHeaderName converts a header name to HTTP canonical form

@@ -50,7 +50,10 @@ type Site struct {
 	// Serving scratch. A world is driven by one goroutine at a time
 	// (the same contract dnssim.Resolver's reply scratch relies on), so
 	// the site can reuse its homepage bytes, per-resource script
-	// bodies, response struct, and encode buffer across requests.
+	// bodies, request and response structs, and encode buffer across
+	// requests. req's strings alias its parse scratch (see
+	// ParseRequestInto), so the caches below clone the paths they key
+	// on.
 	dom      string
 	domBody  []byte
 	jsBodies map[string][]byte
@@ -118,7 +121,7 @@ func (s *Site) serve(req *Request) *Response {
 			if s.jsBodies == nil {
 				s.jsBodies = make(map[string][]byte)
 			}
-			s.jsBodies[req.Path] = body
+			s.jsBodies[strings.Clone(req.Path)] = body
 		}
 		s.resp = Response{Status: 200, Headers: siteJSHeaders, Body: body}
 		return &s.resp
@@ -175,7 +178,7 @@ func (s *Site) upgradeRedirect(path string) []byte {
 		s.redirects = make(map[string][]byte, 8)
 	}
 	if len(s.redirects) < 64 {
-		s.redirects[path] = wire
+		s.redirects[strings.Clone(path)] = wire
 	}
 	return wire
 }

@@ -84,7 +84,7 @@ func TestRedirectAndForbiddenHelpers(t *testing.T) {
 func TestRegenerateHeadersDetectableButEquivalent(t *testing.T) {
 	req := NewRequest("GET", "site.test", "/")
 	orig := req.Encode()
-	regen := RegenerateHeaders(orig)
+	regen := new(HeaderRegenerator).Regenerate(orig)
 	if bytes.Equal(orig, regen) {
 		t.Fatal("regeneration must be observable")
 	}
@@ -112,17 +112,17 @@ func TestRegenerateHeadersDetectableButEquivalent(t *testing.T) {
 		}
 	}
 	// Non-HTTP bytes pass through.
-	if got := RegenerateHeaders([]byte("binary\x00junk")); string(got) != "binary\x00junk" {
+	if got := new(HeaderRegenerator).Regenerate([]byte("binary\x00junk")); string(got) != "binary\x00junk" {
 		t.Error("non-HTTP payloads must pass through")
 	}
 }
 
 func TestCanonicalHeaderName(t *testing.T) {
 	cases := map[string]string{
-		"user-agent":       "User-Agent",
-		"ACCEPT":           "Accept",
+		"user-agent":        "User-Agent",
+		"ACCEPT":            "Accept",
 		"x-vpnscope-canary": "X-Vpnscope-Canary",
-		"host":             "Host",
+		"host":              "Host",
 	}
 	for in, want := range cases {
 		if got := canonicalHeaderName(in); got != want {
@@ -362,6 +362,78 @@ func TestClientLoadPage(t *testing.T) {
 	}
 }
 
+// A site's request scratch is overwritten by every request, and the
+// parsed path aliases it, so the redirect and script caches must key
+// on copies. The paths share a length so each request rewrites the
+// previous one's bytes in place.
+func TestSiteCachesKeepTheirPaths(t *testing.T) {
+	_, web, _, client := buildTestWeb(t)
+	fetch := func(site *Site, path string) *Response {
+		t.Helper()
+		raw, err := client.Stack.ExchangeTCP(site.Host.Addr, 80, NewRequest("GET", site.HostName, path).Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ParseResponse(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	paths := []string{"/a.js", "/b.js", "/c.js"}
+
+	upgrading := web.SiteByName("tls-host-001.example")
+	for _, p := range paths {
+		fetch(upgrading, p)
+	}
+	for k, wire := range upgrading.redirects {
+		resp, err := ParseResponse(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loc, _ := resp.Header("Location"); loc != "https://"+upgrading.HostName+k {
+			t.Errorf("redirect cached under %q points to %q", k, loc)
+		}
+	}
+	if loc, _ := fetch(upgrading, paths[0]).Header("Location"); loc != "https://"+upgrading.HostName+paths[0] {
+		t.Errorf("%s redirects to %q after other paths", paths[0], loc)
+	}
+
+	plain := web.DOMSites[0]
+	for _, p := range paths {
+		fetch(plain, p)
+	}
+	for k, body := range plain.jsBodies {
+		if want := "/* " + plain.HostName + k + " */"; !strings.HasPrefix(string(body), want) {
+			t.Errorf("script cached under %q is %q", k, body)
+		}
+	}
+	if body := fetch(plain, paths[0]).Body; !strings.Contains(string(body), paths[0]) {
+		t.Errorf("%s serves %q after other paths", paths[0], body)
+	}
+}
+
+// A redirect's Location lives in the client's response scratch, which
+// the next Get reuses; the URL a chain reports for the hop it led to
+// escapes into results and must survive that.
+func TestRedirectURLSurvivesNextGet(t *testing.T) {
+	_, _, _, client := buildTestWeb(t)
+	chain, err := client.Get("http://tls-host-001.example/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chain) != 2 {
+		t.Fatalf("chain length = %d, want 2", len(chain))
+	}
+	kept := chain[1].URL
+	if _, err := client.Get("http://tls-host-002.example/"); err != nil {
+		t.Fatal(err)
+	}
+	if kept != "https://tls-host-001.example/" {
+		t.Errorf("redirect URL became %q after the next Get", kept)
+	}
+}
+
 func TestEchoService(t *testing.T) {
 	_, _, _, client := buildTestWeb(t)
 	addr, err := client.Resolve(EchoHostName, false)
@@ -461,8 +533,9 @@ func BenchmarkClientGet(b *testing.B) {
 
 func BenchmarkRegenerateHeaders(b *testing.B) {
 	raw := NewRequest("GET", "site.test", "/").Encode()
+	var g HeaderRegenerator
 	for i := 0; i < b.N; i++ {
-		_ = RegenerateHeaders(raw)
+		_ = g.Regenerate(raw)
 	}
 }
 
@@ -470,7 +543,7 @@ func TestHTTPParsersArbitraryBytesNeverPanic(t *testing.T) {
 	if err := quick.Check(func(data []byte) bool {
 		_, _ = ParseRequest(data)
 		_, _ = ParseResponse(data)
-		_ = RegenerateHeaders(data)
+		_ = new(HeaderRegenerator).Regenerate(data)
 		_ = InjectOverlay(data, "p.example")
 		return true
 	}, &quick.Config{MaxCount: 2000}); err != nil {
