@@ -9,17 +9,17 @@ test:
 	go test ./...
 
 race:
-	go test -race -short ./internal/study/... ./internal/faultsim/... ./internal/netsim/... ./internal/results/...
+	go test -race -short ./internal/study/... ./internal/faultsim/... ./internal/netsim/... ./internal/results/... ./internal/arena/...
 
 # tier1 is the full verification gate: build, gofmt, vet, tests, race
 # subset (the study wildcard covers internal/study/slotsched and the
-# sharded outcome log in internal/results/shardlog), the
-# flight-recorder ring race suite, the daemon race suite
-# (admission, drain, kill -9 chaos, panic/stall flight dumps), study
-# bench smoke, the alloc-gated fast-path, prototype-patch,
-# streaming-commit, shard-log, and one-suite benches, the
-# poisoned-arena prototype retention suite, and the world suites under
-# the ownerdebug single-owner assertion.
+# sharded outcome log in internal/results/shardlog; the slot arena has
+# its own entry), the flight-recorder ring race suite, the daemon race
+# suite (admission, drain, kill -9 chaos, panic/stall flight dumps),
+# study bench smoke, the alloc-gated fast-path, prototype-patch,
+# streaming-commit, small-campaign, shard-log, and one-suite benches,
+# the poisoned-arena prototype retention suite and study suites, and
+# the world suites under the ownerdebug single-owner assertion.
 tier1: build
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	go vet ./...
@@ -29,10 +29,11 @@ tier1: build
 	go test -race ./internal/server/...
 	go test -bench Study -benchtime 1x -run '^$$' .
 	go test -bench 'Exchange|BuildPacket|Deliver|PrototypePatch' -benchtime 1x -run '^$$' ./internal/netsim
-	go test -bench 'CommitStream' -benchtime 1x -run '^$$' ./internal/study
+	go test -bench 'CommitStream|SmallCampaign' -benchtime 1x -run '^$$' ./internal/study
 	go test -bench 'ShardedOutcomes' -benchtime 1x -run '^$$' ./internal/results/shardlog
 	go test -bench 'FullSuiteOneVP' -benchtime 1x -run '^$$' ./internal/vpntest
 	go test -tags arenadebug -run 'Prototype' ./internal/netsim
+	go test -tags arenadebug -short ./internal/study/...
 	go test -tags ownerdebug -short ./internal/netsim/... ./internal/capture/... ./internal/vpn/... ./internal/vpntest/... ./internal/study/... ./internal/server/...
 
 # bench runs the full-study benchmarks and appends the numbers to the

@@ -309,6 +309,15 @@ func (b *SerializeBuffer) Prepend(n int) []byte {
 // Clear resets the buffer to empty.
 func (b *SerializeBuffer) Clear() { b.start = len(b.buf) }
 
+// Poison empties the buffer and overwrites its whole backing array with
+// v, so a slice of it kept past a recycle point reads garbage.
+func (b *SerializeBuffer) Poison(v byte) {
+	for i := range b.buf {
+		b.buf[i] = v
+	}
+	b.Clear()
+}
+
 // Reserve clears the buffer and returns a writable region of exactly n
 // bytes that becomes the buffer's whole contents. Unlike Prepend it does
 // not zero the region — the caller must overwrite every byte. This is

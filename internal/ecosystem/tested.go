@@ -393,11 +393,15 @@ func censorBlockPrefix(org string) netip.Prefix {
 	return netip.PrefixFrom(netip.AddrFrom4([4]byte{185, 220, byte(h >> 8), 0}), 24)
 }
 
+// domainReplacer strips a display name down to a domain label. A
+// Replacer is safe for concurrent use and costly to build, so it is
+// built once, not on each of the thousands of domainOf calls a daemon
+// makes (every build runs TestedSpecs over all 62 providers).
+var domainReplacer = strings.NewReplacer(" ", "", ".", "-")
+
 // domainOf derives a provider's web domain from its display name.
 func domainOf(name string) string {
-	d := strings.ToLower(name)
-	d = strings.NewReplacer(" ", "", ".", "-").Replace(d)
-	return d + ".example"
+	return domainReplacer.Replace(strings.ToLower(name)) + ".example"
 }
 
 // P2PDemoSpec returns a Hola-style peer-to-peer VPN provider — the

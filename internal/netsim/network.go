@@ -76,8 +76,9 @@ type Network struct {
 
 	// slotArena, when set, supplies the owned reply-packet copies and
 	// prototype header images made on the delivery path. The campaign
-	// runner installs it once per measuring world and resets it at
-	// vantage-point slot boundaries; packets never outlive a slot, so the
+	// runner installs the scratch bundle's arena once per measuring world
+	// (ScratchArena) and BeginSlot resets it at vantage-point slot
+	// boundaries; packets never outlive a slot, so the
 	// per-packet copies become bump allocations the GC never sees. Nil
 	// (build time, before the campaign starts) falls back to the heap,
 	// which build-time traffic needs: its results outlive every slot.
@@ -85,6 +86,7 @@ type Network struct {
 
 	// protos is the flow-scoped packet-prototype cache (prototype.go),
 	// dropped by BeginSlot together with the arena its images live in.
+	// The map itself belongs to the scratch bundle, so it starts warm.
 	protos map[protoKey]packetPrototype
 
 	// paths caches the deterministic per-endpoint-pair path model
@@ -97,15 +99,10 @@ type Network struct {
 	// of a lossy campaign (errors.go).
 	errCache map[errKey]error
 
-	// sinkBackings recycles capture-record arrays between slot-scoped
-	// stacks (Stack.Retire feeds it, NewStack/AddInterface drain it) so
-	// every slot's sinks stop regrowing their record lists from nothing.
-	sinkBackings [][]capture.Record
-
-	// sbufs is a plain LIFO of serialize buffers: with one goroutine
-	// owning the world, a freelist beats the process-wide sync.Pool,
-	// whose procPin/atomic traffic is measurable per exchange.
-	sbufs []*capture.SerializeBuffer
+	// scratch is the world's recyclable working memory (scratch.go):
+	// slot-arena chunks, capture record arrays, serialize buffers. Taken
+	// from the process pool on first need, returned by ReleaseScratch.
+	scratch *scratch
 
 	// hostCache is a tiny MRU over HostByAddr: a slot's traffic hits a
 	// handful of hosts over and over, and three word-compares per probe
@@ -128,42 +125,6 @@ type hostCacheEntry struct {
 // the host registry must invoke it.
 func (n *Network) dropHostCache() {
 	n.hostCache = [4]hostCacheEntry{}
-}
-
-// AcquireBuffer returns a cleared serialize buffer from the network's
-// freelist. Pair with ReleaseBuffer.
-func (n *Network) AcquireBuffer() *capture.SerializeBuffer {
-	if k := len(n.sbufs); k > 0 {
-		b := n.sbufs[k-1]
-		n.sbufs = n.sbufs[:k-1]
-		b.Clear()
-		return b
-	}
-	return capture.NewSerializeBuffer()
-}
-
-// ReleaseBuffer returns a buffer obtained from AcquireBuffer. The caller
-// must not touch b — or any slice obtained from it — afterwards.
-func (n *Network) ReleaseBuffer(b *capture.SerializeBuffer) {
-	n.sbufs = append(n.sbufs, b)
-}
-
-// takeSinkBacking pops a recycled record array, or nil when none.
-func (n *Network) takeSinkBacking() []capture.Record {
-	if k := len(n.sinkBackings); k > 0 {
-		b := n.sinkBackings[k-1]
-		n.sinkBackings = n.sinkBackings[:k-1]
-		return b
-	}
-	return nil
-}
-
-// putSinkBacking returns a record array to the recycle pool (bounded;
-// a slot retires a handful of sinks at most).
-func (n *Network) putSinkBacking(b []capture.Record) {
-	if cap(b) > 0 && len(n.sinkBackings) < 16 {
-		n.sinkBackings = append(n.sinkBackings, b)
-	}
 }
 
 // pathKey is an ordered endpoint-coordinate pair.

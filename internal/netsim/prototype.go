@@ -208,7 +208,7 @@ func (n *Network) BuildPacketTTLInto(buf *capture.SerializeBuffer, ttl byte, src
 	}
 	if p, ok := newPrototype(n.slotArena, pkt, ttl, transport); ok {
 		if n.protos == nil {
-			n.protos = make(map[protoKey]packetPrototype, 64)
+			n.protos = n.bundle().protos
 		}
 		n.protos[key] = p
 	}

@@ -126,8 +126,8 @@ func (s *Stack) adoptSink(sink *capture.Sink) {
 	s.allSinks = append(s.allSinks, sink)
 }
 
-// Retire hands every sink's record array back to the network's recycle
-// pool. The campaign runner calls it when a slot's client machine is
+// Retire hands every sink's record array back to the network's scratch
+// bundle. The campaign runner calls it when a slot's client machine is
 // torn down; the stack must not capture traffic afterwards, and its
 // sinks read back empty.
 func (s *Stack) Retire() {

@@ -390,6 +390,9 @@ func (d *Daemon) streamLog(ctx context.Context, c *campaign, need, month int) (*
 	if err != nil {
 		return fail(fmt.Errorf("building month %d world: %w", month, err))
 	}
+	// The campaign run returns the world's scratch bundle to the pool;
+	// this covers the paths that leave before running it.
+	defer w.Net.ReleaseScratch()
 	slotsTotal := w.SlotCount()
 	c.mu.Lock()
 	c.slotsTotal = slotsTotal

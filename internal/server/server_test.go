@@ -15,10 +15,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"vpnscope/internal/netsim"
 	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
 )
@@ -610,5 +612,31 @@ func TestCampaignFDsReturnToBaseline(t *testing.T) {
 	}
 	if after := fds(); after != before {
 		t.Fatalf("open descriptors %d after 50 campaigns, want baseline %d", after, before)
+	}
+}
+
+// TestCampaignScratchReturnsToPool: every campaign world — sequential,
+// and each worker replica of a two-worker campaign — hands its scratch
+// bundle back to the process pool when its campaign ends, and the pool
+// keeps at most GOMAXPROCS idle. After 50 campaigns, two in flight at a
+// time, and a drain, no world still holds a bundle.
+func TestCampaignScratchReturnsToPool(t *testing.T) {
+	_, held0 := netsim.ScratchPoolStats()
+	d := newTestDaemon(t, Config{FleetWorkers: 2})
+	for i := 0; i < 50; i += 2 {
+		seq, par := smallSpec(uint64(5+i%3)), smallSpec(uint64(5+i%3))
+		seq.VPsPerProvider, par.VPsPerProvider = 1, 1
+		par.Providers, par.Workers = []string{"Mullvad", "Windscribe"}, 2
+		a, b := submitOK(t, d, seq), submitOK(t, d, par)
+		waitState(t, a, StateDone)
+		waitState(t, b, StateDone)
+	}
+	d.Drain()
+	idle, held := netsim.ScratchPoolStats()
+	if max := runtime.GOMAXPROCS(0); idle > max {
+		t.Errorf("pool holds %d idle scratch bundles, bound is GOMAXPROCS=%d", idle, max)
+	}
+	if held != held0 {
+		t.Errorf("%d scratch bundles still held by worlds after the drain, want 0", held-held0)
 	}
 }

@@ -270,6 +270,7 @@ func RunOneShot(ctx context.Context, spec CampaignSpec) (*study.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer w.Net.ReleaseScratch()
 	if spec.TimeoutSec > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.TimeoutSec*float64(time.Second)))

@@ -103,6 +103,9 @@ func (w *World) buildWorkerWorld() (*World, error) {
 // so when prepare says the slot is skipped, not needed), so every
 // needed slot is eventually measured and delivered: no deadlock.
 func (w *World) runParallelSlots(specs []slotSpec, c *committer, workers int) (*Result, error) {
+	// The primary world never measures on this path: its scratch bundle
+	// goes back to the pool now, warm for a worker replica's build.
+	w.Net.ReleaseScratch()
 	cfg := c.cfg
 	flags := make([]atomic.Bool, len(w.Providers))
 	c.onQuarantine = func(provIdx int) { flags[provIdx].Store(true) }
@@ -304,6 +307,11 @@ func (q *intake) swapLocked() []slotDelivery {
 func (w *World) workerLoop(ctx context.Context, id int, specs []slotSpec, sched *slotsched.Scheduler,
 	cfg *RunConfig, flags []atomic.Bool, stop *atomic.Bool, deliver func(int, *vpResult)) {
 	var cw *World
+	defer func() {
+		if cw != nil {
+			cw.Net.ReleaseScratch()
+		}
+	}()
 	for {
 		i, ok := sched.Next(id)
 		if !ok {

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"vpnscope/internal/arena"
 	"vpnscope/internal/faultsim"
 	"vpnscope/internal/flightrec"
 	"vpnscope/internal/simrand"
@@ -349,12 +348,13 @@ func (w *World) markCampaign() {
 	w.hostMark = w.Net.HostMark()
 	w.authMark = w.Authority.LogMark()
 	// From here on the world measures slots single-threaded, and every
-	// transient packet dies inside its slot — install the slot arena so
-	// delivery-path copies become bump allocations recycled by beginSlot.
-	// (Build-time traffic, e.g. baseline collection, stays on the heap:
-	// the baseline outlives every slot.)
+	// transient packet dies inside its slot — install the scratch
+	// bundle's arena as the slot arena so delivery-path copies become
+	// bump allocations recycled by beginSlot. (Build-time traffic, e.g.
+	// baseline collection, stays on the heap: the baseline outlives every
+	// slot.) The campaign hands the bundle back when it ends.
 	if w.Net.SlotArena() == nil {
-		w.Net.SetSlotArena(arena.New())
+		w.Net.SetSlotArena(w.Net.ScratchArena())
 	}
 }
 
@@ -603,11 +603,13 @@ func (w *World) runCampaign(cfg RunConfig, specs []slotSpec) (*Result, error) {
 }
 
 // runSequential measures every spec in canonical order on the primary
-// world, resetting it at each slot boundary. Cancellation is checked
-// once per slot: a canceled context stops the campaign before the next
-// measurement starts, never mid-slot.
+// world, resetting it at each slot boundary, and hands the world's
+// scratch bundle back to the pool when it returns. Cancellation is
+// checked once per slot: a canceled context stops the campaign before
+// the next measurement starts, never mid-slot.
 func (w *World) runSequential(specs []slotSpec, c *committer) (*Result, error) {
 	w.markCampaign()
+	defer w.Net.ReleaseScratch()
 	for _, s := range specs {
 		if err := c.cfg.canceled(); err != nil {
 			return c.finish(), err

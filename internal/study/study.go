@@ -376,6 +376,8 @@ func (w *World) buildConfig(landmarks []vpntest.Landmark, tmpl *worldTemplate) e
 	if err != nil {
 		return err
 	}
+	defer cleanStack.Retire()
+	w.scratchCaptures(cleanStack)
 	if tmpl != nil {
 		cfg.IPv6ProbeHosts = cloneProbes(tmpl.ipv6Probes)
 		w.Config = cfg
@@ -415,6 +417,8 @@ func (w *World) collectBaseline(tmpl *worldTemplate) error {
 		return nil
 	}
 	stack := netsim.NewStack(w.Net, host)
+	defer stack.Retire()
+	w.scratchCaptures(stack)
 	stack.SetResolvers(googleDNS)
 	b, err := vpntest.CollectBaseline(w.Config, &websim.Client{Stack: stack})
 	if err != nil {
@@ -422,6 +426,15 @@ func (w *World) collectBaseline(tmpl *worldTemplate) error {
 	}
 	w.Baseline = b
 	return nil
+}
+
+// scratchCaptures points a build-time stack's capture copies at the
+// world's scratch arena: nothing reads a build stack's captures, and the
+// first slot's arena reset reclaims them. The caller retires the stack
+// when the build step ends, handing its record arrays to the scratch
+// bundle for the campaign's slot stacks.
+func (w *World) scratchCaptures(s *netsim.Stack) {
+	s.SetCaptureAlloc(w.Net.ScratchArena().Bytes)
 }
 
 // EnableFaults installs a seeded fault plan over the assembled world:
