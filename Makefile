@@ -42,8 +42,9 @@ bench:
 	sh scripts/bench.sh
 
 # benchcheck compares the two newest BENCH_*.json trajectories and
-# fails on any shared benchmark whose allocs/op regressed >10% — run it
-# after `make bench` to catch allocation regressions before committing.
+# fails on any shared benchmark whose latest allocs/op regressed >10%
+# or whose best-of ns/op regressed >25% — run it after `make bench` to
+# catch allocation and wall-time regressions before committing.
 benchcheck:
 	go run ./cmd/benchtrend -check
 

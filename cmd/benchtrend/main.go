@@ -58,7 +58,7 @@ func main() {
 	out := flag.String("out", "BENCH.json", "trajectory file to append to (created if missing)")
 	label := flag.String("label", "", "label for this run (e.g. a commit or change name)")
 	best := flag.Bool("best", false, "collapse -count repeats of a benchmark to the lowest ns/op before recording")
-	check := flag.Bool("check", false, "compare the two newest BENCH_*.json and fail on >10% allocs/op regressions")
+	check := flag.Bool("check", false, "compare the two newest BENCH_*.json and fail on >10% allocs/op (latest) or >25% ns/op (best-of) regressions")
 	flag.Parse()
 	if *check {
 		os.Exit(runCheck())

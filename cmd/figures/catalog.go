@@ -128,11 +128,7 @@ func auditMonth(ctx context.Context, stopSignals func(), p catalogParams, entrie
 			Parallel: p.parallel, Ctx: ctx, Stream: lg.Append, Flight: ring,
 		}
 		if lg.NextRank() > 0 {
-			lean, err := lg.Resume()
-			if err != nil {
-				log.Fatal(err)
-			}
-			cfg.Resume = lean
+			cfg.Resume = lg.Scan
 			fmt.Printf("month %d: resuming %s: %d outcomes already durable\n", month, dir, lg.NextRank())
 		}
 		_, err := w.RunWith(cfg)
@@ -149,7 +145,7 @@ func auditMonth(ctx context.Context, stopSignals func(), p catalogParams, entrie
 			log.Fatal(err)
 		}
 	}
-	lean, err := lg.Resume()
+	lean, err := lg.Lean()
 	if err != nil {
 		log.Fatal(err)
 	}

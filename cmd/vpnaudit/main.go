@@ -149,9 +149,7 @@ func main() {
 		}
 		defer lg.Close()
 		if lg.NextRank() > 0 && !lg.Complete() {
-			if cfg.Resume, err = lg.Resume(); err != nil {
-				log.Fatal(err)
-			}
+			cfg.Resume = lg.Scan
 			fmt.Printf("resuming %s: %d vantage points already decided\n", *outcomes, lg.NextRank())
 		}
 		// Captures are written before Append strips them from the log.

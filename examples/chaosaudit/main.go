@@ -65,9 +65,7 @@ func main() {
 	if !lg.Complete() {
 		cfg := study.RunConfig{ConnectAttempts: 3, QuarantineAfter: 3, Stream: lg.Append}
 		if lg.NextRank() > 0 {
-			if cfg.Resume, err = lg.Resume(); err != nil {
-				log.Fatal(err)
-			}
+			cfg.Resume = lg.Scan
 			fmt.Printf("resuming: %d vantage points already in %s\n\n", lg.NextRank(), logDir)
 		}
 		if _, err := world.RunWith(cfg); err != nil {

@@ -273,11 +273,7 @@ func TestOutcomeLogResume(t *testing.T) {
 	if lg.NextRank() != 3 || lg.Complete() {
 		t.Fatalf("recovered log holds %d outcomes (sealed %v), want 3 unsealed", lg.NextRank(), lg.Complete())
 	}
-	lean, err := lg.Resume()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := build().RunWith(study.RunConfig{Resume: lean, Stream: lg.Append}); err != nil {
+	if _, err := build().RunWith(study.RunConfig{Resume: lg.Scan, Stream: lg.Append}); err != nil {
 		t.Fatal(err)
 	}
 	if err := lg.MarkComplete(); err != nil {

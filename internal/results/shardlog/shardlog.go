@@ -8,9 +8,9 @@
 // and reading back is a K-way round-robin merge that holds one decoded
 // outcome at a time. Ecosystem-scale sweeps use several shards; a
 // single-provider or small study uses K=1. An interrupted campaign
-// continues from Resume, and a sealed log folds into the campaign's
-// full study.Result (Result), from which the results envelope is
-// written once.
+// continues by replaying Scan (RunConfig.Resume), and a sealed log
+// folds into the campaign's full study.Result (Result), from which the
+// results envelope is written once.
 //
 // Byte-identity contract: outcomes arrive from the committer strictly
 // in rank order and JSON marshaling is deterministic, so the shard
@@ -405,14 +405,13 @@ func (l *Log) WriteMergedNDJSON(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Resume reconstructs the lean study.Result a streaming campaign needs
-// to continue: report records become stubs carrying identity (provider
-// + label are all the committer's done map reads) and test errors (for
-// the collection-health table), connect failures and recoveries are
-// real, quarantines are regrouped from the skip records, and
-// VPsAttempted is the outcome count. Pass it as RunConfig.Resume
-// together with RunConfig.Stream = log.Append.
-func (l *Log) Resume() (*study.Result, error) {
+// Lean folds the log into a counts-and-stubs study.Result: report
+// records become stubs carrying identity and test errors (for the
+// collection-health table), connect failures, recoveries, and
+// quarantines are real, and VPsAttempted is the outcome count. To
+// resume a campaign from the log, pass Scan as RunConfig.Resume
+// instead.
+func (l *Log) Lean() (*study.Result, error) {
 	return l.fold(func(r *vpntest.VPReport) *vpntest.VPReport {
 		return &vpntest.VPReport{Provider: r.Provider, VPLabel: r.VPLabel, Errors: r.Errors}
 	})
@@ -427,44 +426,16 @@ func (l *Log) Result() (*study.Result, error) {
 	if !l.complete {
 		return nil, fmt.Errorf("shardlog: %s is not sealed", l.dir)
 	}
-	return l.fold(func(r *vpntest.VPReport) *vpntest.VPReport { return r })
+	return l.fold(study.KeepReport)
 }
 
-// fold scans the log into a study.Result in rank order; report decides
-// what each measurement report contributes.
+// fold scans the log through a study.Fold mapping reports by report.
 func (l *Log) fold(report func(*vpntest.VPReport) *vpntest.VPReport) (*study.Result, error) {
-	res := &study.Result{}
-	qi := map[string]int{}
-	err := l.Scan(func(o study.Outcome) error {
-		res.VPsAttempted++
-		switch {
-		case o.Failure != nil:
-			res.ConnectFailures = append(res.ConnectFailures, *o.Failure)
-		case o.Skip != nil:
-			i, ok := qi[o.Skip.Provider]
-			if !ok {
-				i = len(res.Quarantines)
-				qi[o.Skip.Provider] = i
-				res.Quarantines = append(res.Quarantines, study.Quarantine{
-					Provider:     o.Skip.Provider,
-					TrippedAfter: o.Skip.TrippedAfter,
-				})
-			}
-			res.Quarantines[i].SkippedVPs = append(res.Quarantines[i].SkippedVPs, o.Skip.VPLabel)
-		case o.Report != nil:
-			if o.Recovery != nil {
-				res.Recoveries = append(res.Recoveries, *o.Recovery)
-			}
-			res.Reports = append(res.Reports, report(o.Report))
-		default:
-			return fmt.Errorf("shardlog: rank %d carries no outcome", o.Rank)
-		}
-		return nil
-	})
-	if err != nil {
+	f := study.Fold{Report: report}
+	if err := l.Scan(f.Add); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return f.Result(), nil
 }
 
 // writeJSON atomically replaces path with v's JSON encoding (temp file,

@@ -263,7 +263,7 @@ func TestResumeLeanResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	res, err := l.Resume()
+	res, err := l.Lean()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func (d *Daemon) runCatalogMonth(ctx context.Context, c *campaign, need, month i
 		return monthAudit{}, err
 	}
 	defer lg.Close()
-	lean, err := lg.Resume()
+	lean, err := lg.Lean()
 	if err != nil {
 		return monthAudit{}, err
 	}

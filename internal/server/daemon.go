@@ -402,11 +402,11 @@ func (d *Daemon) streamLog(ctx context.Context, c *campaign, need, month int) (*
 	cfg.Flight = c.flight
 	resumed, reports, failures := lg.NextRank(), 0, 0
 	if resumed > 0 {
-		lean, err := lg.Resume()
+		lean, err := lg.Lean()
 		if err != nil {
 			return fail(err)
 		}
-		cfg.Resume = lean
+		cfg.Resume = lg.Scan
 		reports, failures = len(lean.Reports), len(lean.ConnectFailures)
 	}
 	c.emit(Event{Type: "started", SlotsTotal: slotsTotal, SlotsDone: resumed,

@@ -640,3 +640,51 @@ func TestCampaignScratchReturnsToPool(t *testing.T) {
 		t.Errorf("%d scratch bundles still held by worlds after the drain, want 0", held-held0)
 	}
 }
+
+// TestGoroutinesReturnToBaseline: campaign runners, worker pools, and
+// the scheduler all exit with their campaigns. After mixed one- and
+// two-worker campaigns, one multi-provider campaign canceled mid-run,
+// and a drain, the goroutine count settles back to its pre-daemon
+// value.
+func TestGoroutinesReturnToBaseline(t *testing.T) {
+	before := runtime.NumGoroutine()
+	d := newTestDaemon(t, Config{FleetWorkers: 2})
+
+	victim := smallSpec(9)
+	victim.Providers, victim.Workers, victim.VPsPerProvider = []string{"Mullvad", "NordVPN"}, 2, 3
+	c := submitOK(t, d, victim)
+	deadline := time.Now().Add(30 * time.Second)
+	for c.status().SlotsDone < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("campaign never committed a slot")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := d.Cancel(c.id); err != nil && c.status().State != StateDone {
+		t.Fatal(err)
+	}
+	for !c.status().State.terminal() {
+		if time.Now().After(deadline) {
+			t.Fatal("canceled campaign never finished")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	for i := 0; i < 6; i++ {
+		seq, par := smallSpec(uint64(5+i%3)), smallSpec(uint64(5+i%3))
+		seq.VPsPerProvider, par.VPsPerProvider = 1, 1
+		par.Providers, par.Workers = []string{"Mullvad", "Windscribe"}, 2
+		a, b := submitOK(t, d, seq), submitOK(t, d, par)
+		waitState(t, a, StateDone)
+		waitState(t, b, StateDone)
+	}
+	d.Drain()
+
+	after := runtime.NumGoroutine()
+	for settle := time.Now().Add(5 * time.Second); after > before && time.Now().Before(settle); after = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after > before {
+		t.Fatalf("%d goroutines after the drain, want the pre-daemon %d", after, before)
+	}
+}

@@ -1,28 +1,23 @@
-// Incremental canonical committer: the single authority over result
-// ordering for both the sequential and the parallel campaign paths.
+// Incremental canonical committer: the single authority over outcome
+// order for both the sequential and the parallel campaign paths.
 //
-// Specs are committed strictly in canonical (slot-rank) order, so every
-// newly recorded outcome appends to an already sorted prefix and goes
-// straight to RunConfig.Stream — the caller's shard log is the durable
-// copy of the campaign. Resuming from that log works by rank too:
+// The committer decides each slot's outcome strictly in canonical
+// (slot-rank) order — measured, failed, or quarantine-skipped — and
+// emits it: the outcome is folded into the campaign's Result (a Fold,
+// the only code that builds one) and then handed to RunConfig.Stream,
+// the caller's durable copy of the campaign.
 //
-//   - The resumed failure and recovery records (rebuilt by
-//     shardlog.(*Log).Resume) are sorted once by rank at construction
-//     (O(R log R)) and migrated into the prefix by monotone front
-//     pointers as commits pass their rank — before committing a spec
-//     with order o, every pending record with rank < o moves over.
-//   - A spec whose vantage point the log already decided replays that
-//     outcome into the breaker state; it is neither re-measured nor
-//     re-streamed.
-//
-// The retained Result at any point therefore equals an uninterrupted
-// run's, and the streamed sequence continues the log exactly where the
-// interrupted run left it.
+// Resuming replays the caller's log through the same fold. A log is
+// always a contiguous rank prefix, so the resumed outcomes are exactly
+// the campaign's first slots: each must name the campaign's slot at
+// its rank, and its kind is replayed into the breaker state up front.
+// The committer then emits only the slots after that prefix, so the
+// Result equals an uninterrupted run's and the stream continues the
+// log exactly where the interrupted run left it.
 package study
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"vpnscope/internal/flightrec"
@@ -32,154 +27,93 @@ import (
 // goroutine (as opposed to a measuring worker).
 const committerWorker = -1
 
-type pendFailure struct {
-	rank int
-	cf   ConnectFailure
-}
-
-type pendRecovery struct {
-	rank int
-	rec  Recovery
-}
-
 // provState is the per-provider circuit-breaker state the committer
 // replays in slot order — the one intra-provider ordering dependency of
 // the campaign.
 type provState struct {
-	streak      int  // consecutive vantage-point failures
-	quarantined bool // breaker tripped (this run or a resumed one)
+	streak       int  // consecutive vantage-point failures
+	quarantined  bool // breaker tripped (this run or a resumed one)
+	trippedAfter int  // streak that tripped it, copied onto every skip
 }
 
-// committer assembles the canonical campaign Result. It is not
+// committer decides and emits the campaign's outcomes. It is not
 // goroutine-safe: the parallel executor drives it from a single
 // committing goroutine.
 type committer struct {
-	cfg  *RunConfig
-	rank slotRank
-	res  *Result // live canonical result; slices are append-only prefixes
+	cfg     *RunConfig
+	fold    Fold
+	prov    []provState // breaker state by provider index
+	resumed int         // slots [0, resumed) were decided by the resumed log
 
-	done map[string]vpOutcome // vpKey → resumed outcome
-	prov map[int]*provState   // provider index → breaker state
-
-	pendCFs  []pendFailure
-	pendRecs []pendRecovery
-	pf, pc   int // migration front pointers
-
-	provChunk []provState // carved one provState at a time
-
-	// onQuarantine, when set, is notified the moment a provider's
-	// breaker closes (fresh trip or resumed-skip replay). The parallel
-	// executor uses it to flag workers off the provider's remaining
-	// slots.
+	// onQuarantine, when set, is notified the moment a fresh trip
+	// closes a provider's breaker. The parallel executor uses it to
+	// flag workers off the provider's remaining slots.
 	onQuarantine func(provIdx int)
 }
 
-// newCommitter builds the committer, absorbing cfg.Resume into the
-// pending queues and the done map.
-func newCommitter(cfg *RunConfig, rank slotRank) *committer {
-	c := &committer{
-		cfg:  cfg,
-		rank: rank,
-		res:  &Result{},
-		done: make(map[string]vpOutcome),
-		prov: make(map[int]*provState),
+// newCommitter builds the committer for specs and replays cfg.Resume:
+// every resumed outcome is checked against the campaign's slot at its
+// rank, folded, and replayed into its provider's breaker state. A
+// mismatch fails here, before anything is measured or streamed.
+func newCommitter(cfg *RunConfig, specs []slotSpec) (*committer, error) {
+	nProv := 0
+	for _, s := range specs {
+		nProv = max(nProv, s.provIdx+1)
 	}
-	prev := cfg.Resume
-	if prev == nil {
-		return c
+	c := &committer{cfg: cfg, prov: make([]provState, nProv)}
+	if cfg.Stream == nil {
+		c.fold.Report = KeepReport
 	}
-	c.res.VPsAttempted = prev.VPsAttempted
-	for _, rep := range prev.Reports {
-		c.done[vpKey(rep.Provider, rep.VPLabel)] = outcomeMeasured
+	if cfg.Resume == nil {
+		return c, nil
 	}
-	for _, cf := range prev.ConnectFailures {
-		c.pendCFs = append(c.pendCFs, pendFailure{rank.vpRank(cf.Provider, cf.VPLabel), cf})
-		c.done[vpKey(cf.Provider, cf.VPLabel)] = outcomeFailed
-	}
-	for _, rec := range prev.Recoveries {
-		c.pendRecs = append(c.pendRecs, pendRecovery{rank.vpRank(rec.Provider, rec.VPLabel), rec})
-	}
-	sort.SliceStable(c.pendCFs, func(i, j int) bool { return c.pendCFs[i].rank < c.pendCFs[j].rank })
-	sort.SliceStable(c.pendRecs, func(i, j int) bool { return c.pendRecs[i].rank < c.pendRecs[j].rank })
-	for _, q := range prev.Quarantines {
-		c.res.Quarantines = append(c.res.Quarantines, Quarantine{
-			Provider:     q.Provider,
-			TrippedAfter: q.TrippedAfter,
-			SkippedVPs:   append([]string(nil), q.SkippedVPs...),
-		})
-		for _, label := range q.SkippedVPs {
-			c.done[vpKey(q.Provider, label)] = outcomeSkipped
+	err := cfg.Resume(func(o Outcome) error {
+		r := c.resumed
+		provider, label := o.vp()
+		if r >= len(specs) {
+			return fmt.Errorf("study: resumed log holds more than the campaign's %d slots (rank %d is %s)", len(specs), r, label)
 		}
-	}
-	sort.SliceStable(c.res.Quarantines, func(i, j int) bool {
-		return rank.provRank(c.res.Quarantines[i].Provider) < rank.provRank(c.res.Quarantines[j].Provider)
+		s := specs[r]
+		if provider != s.provider || label != s.label {
+			return fmt.Errorf("study: resumed outcome rank %d is %s, but the campaign's slot %d is %s", r, label, r, s.label)
+		}
+		if err := c.fold.Add(o); err != nil {
+			return err
+		}
+		st := &c.prov[s.provIdx]
+		switch {
+		case o.Report != nil:
+			st.streak = 0
+		case o.Failure != nil:
+			st.streak++
+		case o.Skip != nil:
+			st.quarantined, st.trippedAfter = true, o.Skip.TrippedAfter
+		}
+		c.resumed++
+		return nil
 	})
-	return c
-}
-
-func (c *committer) provState(idx int) *provState {
-	st, ok := c.prov[idx]
-	if !ok {
-		if len(c.provChunk) == 0 {
-			c.provChunk = make([]provState, 16)
-		}
-		st = &c.provChunk[0]
-		c.provChunk = c.provChunk[1:]
-		c.prov[idx] = st
+	if err != nil {
+		return nil, err
 	}
-	return st
-}
-
-// migrate moves pending resumed records with rank < lim into the
-// canonical prefix. The front pointers only ever advance, so total
-// migration work over a whole campaign is O(resumed records). Resumed
-// reports are never migrated: they are identity stubs, and the log,
-// not the Result, is the report store.
-func (c *committer) migrate(lim int) {
-	for c.pf < len(c.pendCFs) && c.pendCFs[c.pf].rank < lim {
-		c.res.ConnectFailures = append(c.res.ConnectFailures, c.pendCFs[c.pf].cf)
-		c.pf++
-	}
-	for c.pc < len(c.pendRecs) && c.pendRecs[c.pc].rank < lim {
-		c.res.Recoveries = append(c.res.Recoveries, c.pendRecs[c.pc].rec)
-		c.pc++
-	}
+	return c, nil
 }
 
 // prepare advances the canonical state to spec s and reports whether s
-// still needs a measurement. It migrates every pending record due
-// before s, replays s's resumed outcome into the breaker state (no
-// re-measurement, no re-stream), trips the breaker when the streak
-// demands it, and skip-commits (record + stream) when the provider is
-// quarantined.
+// still needs a measurement. A resumed slot is already decided (no
+// re-measurement, no re-stream). Otherwise it trips the breaker when
+// the streak demands it, and skip-commits (fold + stream) when the
+// provider is quarantined.
 func (c *committer) prepare(s slotSpec) (needMeasure bool, err error) {
-	st := c.provState(s.provIdx)
-	if outcome := c.done[s.key]; outcome != outcomeNone {
-		// Resumed: its own records carry rank == s.order.
-		c.migrate(s.order + 1)
+	if s.order < c.resumed {
 		c.cfg.Flight.Record(flightrec.Event{
 			Kind: flightrec.SlotResume, Worker: committerWorker,
 			Slot: s.order, Provider: s.provider, VP: s.label,
 		})
-		switch outcome {
-		case outcomeMeasured:
-			st.streak = 0
-		case outcomeFailed:
-			st.streak++
-		case outcomeSkipped:
-			if !st.quarantined {
-				st.quarantined = true
-				if c.onQuarantine != nil {
-					c.onQuarantine(s.provIdx)
-				}
-			}
-		}
 		return false, nil
 	}
-	c.migrate(s.order)
+	st := &c.prov[s.provIdx]
 	if !st.quarantined && c.cfg.QuarantineAfter > 0 && st.streak >= c.cfg.QuarantineAfter {
-		c.insertQuarantine(Quarantine{Provider: s.provider, TrippedAfter: st.streak})
-		st.quarantined = true
+		st.quarantined, st.trippedAfter = true, st.streak
 		c.cfg.Flight.Record(flightrec.Event{
 			Kind: flightrec.QuarantineTrip, Worker: committerWorker,
 			Slot: s.order, Provider: s.provider, V1: int64(st.streak),
@@ -188,52 +122,20 @@ func (c *committer) prepare(s slotSpec) (needMeasure bool, err error) {
 			c.onQuarantine(s.provIdx)
 		}
 	}
-	if st.quarantined {
-		c.res.VPsAttempted++
-		qi := -1
-		for i := range c.res.Quarantines {
-			if c.res.Quarantines[i].Provider == s.provider {
-				qi = i
-			}
-		}
-		if qi < 0 {
-			// Breaker closed by a resumed skip, but the interrupted
-			// run's quarantine record is missing from the resumed log.
-			return false, fmt.Errorf("study: resumed quarantine record missing for %s", s.provider)
-		}
-		c.res.Quarantines[qi].SkippedVPs = append(c.res.Quarantines[qi].SkippedVPs, s.label)
-		c.cfg.Flight.Record(flightrec.Event{
-			Kind: flightrec.QuarantineSkip, Worker: committerWorker,
-			Slot: s.order, Provider: s.provider, VP: s.label,
-		})
-		return false, c.stream(Outcome{Rank: s.order, Skip: &SkippedVP{
-			Provider:     s.provider,
-			VPLabel:      s.label,
-			TrippedAfter: c.res.Quarantines[qi].TrippedAfter,
-		}})
+	if !st.quarantined {
+		return true, nil
 	}
-	return true, nil
+	c.cfg.Flight.Record(flightrec.Event{
+		Kind: flightrec.QuarantineSkip, Worker: committerWorker,
+		Slot: s.order, Provider: s.provider, VP: s.label,
+	})
+	return false, c.emit(Outcome{Rank: s.order, Skip: &SkippedVP{
+		Provider: s.provider, VPLabel: s.label, TrippedAfter: st.trippedAfter,
+	}})
 }
 
-// insertQuarantine places a fresh trip record at its canonical position
-// (provider-index order, before any foreign resumed records, which rank
-// after all known providers).
-func (c *committer) insertQuarantine(q Quarantine) {
-	r := c.rank.provRank(q.Provider)
-	pos := len(c.res.Quarantines)
-	for i := range c.res.Quarantines {
-		if c.rank.provRank(c.res.Quarantines[i].Provider) > r {
-			pos = i
-			break
-		}
-	}
-	c.res.Quarantines = append(c.res.Quarantines, Quarantine{})
-	copy(c.res.Quarantines[pos+1:], c.res.Quarantines[pos:])
-	c.res.Quarantines[pos] = q
-}
-
-// commit records a fresh measurement outcome for s (prepare must have
-// returned needMeasure) and streams it.
+// commit decides a fresh measurement outcome for s (prepare must have
+// returned needMeasure) and emits it.
 //
 // Deterministic campaign metrics are recorded here, not at measure
 // time: the committer runs single-threaded in canonical slot order and
@@ -241,24 +143,15 @@ func (c *committer) insertQuarantine(q Quarantine) {
 // the flight recorder's `campaign` counters and virtual-time
 // histograms come out identical for any worker count.
 func (c *committer) commit(s slotSpec, out vpResult) error {
-	st := c.provState(s.provIdx)
-	c.res.VPsAttempted++
+	st := &c.prov[s.provIdx]
 	o := Outcome{Rank: s.order}
 	outcome := flightrec.OutcomeMeasured
 	if out.failure != nil {
-		c.res.ConnectFailures = append(c.res.ConnectFailures, *out.failure)
 		st.streak++
 		o.Failure = out.failure
 		outcome = flightrec.OutcomeFailed
 	} else {
-		if out.recovery != nil {
-			c.res.Recoveries = append(c.res.Recoveries, *out.recovery)
-			o.Recovery = out.recovery
-		}
-		if c.cfg.Stream == nil {
-			c.res.Reports = append(c.res.Reports, out.report)
-		}
-		o.Report = out.report
+		o.Report, o.Recovery = out.report, out.recovery
 		st.streak = 0
 	}
 	if fr := c.cfg.Flight; fr != nil {
@@ -274,13 +167,17 @@ func (c *committer) commit(s slotSpec, out vpResult) error {
 			}
 		}
 	}
-	return c.stream(o)
+	return c.emit(o)
 }
 
-// stream hands one fresh outcome to the caller's sink (a no-op for an
-// in-memory run). It only ever runs on the committing goroutine, so
-// outcomes arrive strictly in rank order for any worker count.
-func (c *committer) stream(o Outcome) error {
+// emit folds one decided outcome into the campaign's Result and hands
+// it to the caller's sink (if any). It only ever runs on the committing
+// goroutine, so outcomes arrive strictly in rank order for any worker
+// count.
+func (c *committer) emit(o Outcome) error {
+	if err := c.fold.Add(o); err != nil {
+		return err
+	}
 	if c.cfg.Stream == nil {
 		return nil
 	}
@@ -300,13 +197,4 @@ func (c *committer) stream(o Outcome) error {
 		return fmt.Errorf("study: stream: %w", err)
 	}
 	return nil
-}
-
-// finish migrates every remaining pending record (resumed outcomes for
-// slots after the last spec, plus records for vantage points this world
-// does not enumerate, which rank after all known ones) and returns the
-// completed canonical result.
-func (c *committer) finish() *Result {
-	c.migrate(int(^uint(0) >> 1)) // max int
-	return c.res
 }

@@ -64,9 +64,7 @@ func resumeLog(t *testing.T, build func() *study.World, dir string, par int, r *
 	defer lg.Close()
 	cfg := study.RunConfig{Parallel: par, Stream: lg.Append, Flight: r}
 	if lg.NextRank() > 0 {
-		if cfg.Resume, err = lg.Resume(); err != nil {
-			t.Fatal(err)
-		}
+		cfg.Resume = lg.Scan
 	}
 	if _, err := build().RunWith(cfg); err != nil {
 		t.Fatalf("resume from %d outcomes on %d workers: %v", lg.NextRank(), par, err)

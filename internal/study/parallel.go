@@ -31,41 +31,6 @@ import (
 	"vpnscope/internal/study/slotsched"
 )
 
-// slotRank maps every outcome of a campaign to its canonical position:
-// vantage points rank by their slot index, quarantine records by the
-// provider's position in slot order. Outcomes for vantage points the
-// campaign does not enumerate rank after all known ones, keeping their
-// relative order.
-type slotRank struct {
-	vp   map[string]int // vpKey → slot
-	prov map[string]int // provider name → position in slot order
-}
-
-func specRanks(specs []slotSpec) slotRank {
-	r := slotRank{vp: make(map[string]int, len(specs)), prov: map[string]int{}}
-	for _, s := range specs {
-		r.vp[s.key] = s.order
-		if _, ok := r.prov[s.provider]; !ok {
-			r.prov[s.provider] = len(r.prov)
-		}
-	}
-	return r
-}
-
-func (r slotRank) vpRank(provider, label string) int {
-	if s, ok := r.vp[vpKey(provider, label)]; ok {
-		return s
-	}
-	return len(r.vp)
-}
-
-func (r slotRank) provRank(provider string) int {
-	if i, ok := r.prov[provider]; ok {
-		return i
-	}
-	return len(r.prov)
-}
-
 // buildWorkerWorld builds an independent replica of this world for one
 // worker: same Options (hence the same seed-derived hosts, providers,
 // and baseline) and the same fault profile. Replicas share no mutable
@@ -109,16 +74,16 @@ func (w *World) runParallelSlots(specs []slotSpec, c *committer, workers int) (*
 	cfg := c.cfg
 	flags := make([]atomic.Bool, len(w.Providers))
 	c.onQuarantine = func(provIdx int) { flags[provIdx].Store(true) }
-	var needIdx []int
-	for i, s := range specs {
-		switch c.done[s.key] {
-		case outcomeNone:
-			needIdx = append(needIdx, i)
-		case outcomeSkipped:
-			// Resumed quarantine: flag the provider up front so workers
-			// never measure its remaining un-resumed slots.
-			flags[s.provIdx].Store(true)
+	// Resumed quarantines: flag the provider up front so workers never
+	// measure its remaining un-resumed slots.
+	for pi := range c.prov {
+		if c.prov[pi].quarantined {
+			flags[pi].Store(true)
 		}
+	}
+	needIdx := make([]int, 0, len(specs)-c.resumed)
+	for i := c.resumed; i < len(specs); i++ {
+		needIdx = append(needIdx, i)
 	}
 	sched := slotsched.New(needIdx, workers)
 	// The parallel path only runs full campaigns (multiProvider), where a
@@ -227,7 +192,7 @@ func (w *World) runParallelSlots(specs []slotSpec, c *committer, workers int) (*
 	wg.Wait()
 	st := sched.Stats()
 	cfg.Flight.SchedulerScans(st.VictimScans, st.Rescans)
-	return c.finish(), retErr
+	return c.fold.Result(), retErr
 }
 
 // slotDelivery is one worker-measured slot result keyed by spec index.

@@ -139,23 +139,26 @@ type RunConfig struct {
 	// earlier vantage points took, which is what lets an interrupted
 	// campaign resume byte-identically.
 	VPSlot time.Duration
-	// Stream, when set, makes the campaign durable: each newly recorded
+	// Stream, when set, makes the campaign durable: each newly decided
 	// outcome is handed to Stream exactly once, in canonical rank order
 	// (serialized onto the committing goroutine even under Parallel),
-	// and the committer stops retaining measurement reports in the
-	// returned Result — Reports stays empty; ConnectFailures,
+	// after it has been folded into the returned Result. A streamed
+	// Result keeps no reports — Reports stays empty; ConnectFailures,
 	// Recoveries, Quarantines, and VPsAttempted are still filled. The
 	// sink is normally shardlog.(*Log).Append, whose sealed log folds
 	// back into the full Result (shardlog.(*Log).Result). A Stream error
 	// aborts the campaign, returning the partial Result alongside it.
 	Stream func(Outcome) error
 	// Resume continues a streamed campaign whose first outcomes are
-	// already in the caller's log: it must be the lean Result
-	// shardlog.(*Log).Resume rebuilds from that log, and it is only
-	// valid together with Stream. Resumed vantage points (measured,
-	// failed, or quarantine-skipped) are not re-run or re-streamed, but
-	// still consume their virtual-time slot.
-	Resume *Result
+	// already in the caller's log: it replays that log's outcomes, in
+	// rank order, through the callback it is given — normally
+	// shardlog.(*Log).Scan — and is only valid together with Stream.
+	// Each resumed outcome must name the campaign's slot at its rank,
+	// or the run fails before measuring anything. Resumed outcomes are
+	// folded into the returned Result like fresh ones (reports dropped)
+	// and replayed into the quarantine breaker; their slots are not
+	// re-run or re-streamed, but still consume their virtual time.
+	Resume func(func(Outcome) error) error
 	// Parallel is the campaign worker count (default GOMAXPROCS;
 	// minimum 1). The campaign is sharded at vantage-point granularity:
 	// a work-stealing scheduler (internal/study/slotsched) hands slots
@@ -235,17 +238,6 @@ func (c *RunConfig) canceled() error {
 // campaignBase is the virtual time at which the first vantage-point
 // slot opens, leaving room for world build + baseline collection.
 const campaignBase = time.Hour
-
-// vpOutcome classifies how a vantage point already present in a resumed
-// Result was recorded.
-type vpOutcome int
-
-const (
-	outcomeNone vpOutcome = iota
-	outcomeMeasured
-	outcomeFailed
-	outcomeSkipped
-)
 
 func vpKey(provider, label string) string { return provider + "\x00" + label }
 
@@ -575,13 +567,15 @@ func (w *World) runCampaign(cfg RunConfig, specs []slotSpec) (*Result, error) {
 	if cfg.Resume != nil && cfg.Stream == nil {
 		return nil, errors.New("study: RunConfig.Resume requires Stream (resume from the campaign's outcome log)")
 	}
-	c := newCommitter(&cfg, specRanks(specs))
-	schedulable := 0
+	c, err := newCommitter(&cfg, specs)
+	if err != nil {
+		// Refused before measuring: hand the world's scratch back now.
+		w.Net.ReleaseScratch()
+		return nil, err
+	}
+	schedulable := len(specs) - c.resumed
 	multiProvider := false
 	for _, s := range specs {
-		if c.done[s.key] == outcomeNone {
-			schedulable++
-		}
 		if s.provIdx != specs[0].provIdx {
 			multiProvider = true
 		}
@@ -612,22 +606,22 @@ func (w *World) runSequential(specs []slotSpec, c *committer) (*Result, error) {
 	defer w.Net.ReleaseScratch()
 	for _, s := range specs {
 		if err := c.cfg.canceled(); err != nil {
-			return c.finish(), err
+			return c.fold.Result(), err
 		}
 		needMeasure, err := c.prepare(s)
 		if err != nil {
-			return c.finish(), err
+			return c.fold.Result(), err
 		}
 		if !needMeasure {
 			continue
 		}
 		out := w.measureVP(c.cfg, s)
 		if out.err != nil {
-			return c.finish(), out.err
+			return c.fold.Result(), out.err
 		}
 		if err := c.commit(s, out); err != nil {
-			return c.finish(), err
+			return c.fold.Result(), err
 		}
 	}
-	return c.finish(), nil
+	return c.fold.Result(), nil
 }

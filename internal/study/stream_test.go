@@ -95,7 +95,7 @@ func TestStreamMatchesRetainedRun(t *testing.T) {
 func TestResumeRequiresStream(t *testing.T) {
 	_, err := streamWorld(t).RunWith(study.RunConfig{
 		Parallel: 1,
-		Resume:   &study.Result{},
+		Resume:   func(func(study.Outcome) error) error { return nil },
 	})
 	if err == nil {
 		t.Fatal("Resume without Stream accepted")
@@ -183,13 +183,9 @@ func streamKilledAt(t *testing.T, dir string, meta shardlog.Meta, k, killPar, re
 	if re.NextRank() != k {
 		t.Fatalf("kill at %d: recovered NextRank = %d", k, re.NextRank())
 	}
-	lean, err := re.Resume()
-	if err != nil {
-		t.Fatalf("kill at %d: lean resume: %v", k, err)
-	}
 	res, err := streamWorld(t).RunWith(study.RunConfig{
 		Parallel: resumePar,
-		Resume:   lean,
+		Resume:   re.Scan,
 		Stream:   re.Append,
 	})
 	if err != nil {
