@@ -34,7 +34,7 @@ tier1: build
 	go test -bench 'FullSuiteOneVP' -benchtime 1x -run '^$$' ./internal/vpntest
 	go test -tags arenadebug -run 'Prototype' ./internal/netsim
 	go test -tags arenadebug -short ./internal/study/...
-	go test -tags ownerdebug -short ./internal/netsim/... ./internal/capture/... ./internal/vpn/... ./internal/vpntest/... ./internal/study/... ./internal/server/...
+	go test -tags ownerdebug -short ./internal/netsim/... ./internal/capture/... ./internal/vpn/... ./internal/vpntest/... ./internal/study/... ./internal/server/... ./internal/torsim/... ./internal/dnssim/... ./internal/websim/... ./internal/geodb/... ./internal/faultsim/...
 
 # bench runs the full-study benchmarks and appends the numbers to the
 # BENCH_*.json trajectory (override with BENCH_OUT / BENCH_LABEL).

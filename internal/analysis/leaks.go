@@ -181,14 +181,3 @@ func containsStr(xs []string, x string) bool {
 	}
 	return false
 }
-
-// SortedProviderList returns the distinct providers across reports.
-func SortedProviderList(reports Reports) []string {
-	seen := map[string]bool{}
-	for r := range reports {
-		seen[r.Provider] = true
-	}
-	out := sortedKeys(seen)
-	sort.Strings(out)
-	return out
-}

@@ -61,10 +61,6 @@ func (d *PacketDecoder) Decode(data []byte, first LayerType) error {
 	return d.parser.DecodeLayersFrom(first, data, &d.decoded)
 }
 
-// Decoded returns the layer types decoded by the last Decode, outermost
-// first. The slice is owned by the decoder.
-func (d *PacketDecoder) Decoded() []LayerType { return d.decoded }
-
 // Layer returns the decoder's layer value for t if the last Decode
 // produced it, else nil.
 func (d *PacketDecoder) Layer(t LayerType) Layer {

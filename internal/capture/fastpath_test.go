@@ -47,8 +47,7 @@ func TestParseViewMatchesDecoder(t *testing.T) {
 
 	build := func(v6 bool, layers ...SerializableLayer) []byte {
 		t.Helper()
-		sb := GetSerializeBuffer()
-		defer sb.Release()
+		sb := NewSerializeBuffer()
 		ip := SerializableLayer(&IPv4{Src: src4, Dst: dst4, TTL: 64, Protocol: protoFor(layers[0])})
 		if v6 {
 			ip = &IPv6{Src: src6, Dst: dst6, HopLimit: 64, Next: protoFor(layers[0])}

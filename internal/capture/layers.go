@@ -272,12 +272,10 @@ func (t *TCP) TransportFlow() Flow {
 	return Flow{EndpointTCPPort, port(t.SrcPort), port(t.DstPort)}
 }
 
-// SYN, ACK, RST, FIN, PSH report individual flag bits.
+// SYN, ACK, RST report individual flag bits.
 func (t *TCP) SYN() bool { return t.Flags&FlagSYN != 0 }
 func (t *TCP) ACK() bool { return t.Flags&FlagACK != 0 }
 func (t *TCP) RST() bool { return t.Flags&FlagRST != 0 }
-func (t *TCP) FIN() bool { return t.Flags&FlagFIN != 0 }
-func (t *TCP) PSH() bool { return t.Flags&FlagPSH != 0 }
 
 // DecodeFromBytes implements DecodingLayer.
 func (t *TCP) DecodeFromBytes(data []byte) error {

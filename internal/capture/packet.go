@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Packet is a decoded stack of layers over a single buffer of packet
@@ -166,11 +165,6 @@ type Flow struct {
 	src, dst []byte
 }
 
-// NewFlow builds a flow from raw endpoint bytes.
-func NewFlow(kind EndpointKind, src, dst []byte) Flow {
-	return Flow{kind, bytes.Clone(src), bytes.Clone(dst)}
-}
-
 // Src and Dst return the endpoint byte strings.
 func (f Flow) Src() []byte { return f.src }
 func (f Flow) Dst() []byte { return f.dst }
@@ -271,8 +265,8 @@ type SerializeBuffer struct {
 	start int
 
 	// HdrV4/HdrV6 are network-header scratch for packet builders: a
-	// pooled buffer carries its header scratch with it instead of
-	// paying a second pool round-trip per packet. Valid only inside a
+	// recycled buffer carries its header scratch with it instead of
+	// paying a second allocation per packet. Valid only inside a
 	// single build — nested builds hold distinct buffers.
 	HdrV4 IPv4
 	HdrV6 IPv6
@@ -329,25 +323,6 @@ func (b *SerializeBuffer) Reserve(n int) []byte {
 	}
 	b.start = len(b.buf) - n
 	return b.buf[b.start:]
-}
-
-var serializeBufferPool = sync.Pool{
-	New: func() any { return NewSerializeBuffer() },
-}
-
-// GetSerializeBuffer returns a cleared buffer from a process-wide pool.
-// Pair it with Release once every slice obtained from Bytes() is either
-// copied or dead; the pool reuses the backing array.
-func GetSerializeBuffer() *SerializeBuffer {
-	b := serializeBufferPool.Get().(*SerializeBuffer)
-	b.Clear()
-	return b
-}
-
-// Release returns b to the pool. The caller must not touch b — or any
-// slice previously returned by b.Bytes() or b.Prepend() — afterwards.
-func (b *SerializeBuffer) Release() {
-	serializeBufferPool.Put(b)
 }
 
 // SerializeLayers clears b and serializes the given layers outermost

@@ -49,22 +49,6 @@ func TestPrependGrowthPath(t *testing.T) {
 	}
 }
 
-// TestSerializeBufferPoolReuse checks the Get/Release contract: a
-// released buffer comes back cleared, whatever state it was left in.
-func TestSerializeBufferPoolReuse(t *testing.T) {
-	b := GetSerializeBuffer()
-	copy(b.Prepend(8), "leftover")
-	b.Release()
-	for i := 0; i < 10; i++ {
-		g := GetSerializeBuffer()
-		if len(g.Bytes()) != 0 {
-			t.Fatalf("pooled buffer not cleared: %q", g.Bytes())
-		}
-		copy(g.Prepend(4), "data")
-		g.Release()
-	}
-}
-
 // TestParserReuseAcrossShapes drives one DecodingLayerParser through
 // packets of different shapes and checks each decode reports exactly
 // its own layers — no stale layer types from the previous packet.

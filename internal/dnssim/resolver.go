@@ -3,7 +3,6 @@ package dnssim
 import (
 	"net/netip"
 	"strings"
-	"sync"
 )
 
 // Directory is the simulated global DNS database: hostname to addresses.
@@ -12,7 +11,6 @@ import (
 // DNS-manipulation test relies on when diffing a VPN resolver against
 // Google Public DNS.
 type Directory struct {
-	mu          sync.RWMutex
 	names       map[string][]netip.Addr
 	authorities []*Authority
 }
@@ -25,8 +23,6 @@ func NewDirectory() *Directory {
 // Register binds a hostname to one or more addresses (replacing any
 // previous binding).
 func (d *Directory) Register(name string, addrs ...netip.Addr) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.names[normalize(name)] = append([]netip.Addr(nil), addrs...)
 }
 
@@ -40,8 +36,6 @@ func (d *Directory) Lookup(name string, qtype uint16) []netip.Addr {
 // extended slice; hot callers (the resolver answer path) pass a
 // reusable scratch slice to keep steady-state lookups allocation-free.
 func (d *Directory) LookupAppend(dst []netip.Addr, name string, qtype uint16) []netip.Addr {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	for _, a := range d.names[normalize(name)] {
 		switch {
 		case qtype == TypeA && a.Is4():
@@ -55,8 +49,6 @@ func (d *Directory) LookupAppend(dst []netip.Addr, name string, qtype uint16) []
 
 // Exists reports whether name is registered at all (any family).
 func (d *Directory) Exists(name string) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	_, ok := d.names[normalize(name)]
 	return ok
 }
@@ -64,15 +56,11 @@ func (d *Directory) Exists(name string) bool {
 // AddAuthority attaches an origin-logging authoritative server for a
 // domain suffix.
 func (d *Directory) AddAuthority(a *Authority) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.authorities = append(d.authorities, a)
 }
 
 // authorityFor returns the authority whose suffix covers name, or nil.
 func (d *Directory) authorityFor(name string) *Authority {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	name = normalize(name)
 	for _, a := range d.authorities {
 		if name == a.Suffix || strings.HasSuffix(name, "."+a.Suffix) {
@@ -101,7 +89,6 @@ type Authority struct {
 	Suffix string // e.g. "probe.vpnscope.test"
 	Addr   netip.Addr
 
-	mu  sync.Mutex
 	log []OriginRecord
 }
 
@@ -113,9 +100,7 @@ func NewAuthority(suffix string, addr netip.Addr) *Authority {
 // Resolve answers a query for name (always 192.0.2.1 — the content is
 // irrelevant; the log is the point) and records the origin.
 func (a *Authority) Resolve(name string, from netip.Addr) netip.Addr {
-	a.mu.Lock()
 	a.log = append(a.log, OriginRecord{normalize(name), from})
-	a.mu.Unlock()
 	return netip.AddrFrom4([4]byte{192, 0, 2, 1})
 }
 
@@ -126,16 +111,12 @@ func (a *Authority) Resolve(name string, from netip.Addr) netip.Addr {
 // slots can never match a later OriginsOf query — trimming them bounds
 // the log's growth on a long-lived, slot-reset world.
 func (a *Authority) LogMark() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return len(a.log)
 }
 
 // TrimLog drops every origin record appended after mark (a value from
 // LogMark).
 func (a *Authority) TrimLog(mark int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if mark >= 0 && mark < len(a.log) {
 		a.log = a.log[:mark]
 	}
@@ -143,8 +124,6 @@ func (a *Authority) TrimLog(mark int) {
 
 // Log returns a snapshot of the origin log.
 func (a *Authority) Log() []OriginRecord {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	out := make([]OriginRecord, len(a.log))
 	copy(out, a.log)
 	return out
@@ -154,7 +133,7 @@ func (a *Authority) Log() []OriginRecord {
 func (a *Authority) OriginsOf(name string) []netip.Addr {
 	name = normalize(name)
 	var out []netip.Addr
-	for _, r := range a.Log() {
+	for _, r := range a.log {
 		if r.Name == name {
 			out = append(out, r.From)
 		}

@@ -23,7 +23,6 @@ package faultsim
 import (
 	"fmt"
 	"net/netip"
-	"sync"
 	"time"
 
 	"vpnscope/internal/capture"
@@ -204,13 +203,15 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// Plan is a seeded fault schedule ready to install on a network. Safe
-// for concurrent use.
+// Plan is a seeded fault schedule ready to install on a network. Like
+// the world it is installed on, a plan has one owner: only the
+// goroutine driving that world may call its methods (the parallel
+// executor gives every worker replica its own plan and absorbs their
+// per-slot deltas on the committer).
 type Plan struct {
 	profile Profile
 	seed    uint64
 
-	mu        sync.Mutex
 	rng       *simrand.Source
 	vps       map[netip.Addr]bool
 	resolvers map[netip.Addr]bool
@@ -251,8 +252,6 @@ func (p *Plan) Profile() Profile { return p.profile }
 // SetVPAddrs registers the vantage-point addresses whose connect-time
 // reachability checks are subject to refusal.
 func (p *Plan) SetVPAddrs(addrs []netip.Addr) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, a := range addrs {
 		p.vps[a] = true
 	}
@@ -261,8 +260,6 @@ func (p *Plan) SetVPAddrs(addrs []netip.Addr) {
 // SetResolverAddrs registers the resolver addresses subject to DNS
 // blackouts.
 func (p *Plan) SetResolverAddrs(addrs []netip.Addr) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, a := range addrs {
 		p.resolvers[a] = true
 	}
@@ -272,8 +269,6 @@ func (p *Plan) SetResolverAddrs(addrs []netip.Addr) {
 // runner calls it at every vantage-point boundary so each vantage
 // point's fault experience is independent of campaign history.
 func (p *Plan) Reset(label string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.rng = simrand.New(p.seed).Fork("faultsim").Fork(label)
 	// The outage clamp's reference point must not depend on what ran
 	// before this boundary, or a resumed campaign would clamp
@@ -283,8 +278,6 @@ func (p *Plan) Reset(label string) {
 
 // Stats returns a snapshot of the injected-fault counters.
 func (p *Plan) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.stats
 }
 
@@ -295,8 +288,6 @@ func (p *Plan) Stats() Stats {
 // point's boundary-reset stream, the absorbed totals equal what a
 // single sequential plan would have counted.
 func (p *Plan) Absorb(s Stats) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.stats.Dropped += s.Dropped
 	p.stats.Flapped += s.Flapped
 	p.stats.Refused += s.Refused
@@ -328,8 +319,6 @@ func inWindow(now, every, length, offset time.Duration) bool {
 const maxOutageSpan = 12 * time.Second
 
 func (p *Plan) decide(now time.Duration, dst netip.Addr, proto capture.IPProtocol) netsim.FaultAction {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	act, kind := p.schedule(now, dst, proto)
 	if act.Drop && now-p.lastPass >= maxOutageSpan {
 		act, kind = netsim.FaultAction{}, kindNone

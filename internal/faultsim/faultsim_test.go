@@ -2,7 +2,6 @@ package faultsim
 
 import (
 	"net/netip"
-	"sync"
 	"testing"
 	"time"
 
@@ -216,27 +215,6 @@ func TestOutageClampBoundsConsecutiveDrops(t *testing.T) {
 	if plan.Stats().Flapped == 0 {
 		t.Fatal("the dead link never dropped anything")
 	}
-}
-
-func TestHookConcurrency(t *testing.T) {
-	plan := newTestPlan(Hostile, 11)
-	hook := plan.Hook()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				hook(time.Duration(i)*time.Second, nil, vpAddr, capture.ProtoICMP)
-				hook(time.Duration(i)*time.Second, nil, resolver, capture.ProtoUDP)
-			}
-			if g%2 == 0 {
-				plan.Reset("concurrent")
-			}
-			_ = plan.Stats()
-		}(g)
-	}
-	wg.Wait()
 }
 
 // TestStreamDerivationShardIndependent is the per-shard stream audit

@@ -14,7 +14,6 @@ package geodb
 import (
 	"net/netip"
 	"sort"
-	"sync"
 
 	"vpnscope/internal/geo"
 	"vpnscope/internal/simrand"
@@ -89,7 +88,6 @@ type Database struct {
 
 	truth     TruthSource
 	seed      uint64
-	mu        sync.Mutex
 	cache     map[netip.Addr]Result
 	countries []geo.Country
 }
@@ -118,8 +116,6 @@ func New(p Profile, truth TruthSource, seed uint64) *Database {
 // return is false when the database has no estimate (out of coverage or
 // unknown address).
 func (d *Database) Locate(addr netip.Addr) (geo.Country, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if r, ok := d.cache[addr]; ok {
 		return r.Country, r.Found
 	}

@@ -11,21 +11,20 @@ import (
 // observations: the benchmarks below fail when a change pushes the
 // steady-state allocs/op of a hot operation above its ceiling, even at
 // -benchtime 1x (the tier-1 smoke run). Each ceiling is at most twice
-// the measured steady state. The package-level builders draw from
-// capture's sync.Pool, which may shed entries across GC cycles; the
-// world-level paths (Exchange, deliver) take buffers from the
-// network's freelist and owned copies from the slot arena, so their
-// headroom only covers a delivery-ring pool miss.
+// the measured steady state. Serialize buffers and delivery rings come
+// from the world's freelists (the zero-copy gate holds its own buffer),
+// which, unlike a sync.Pool, shed nothing across GC cycles.
 const (
 	// One UDP query end to end on a campaign world: build, route,
 	// Exchange, capture, decode. Measures 1.0 — the handler's response
 	// slice; captures and the owned response copy live in the arena.
 	exchangeAllocCeiling = 2
-	// buildPacketTTL: serialize into a pooled buffer + one exact-size
-	// owned copy out. Measures 2.0.
+	// Network.BuildPacket on a world without a slot arena: serialize
+	// into a freelist buffer + one exact-size heap copy out. Measures
+	// 2.0 — the copy and the boxed payload layer.
 	buildPacketAllocCeiling = 4
-	// BuildPacketInto: serialize into a caller-held buffer; zero-copy,
-	// one steady-state allocation. Measures 1.0.
+	// buildPacketTTLInto: serialize into a caller-held buffer; zero-copy,
+	// one steady-state allocation (the boxed payload layer). Measures 1.0.
 	buildPacketIntoAllocCeiling = 2
 	// Network.deliver of a UDP packet on a campaign world: parse,
 	// dispatch, build the reply into arena memory. Measures 1.0 — the
@@ -107,7 +106,8 @@ func BenchmarkExchange(b *testing.B) {
 }
 
 // BenchmarkBuildPacket covers both build paths: the owning form (one
-// exact-size copy out of a pooled buffer) and the zero-copy Into form.
+// exact-size copy out of a freelist buffer) and the unexported zero-copy
+// serializer every build ends in.
 func BenchmarkBuildPacket(b *testing.B) {
 	src := addr("203.0.113.10")
 	dst := addr("93.184.216.34")
@@ -115,8 +115,9 @@ func BenchmarkBuildPacket(b *testing.B) {
 	pay := capture.Payload("query")
 
 	b.Run("owned", func(b *testing.B) {
+		n := New(1)
 		fn := func() {
-			if _, err := buildPacket(src, dst, udp, pay); err != nil {
+			if _, err := n.BuildPacket(src, dst, udp, pay); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -128,10 +129,9 @@ func BenchmarkBuildPacket(b *testing.B) {
 	})
 
 	b.Run("into", func(b *testing.B) {
-		buf := capture.GetSerializeBuffer()
-		defer buf.Release()
+		buf := capture.NewSerializeBuffer()
 		fn := func() {
-			if _, err := BuildPacketInto(buf, src, dst, udp, pay); err != nil {
+			if _, err := buildPacketTTLInto(buf, 64, src, dst, udp, pay); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -144,18 +144,19 @@ func BenchmarkBuildPacket(b *testing.B) {
 }
 
 // BenchmarkDeliver hits Network.deliver directly with a pre-built UDP
-// packet: pooled decode, handler dispatch, reply build.
+// packet through a ring from the world's freelist: decode, handler
+// dispatch, reply build.
 func BenchmarkDeliver(b *testing.B) {
 	c := newCampaignWorld(b)
 	n, dns := c.n, c.dns
-	pkt, err := buildPacket(addr("203.0.113.10"), dns.Addr,
+	pkt, err := heapPacket(64, addr("203.0.113.10"), dns.Addr,
 		&capture.UDP{SrcPort: 40000, DstPort: 53}, capture.Payload("query"))
 	if err != nil {
 		b.Fatal(err)
 	}
 	fn := func() {
 		c.tick()
-		ring := getDeliveryRing()
+		ring := n.takeRing()
 		err := n.deliver(dns, pkt, ring)
 		if err != nil {
 			b.Fatal(err)
@@ -163,7 +164,7 @@ func BenchmarkDeliver(b *testing.B) {
 		if ring.first() == nil {
 			b.Fatal("no response")
 		}
-		putDeliveryRing(ring)
+		n.putRing(ring)
 	}
 	gateAllocs(b, "deliver", deliverAllocCeiling, fn)
 	b.ResetTimer()

@@ -79,23 +79,23 @@ func FuzzBatchedDelivery(f *testing.F) {
 			)
 			switch m % 5 {
 			case 0: // open UDP port
-				pkt, err = buildPacket(client.Addr, plain.Addr,
+				pkt, err = heapPacket(64, client.Addr, plain.Addr,
 					&capture.UDP{SrcPort: 40000 + uint16(i), DstPort: 53}, capture.Payload(payload))
 				target = plain
 			case 1: // open TCP port
-				pkt, err = buildPacket(client.Addr, plain.Addr,
+				pkt, err = heapPacket(64, client.Addr, plain.Addr,
 					&capture.TCP{SrcPort: 40000 + uint16(i), DstPort: 80, Flags: capture.FlagSYN}, capture.Payload(payload))
 				target = plain
 			case 2: // ICMP echo
-				pkt, err = buildPacket(client.Addr, plain.Addr,
+				pkt, err = heapPacket(64, client.Addr, plain.Addr,
 					&capture.ICMP{TypeCode: capture.ICMPEchoRequest, ID: uint16(i), Seq: 1}, capture.Payload(payload))
 				target = plain
 			case 3: // raw tunnel frame
-				pkt, err = buildPacket(client.Addr, tun.Addr,
+				pkt, err = heapPacket(64, client.Addr, tun.Addr,
 					&capture.Tunnel{SessionID: uint32(i)}, capture.Payload(payload))
 				target = tun
 			case 4: // closed UDP port (refused, no emission)
-				pkt, err = buildPacket(client.Addr, plain.Addr,
+				pkt, err = heapPacket(64, client.Addr, plain.Addr,
 					&capture.UDP{SrcPort: 40000 + uint16(i), DstPort: 9999}, capture.Payload(payload))
 				target = plain
 			}
@@ -113,7 +113,7 @@ func FuzzBatchedDelivery(f *testing.F) {
 			return err.Error()
 		}
 
-		// Baseline: a fresh, unpooled ring per packet.
+		// Baseline: a fresh, never-recycled ring per packet.
 		var single [][]byte
 		var singleErrs []string
 		for i, pkt := range pkts {
@@ -123,15 +123,15 @@ func FuzzBatchedDelivery(f *testing.F) {
 			single = append(single, r.pkts...)
 		}
 
-		// Batched: the whole sequence through one pooled ring, emissions
-		// accumulating across deliveries.
-		ring := getDeliveryRing()
+		// Batched: the whole sequence through one recycled ring from the
+		// world, emissions accumulating across deliveries.
+		ring := n.takeRing()
 		var batchedErrs []string
 		for i, pkt := range pkts {
 			batchedErrs = append(batchedErrs, errStr(n.deliver(targets[i], pkt, ring)))
 		}
 		batched := append([][]byte(nil), ring.pkts...)
-		putDeliveryRing(ring)
+		n.putRing(ring)
 
 		for i := range pkts {
 			if singleErrs[i] != batchedErrs[i] {

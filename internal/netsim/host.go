@@ -25,7 +25,7 @@ type TCPHandler func(src netip.Addr, srcPort uint16, payload []byte) []byte
 // use this to terminate tunnel encapsulation; the Network is passed so
 // the handler can originate onward exchanges (decapsulate and forward)
 // on the caller's virtual-time budget. Emitted packets must be owned
-// (not aliases of pooled scratch); build them with Network.BuildPacket
+// (not aliases of freelist scratch); build them with Network.BuildPacket
 // or copy into the slot arena.
 type RawHandler func(n *Network, packet []byte, emit func([]byte)) bool
 

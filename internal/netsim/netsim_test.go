@@ -22,6 +22,16 @@ func city(t testing.TB, name string) geo.City {
 
 func addr(s string) netip.Addr { return netip.MustParseAddr(s) }
 
+// heapPacket serializes a heap-owned packet outside any world, for
+// tests that need wire bytes without a Network's freelist or arena.
+func heapPacket(ttl byte, src, dst netip.Addr, inner ...capture.SerializableLayer) ([]byte, error) {
+	pkt, err := buildPacketTTLInto(capture.NewSerializeBuffer(), ttl, src, dst, inner...)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), pkt...), nil
+}
+
 // world builds a tiny Internet: a client in Chicago, an echo server in
 // London, a DNS-ish UDP server in Frankfurt.
 func world(t testing.TB) (*Network, *Stack, *Host, *Host) {
@@ -429,7 +439,7 @@ func TestStackTracerouteDirect(t *testing.T) {
 func TestTTLExpiry(t *testing.T) {
 	n, stack, server, _ := world(t)
 	// A TTL-1 ICMP probe dies at the first router, not the server.
-	pkt, err := BuildPacketTTL(1, stack.Host.Addr, server.Addr,
+	pkt, err := heapPacket(1, stack.Host.Addr, server.Addr,
 		&capture.ICMP{TypeCode: capture.ICMPEchoRequest, ID: 1, Seq: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"sync"
 	"time"
 
 	"vpnscope/internal/arena"
@@ -306,11 +305,6 @@ func (n *Network) jitterRTT(ms float64) time.Duration {
 	return time.Duration(ms * jitter * float64(time.Millisecond))
 }
 
-// RTTBetween returns one jittered RTT sample between two hosts.
-func (n *Network) RTTBetween(a, b *Host) time.Duration {
-	return n.baseRTT(a.Coord, b.Coord)
-}
-
 // Exchange originates the raw IP packet pkt from host `from`, delivers
 // it to the destination named in the header, and returns the first
 // response packet. The virtual clock advances by the modeled exchange
@@ -365,15 +359,16 @@ func (n *Network) exchange(from *Host, pkt []byte) ([]byte, error) {
 	}
 	n.Clock.Advance(rtt)
 
-	// Deliver through a pooled ring: the handler may emit any number of
-	// queued response packets in one delivery pass; the exchange drains
-	// the ring and hands the first back to the caller (the simulator's
-	// request/response model — extras are drained and dropped, exactly
-	// as the historical [][]byte return was).
-	ring := getDeliveryRing()
+	// Deliver through a ring from the world's freelist: the handler may
+	// emit any number of queued response packets in one delivery pass;
+	// the exchange drains the ring and hands the first back to the
+	// caller (the simulator's request/response model — extras are
+	// drained and dropped, exactly as the historical [][]byte return
+	// was).
+	ring := n.takeRing()
 	err = n.deliver(target, pkt, ring)
 	first := ring.first()
-	putDeliveryRing(ring)
+	n.putRing(ring)
 	if err != nil {
 		return nil, err
 	}
@@ -381,17 +376,18 @@ func (n *Network) exchange(from *Host, pkt []byte) ([]byte, error) {
 }
 
 // deliveryRing accumulates the response packets one delivery pass
-// emits. Rings are pooled because tunnel termination nests deliveries
+// emits. Rings are recycled through the world's scratch bundle; a world
+// can hold several at once because tunnel termination nests deliveries
 // (a raw handler's onward Exchange needs its own ring while the outer
-// one is live), and the packets they carry are owned copies, so
-// draining the ring before releasing it is safe.
+// one is live). The packets they carry are owned copies, so draining
+// the ring before recycling it is safe.
 type deliveryRing struct {
 	pkts [][]byte
-	// emitFn is the bound emit method, created once per pooled ring so
-	// handing it to a RawHandler does not allocate a closure per packet.
+	// emitFn is the bound emit method, created once per ring so handing
+	// it to a RawHandler does not allocate a closure per packet.
 	emitFn func([]byte)
-	// ls backs the reply layer headers deliver builds — pooled with the
-	// ring, so reply construction allocates no layer objects.
+	// ls backs the reply layer headers deliver builds — recycled with
+	// the ring, so reply construction allocates no layer objects.
 	ls capture.LayerScratch
 }
 
@@ -408,27 +404,6 @@ func (r *deliveryRing) first() []byte {
 		return nil
 	}
 	return r.pkts[0]
-}
-
-var deliveryRingPool = sync.Pool{
-	New: func() any {
-		r := new(deliveryRing)
-		r.emitFn = r.emit
-		return r
-	},
-}
-
-func getDeliveryRing() *deliveryRing { return deliveryRingPool.Get().(*deliveryRing) }
-
-func putDeliveryRing(r *deliveryRing) {
-	for i := range r.pkts {
-		r.pkts[i] = nil // do not pin packet bytes inside the pool
-	}
-	r.pkts = r.pkts[:0]
-	emitFn := r.emitFn
-	r.ls = capture.LayerScratch{} // nor payload bytes via the scratch
-	r.emitFn = emitFn
-	deliveryRingPool.Put(r)
 }
 
 // pathHops returns the router-path length between two coordinates: 3
@@ -600,34 +575,11 @@ func firstLayerType(pkt []byte) capture.LayerType {
 	return capture.TypeIPv4
 }
 
-// buildPacket serializes a network packet from src to dst wrapping the
-// given transport and payload layers, with the default TTL of 64.
-func buildPacket(src, dst netip.Addr, inner ...capture.SerializableLayer) ([]byte, error) {
-	return buildPacketTTL(64, src, dst, inner...)
-}
-
-// ipHeaderScratch holds reusable network-layer header values so the
-// build path does not heap-allocate a fresh IPv4/IPv6 struct per packet.
-// buildPacketTTL is buildPacket with an explicit TTL / hop limit —
-// traceroute's probe ladder needs it. The result is an owned,
-// exact-size copy; buildPacketTTLInto is the zero-copy variant.
-func buildPacketTTL(ttl byte, src, dst netip.Addr, inner ...capture.SerializableLayer) ([]byte, error) {
-	buf := capture.GetSerializeBuffer()
-	defer buf.Release()
-	pkt, err := buildPacketTTLInto(buf, ttl, src, dst, inner...)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(pkt))
-	copy(out, pkt)
-	return out, nil
-}
-
 // buildPacketTTLInto serializes the packet into buf and returns
 // buf.Bytes() directly — no output copy. The returned slice aliases buf
-// and dies with it: callers that pooled buf may only release it once
-// the bytes have been copied downstream (Sink.Capture and deliver's
-// reply construction both copy).
+// and dies with it: callers may only release buf to the world's
+// freelist once the bytes have been copied downstream (Sink.Capture and
+// deliver's reply construction both copy).
 func buildPacketTTLInto(buf *capture.SerializeBuffer, ttl byte, src, dst netip.Addr, inner ...capture.SerializableLayer) ([]byte, error) {
 	buf.Clear()
 	// Serialize inner layers in reverse (SerializeLayers semantics)
@@ -668,8 +620,8 @@ func protoOf(layers []capture.SerializableLayer) capture.IPProtocol {
 	return capture.ProtoUDP
 }
 
-// buildOwned serializes a packet into pooled scratch and hands back an
-// owned copy from the slot arena (heap when none is installed). Every
+// buildOwned serializes a packet into a freelist buffer and hands back
+// an owned copy from the slot arena (heap when none is installed). Every
 // reply the delivery path emits goes through here, so per-packet copies
 // cost a pointer bump instead of a garbage-collected allocation.
 func (n *Network) buildOwned(ttl byte, src, dst netip.Addr, inner ...capture.SerializableLayer) ([]byte, error) {
@@ -688,32 +640,6 @@ func (n *Network) buildOwned(ttl byte, src, dst netip.Addr, inner ...capture.Ser
 // synthesized tunnel replies.
 func (n *Network) BuildPacket(src, dst netip.Addr, inner ...capture.SerializableLayer) ([]byte, error) {
 	return n.buildOwned(64, src, dst, inner...)
-}
-
-// BuildPacket is the exported form of buildPacket for other packages
-// (the VPN server synthesizes forwarded packets).
-func BuildPacket(src, dst netip.Addr, inner ...capture.SerializableLayer) ([]byte, error) {
-	return buildPacket(src, dst, inner...)
-}
-
-// BuildPacketTTL is BuildPacket with an explicit TTL / hop limit.
-func BuildPacketTTL(ttl byte, src, dst netip.Addr, inner ...capture.SerializableLayer) ([]byte, error) {
-	return buildPacketTTL(ttl, src, dst, inner...)
-}
-
-// BuildPacketInto is the zero-copy form of BuildPacket: it serializes
-// into buf (typically capture.GetSerializeBuffer()) and returns a slice
-// aliasing buf's storage. Use it for packets that die within the
-// calling scope — built, sent through Exchange/SendVia (which copy what
-// they keep), then released — and keep BuildPacket for packets whose
-// bytes escape, e.g. responses returned to a peer.
-func BuildPacketInto(buf *capture.SerializeBuffer, src, dst netip.Addr, inner ...capture.SerializableLayer) ([]byte, error) {
-	return buildPacketTTLInto(buf, 64, src, dst, inner...)
-}
-
-// BuildPacketTTLInto is BuildPacketInto with an explicit TTL.
-func BuildPacketTTLInto(buf *capture.SerializeBuffer, ttl byte, src, dst netip.Addr, inner ...capture.SerializableLayer) ([]byte, error) {
-	return buildPacketTTLInto(buf, ttl, src, dst, inner...)
 }
 
 // ---------------------------------------------------------------------

@@ -188,9 +188,9 @@ func (p *packetPrototype) patch(buf *capture.SerializeBuffer, ttl byte, transpor
 	return out, true
 }
 
-// BuildPacketTTLInto is the prototype-cached form of the package-level
-// BuildPacketTTLInto: byte-identical output, but after the first packet
-// on a flow the header is patched instead of re-serialized.
+// BuildPacketTTLInto is the prototype-cached form of buildPacketTTLInto:
+// byte-identical output, but after the first packet on a flow the
+// header is patched instead of re-serialized.
 func (n *Network) BuildPacketTTLInto(buf *capture.SerializeBuffer, ttl byte, src, dst netip.Addr, inner ...capture.SerializableLayer) ([]byte, error) {
 	transport, payload, shape, ok := splitInner(inner)
 	if !ok {
@@ -215,7 +215,13 @@ func (n *Network) BuildPacketTTLInto(buf *capture.SerializeBuffer, ttl byte, src
 	return pkt, nil
 }
 
-// BuildPacketInto is BuildPacketTTLInto with the default TTL of 64.
+// BuildPacketInto is BuildPacketTTLInto with the default TTL of 64. It
+// is the zero-copy form of BuildPacket: it serializes into buf
+// (typically from AcquireBuffer) and returns a slice aliasing buf's
+// storage. Use it for packets that die within the calling scope —
+// built, sent through Exchange/SendVia (which copy what they keep),
+// then released — and keep BuildPacket for packets whose bytes escape,
+// e.g. responses returned to a peer.
 func (n *Network) BuildPacketInto(buf *capture.SerializeBuffer, src, dst netip.Addr, inner ...capture.SerializableLayer) ([]byte, error) {
 	return n.BuildPacketTTLInto(buf, 64, src, dst, inner...)
 }

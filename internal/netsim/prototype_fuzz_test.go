@@ -39,10 +39,8 @@ func FuzzPacketPrototype(f *testing.F) {
 		n := New(1)
 		n.SetSlotArena(arena.New())
 
-		buf := capture.GetSerializeBuffer()
-		defer buf.Release()
-		refBuf := capture.GetSerializeBuffer()
-		defer refBuf.Release()
+		buf := capture.NewSerializeBuffer()
+		refBuf := capture.NewSerializeBuffer()
 
 		errStr := func(err error) string {
 			if err == nil {

@@ -19,8 +19,7 @@ func TestPrototypeNoArenaRetention(t *testing.T) {
 	n.SetSlotArena(arena.NewDebug())
 	src, dst := addr("203.0.113.10"), addr("93.184.216.34")
 
-	buf := capture.GetSerializeBuffer()
-	defer buf.Release()
+	buf := capture.NewSerializeBuffer()
 
 	build := func(port uint16, pay string) []byte {
 		t.Helper()
@@ -52,8 +51,7 @@ func TestPrototypeNoArenaRetention(t *testing.T) {
 
 	// Rebuilding after the reset must not serve poisoned header bytes.
 	fresh := build(40001, "patched off the cached image")
-	refBuf := capture.GetSerializeBuffer()
-	defer refBuf.Release()
+	refBuf := capture.NewSerializeBuffer()
 	want, err := buildPacketTTLInto(refBuf, 64, src, dst,
 		&capture.UDP{SrcPort: 40001, DstPort: 53}, capture.Payload("patched off the cached image"))
 	if err != nil {
@@ -74,8 +72,7 @@ func BenchmarkPrototypePatch(b *testing.B) {
 	payload := bytes.Repeat([]byte{0xA5}, 128)
 	var ls capture.LayerScratch
 
-	buf := capture.GetSerializeBuffer()
-	defer buf.Release()
+	buf := capture.NewSerializeBuffer()
 	port := uint16(40000)
 	build := func() {
 		port++

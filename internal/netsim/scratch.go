@@ -10,10 +10,10 @@ import (
 
 // scratch is a measuring world's recyclable working memory: the slot
 // arena's chunks, the capture record arrays retired stacks hand back,
-// the serialize-buffer freelist, and the packet-prototype map. A world
-// regrows all of them from nothing unless it starts with a warm bundle,
-// and a small campaign — one provider, a couple of vantage points —
-// ends before the growth amortises. So bundles outlive their worlds: a
+// the serialize-buffer and delivery-ring freelists, and the
+// packet-prototype map. A world regrows all of them from nothing unless
+// it starts with a warm bundle, and a small campaign — one provider, a
+// couple of vantage points — ends before the growth amortises. So bundles outlive their worlds: a
 // Network takes one from the process pool on first need and hands it
 // back, reset, when its campaign ends (ReleaseScratch). While a world
 // holds its bundle every access is world-local; the pool's lock is
@@ -24,9 +24,12 @@ type scratch struct {
 	// feeds it, NewStack/AddInterface drain it).
 	records [][]capture.Record
 	// sbufs is a plain LIFO of serialize buffers: with one goroutine
-	// owning the world, a freelist beats the process-wide sync.Pool,
-	// whose procPin/atomic traffic is measurable per exchange.
+	// owning the world, a freelist needs no synchronisation at all.
 	sbufs []*capture.SerializeBuffer
+	// rings is a LIFO of delivery rings. Exchange nests (a tunnel
+	// handler's onward Exchange runs while the outer ring is live), so
+	// a world can hold several rings at once.
+	rings []*deliveryRing
 	// protos backs Network.protos; clear keeps its buckets.
 	protos map[protoKey]packetPrototype
 }
@@ -152,6 +155,30 @@ func (n *Network) AcquireBuffer() *capture.SerializeBuffer {
 func (n *Network) ReleaseBuffer(b *capture.SerializeBuffer) {
 	s := n.bundle()
 	s.sbufs = append(s.sbufs, b)
+}
+
+// takeRing pops a delivery ring from the world's freelist, or makes one.
+func (n *Network) takeRing() *deliveryRing {
+	s := n.bundle()
+	if k := len(s.rings); k > 0 {
+		r := s.rings[k-1]
+		s.rings[k-1] = nil
+		s.rings = s.rings[:k-1]
+		return r
+	}
+	r := new(deliveryRing)
+	r.emitFn = r.emit
+	return r
+}
+
+// putRing empties r and returns it to the world's freelist. The ring
+// keeps no packet bytes, and no payload bytes via its layer scratch.
+func (n *Network) putRing(r *deliveryRing) {
+	clear(r.pkts)
+	r.pkts = r.pkts[:0]
+	r.ls = capture.LayerScratch{}
+	s := n.bundle()
+	s.rings = append(s.rings, r)
 }
 
 // takeSinkBacking pops a recycled record array, or nil when none.

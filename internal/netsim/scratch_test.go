@@ -43,6 +43,24 @@ func TestScratchPoolBound(t *testing.T) {
 	}
 }
 
+// TestSerializeBufferReuse checks the AcquireBuffer/ReleaseBuffer
+// contract: a released buffer comes back cleared, whatever state it was
+// left in.
+func TestSerializeBufferReuse(t *testing.T) {
+	n := New(1)
+	b := n.AcquireBuffer()
+	copy(b.Prepend(8), "leftover")
+	n.ReleaseBuffer(b)
+	for i := 0; i < 10; i++ {
+		g := n.AcquireBuffer()
+		if len(g.Bytes()) != 0 {
+			t.Fatalf("recycled buffer not cleared: %q", g.Bytes())
+		}
+		copy(g.Prepend(4), "data")
+		n.ReleaseBuffer(g)
+	}
+}
+
 // TestReleaseScratchPoisons: a world that keeps slot-arena bytes or a
 // serialize buffer's bytes past release reads poison, not its old data
 // or the next world's, when the bundle's arena poisons (always under

@@ -1,6 +1,8 @@
 // HTTP/JSON surface of the daemon.
 //
 //	POST   /campaigns             submit a CampaignSpec → 202 {id}
+//	                              (413 above maxSpecBytes, 400 for a
+//	                              body that is not exactly one spec)
 //	GET    /campaigns             list campaigns
 //	GET    /campaigns/{id}        status JSON
 //	GET    /campaigns/{id}/result final envelope (200 once done)
@@ -32,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -133,10 +136,31 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxSpecBytes bounds a submitted spec's body. A real spec is a few
+// hundred bytes; the bound keeps an oversized body (a megabyte tenant
+// name, say) from being decoded and persisted verbatim.
+const maxSpecBytes = 1 << 20
+
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec CampaignSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("decoding spec: %v", err)})
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	err := dec.Decode(&spec)
+	if err == nil {
+		// Exactly one JSON value: anything but whitespace after it is a
+		// malformed submission, not a spec to run.
+		if _, tail := dec.Token(); tail == nil {
+			err = errors.New("data after the spec")
+		} else if tail != io.EOF {
+			err = tail
+		}
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, map[string]string{"error": fmt.Sprintf("decoding spec: %v", err)})
 		return
 	}
 	c, err := d.Submit(spec)

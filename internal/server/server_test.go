@@ -117,6 +117,45 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestAdmissionRejectsMalformedBodies: POST /campaigns refuses a body
+// that is too large, carries data after the spec, or sets a negative
+// world-size knob — none of them may be queued or persisted.
+func TestAdmissionRejectsMalformedBodies(t *testing.T) {
+	release := make(chan struct{})
+	close(release)
+	withSeams(t, instantWorld, blockingRun(release))
+	d := newTestDaemon(t, Config{})
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	cases := []struct {
+		name string
+		body string
+		want int
+	}{
+		{"negative max_full_suite_vps", `{"seed":1,"max_full_suite_vps":-1}`, 400},
+		{"negative vps_per_provider", `{"seed":1,"vps_per_provider":-1}`, 400},
+		{"negative extra_tls_hosts", `{"seed":1,"extra_tls_hosts":-1}`, 400},
+		{"negative landmark_count", `{"seed":1,"landmark_count":-1}`, 400},
+		{"oversized tenant", `{"seed":1,"tenant":"` + strings.Repeat("x", 4<<20) + `"}`, 413},
+		{"trailing garbage", `{"seed":1} trailing garbage`, 400},
+		{"second value", `{"seed":1} {"seed":2}`, 400},
+		{"oversized trailing space", `{"seed":1}` + strings.Repeat(" ", 2<<20), 413},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(srv.URL+"/campaigns", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: POST = %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+	if got := len(d.Campaigns()); got != 0 {
+		t.Errorf("%d campaigns admitted, want none", got)
+	}
+}
+
 func TestBackpressureQueueBound(t *testing.T) {
 	release := make(chan struct{})
 	withSeams(t, instantWorld, blockingRun(release))

@@ -97,7 +97,8 @@ func (s *CampaignSpec) tenant() string {
 }
 
 // validate checks everything admission can check without building a
-// world: fault-profile and provider names must resolve.
+// world: fault-profile and provider names must resolve, and no count
+// may be negative.
 func (s *CampaignSpec) validate() error {
 	if s.FaultProfile != "" {
 		if _, err := faultsim.ByName(s.FaultProfile); err != nil {
@@ -120,6 +121,9 @@ func (s *CampaignSpec) validate() error {
 	}
 	if s.Shards < 0 {
 		return fmt.Errorf("server: negative shards")
+	}
+	if s.VPsPerProvider < 0 || s.ExtraTLSHosts < 0 || s.LandmarkCount < 0 || s.MaxFullSuiteVPs < 0 {
+		return fmt.Errorf("server: negative world-size knob (vps_per_provider, extra_tls_hosts, landmark_count, max_full_suite_vps)")
 	}
 	if len(s.Providers) > 0 {
 		known := map[string]bool{}

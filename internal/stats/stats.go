@@ -84,11 +84,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) {
-	return Percentile(xs, 50)
-}
-
 // CDF is an empirical cumulative distribution function: for each distinct
 // sample value X, the fraction of samples <= X.
 type CDF struct {

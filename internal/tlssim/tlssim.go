@@ -157,9 +157,8 @@ const (
 	helloRespMagic = "TLSSIM-CERT "
 )
 
-// EncodeClientHello frames an application request for host over TLS.
-// The frame is staged in a pooled serialize buffer and copied out at
-// exact size, so the hot handshake path costs one allocation.
+// EncodeClientHello frames an application request for host over TLS
+// into one exact-size allocation; hot callers use AppendClientHello.
 func EncodeClientHello(host string, inner []byte) []byte {
 	return AppendClientHello(make([]byte, 0, len(helloMagic)+len(host)+1+len(inner)), host, inner)
 }

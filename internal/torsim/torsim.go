@@ -44,9 +44,10 @@ type Relay struct {
 // Addr returns the relay's address.
 func (r *Relay) Addr() netip.Addr { return r.Host.Addr }
 
-// Mesh is a set of relays forming the overlay.
+// Mesh is a set of relays forming the overlay on one network.
 type Mesh struct {
 	Relays []*Relay
+	net    *netsim.Network
 }
 
 // Errors.
@@ -69,7 +70,7 @@ func BuildMesh(n *netsim.Network, count int, seed uint64) (*Mesh, error) {
 	}
 	alloc := netsim.NewAllocator(blk)
 	cities := geo.Cities()
-	mesh := &Mesh{}
+	mesh := &Mesh{net: n}
 	for i := 0; i < count; i++ {
 		city := cities[rng.Intn(len(cities))]
 		addr, err := alloc.Next()
@@ -120,9 +121,9 @@ func (r *Relay) handleCell(n *netsim.Network, cell []byte) []byte {
 	if !next.IsValid() || next.IsUnspecified() {
 		// Exit position: payload is a raw IP packet; rewrite its source
 		// to the exit's own address and forward.
-		buf := capture.GetSerializeBuffer()
-		defer buf.Release()
-		fwd := rewriteSrcInto(buf, payload, r.Addr())
+		buf := n.AcquireBuffer()
+		defer n.ReleaseBuffer(buf)
+		fwd := rewriteSrcInto(n, buf, payload, r.Addr())
 		if fwd == nil {
 			return nil
 		}
@@ -133,9 +134,9 @@ func (r *Relay) handleCell(n *netsim.Network, cell []byte) []byte {
 		respPayload = resp
 	} else {
 		// Forward the inner cell to the next relay.
-		buf := capture.GetSerializeBuffer()
-		defer buf.Release()
-		pkt, err := netsim.BuildPacketInto(buf, r.Addr(), next,
+		buf := n.AcquireBuffer()
+		defer n.ReleaseBuffer(buf)
+		pkt, err := n.BuildPacketInto(buf, r.Addr(), next,
 			&capture.UDP{SrcPort: RelayPort, DstPort: RelayPort},
 			capture.Payload(payload))
 		if err != nil {
@@ -164,7 +165,7 @@ func (r *Relay) handleCell(n *netsim.Network, cell []byte) []byte {
 // rewriteSrcInto rebuilds a raw IP packet with a new source address,
 // preserving transport and payload, serializing into buf (the result
 // aliases buf). Only IPv4 exits are modeled.
-func rewriteSrcInto(buf *capture.SerializeBuffer, pkt []byte, src netip.Addr) []byte {
+func rewriteSrcInto(n *netsim.Network, buf *capture.SerializeBuffer, pkt []byte, src netip.Addr) []byte {
 	p := capture.AcquirePacketDecoder()
 	defer p.Release()
 	_ = p.Decode(pkt, capture.TypeIPv4)
@@ -201,7 +202,7 @@ func rewriteSrcInto(buf *capture.SerializeBuffer, pkt []byte, src netip.Addr) []
 	default:
 		return nil
 	}
-	out, err := netsim.BuildPacketInto(buf, src, dst, layers...)
+	out, err := n.BuildPacketInto(buf, src, dst, layers...)
 	if err != nil {
 		return nil
 	}
@@ -215,6 +216,7 @@ type Circuit struct {
 	// stack's physical interface).
 	send func(pkt []byte) ([]byte, error)
 	src  netip.Addr
+	net  *netsim.Network
 }
 
 // NewCircuit selects three distinct relays deterministically from seed
@@ -231,6 +233,7 @@ func (m *Mesh) NewCircuit(seed uint64, src netip.Addr, send func([]byte) ([]byte
 		Exit:   m.Relays[perm[2]],
 		send:   send,
 		src:    src,
+		net:    m.net,
 	}, nil
 }
 
@@ -259,9 +262,9 @@ func (c *Circuit) Send(pkt []byte) ([]byte, error) {
 	midCell := wrap(c.Middle.key, c.Exit.Addr(), exitCell)
 	guardCell := wrap(c.Guard.key, c.Middle.Addr(), midCell)
 
-	buf := capture.GetSerializeBuffer()
-	defer buf.Release()
-	out, err := netsim.BuildPacketInto(buf, c.src, c.Guard.Addr(),
+	buf := c.net.AcquireBuffer()
+	defer c.net.ReleaseBuffer(buf)
+	out, err := c.net.BuildPacketInto(buf, c.src, c.Guard.Addr(),
 		&capture.UDP{SrcPort: RelayPort, DstPort: RelayPort},
 		capture.Payload(guardCell))
 	if err != nil {

@@ -75,7 +75,7 @@ func TestCircuitEndToEnd(t *testing.T) {
 	}
 
 	// Send a TCP request through the circuit.
-	req, err := netsim.BuildPacket(stack.Host.Addr, server.Addr,
+	req, err := stack.Net.BuildPacket(stack.Host.Addr, server.Addr,
 		&capture.TCP{SrcPort: 5555, DstPort: 80, Flags: capture.FlagPSH | capture.FlagACK},
 		capture.Payload([]byte("hello")))
 	if err != nil {
@@ -158,7 +158,7 @@ func TestOnionLayeringHidesPayloadAtEveryHop(t *testing.T) {
 		t.Fatal(err)
 	}
 	secret := []byte("do-not-reveal-before-exit")
-	req, err := netsim.BuildPacket(stack.Host.Addr, server.Addr,
+	req, err := stack.Net.BuildPacket(stack.Host.Addr, server.Addr,
 		&capture.TCP{SrcPort: 5555, DstPort: 80, Flags: capture.FlagPSH},
 		capture.Payload(secret))
 	if err != nil {
@@ -185,7 +185,7 @@ func BenchmarkCircuitSend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	req, err := netsim.BuildPacket(stack.Host.Addr, server.Addr,
+	req, err := stack.Net.BuildPacket(stack.Host.Addr, server.Addr,
 		&capture.TCP{SrcPort: 5555, DstPort: 80, Flags: capture.FlagPSH},
 		capture.Payload([]byte("bench")))
 	if err != nil {

@@ -3,7 +3,6 @@ package vpn
 import (
 	"fmt"
 	"net/netip"
-	"sync"
 
 	"vpnscope/internal/geo"
 	"vpnscope/internal/netsim"
@@ -19,7 +18,6 @@ type Builder struct {
 	Env  *ServerEnv
 	Seed uint64
 
-	mu         sync.Mutex
 	allocators map[string]*netsim.Allocator // keyed by prefix
 	cityBlocks map[string]netsim.Block      // default hosting block per city
 	demuxes    map[*netsim.Host]*tunnelDemux
@@ -47,8 +45,6 @@ var hostingOrgs = []string{"Digital Ocean Sim", "LeaseWeb Sim", "SoftLayer Sim",
 // therefore share CIDRs organically, reproducing the "40 VPN services
 // with vantage points in the same CIDR block" finding.
 func (b *Builder) defaultBlock(city geo.City) netsim.Block {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if blk, ok := b.cityBlocks[city.Name]; ok {
 		return blk
 	}
@@ -67,8 +63,6 @@ func (b *Builder) defaultBlock(city geo.City) netsim.Block {
 }
 
 func (b *Builder) allocatorFor(blk netsim.Block) *netsim.Allocator {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	key := blk.Prefix.String()
 	if a, ok := b.allocators[key]; ok {
 		return a
@@ -187,14 +181,11 @@ func vpV6For(a netip.Addr) netip.Addr {
 // different providers, as with shared servers) terminate tunnels on one
 // host, dispatched by session key.
 type tunnelDemux struct {
-	mu  sync.RWMutex
 	vps map[uint32]*VantagePoint
 	env *ServerEnv
 }
 
 func (b *Builder) demuxFor(host *netsim.Host) *tunnelDemux {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if d, ok := b.demuxes[host]; ok {
 		return d
 	}
@@ -215,9 +206,7 @@ func (d *tunnelDemux) handle(n *netsim.Network, pkt []byte, emit func([]byte)) b
 		// (the same machine serves plain provider DNS on UDP 53).
 		return false
 	}
-	d.mu.RLock()
 	vp := d.vps[key]
-	d.mu.RUnlock()
 	if vp == nil {
 		// A tunnel frame for an unknown session is consumed silently,
 		// exactly as port dispatch would drop the proto-99 packet.

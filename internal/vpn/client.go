@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/netip"
 	"strconv"
-	"sync"
 	"time"
 
 	"vpnscope/internal/capture"
@@ -43,8 +42,6 @@ type Client struct {
 	Stack    *netsim.Stack
 	carrier  Carrier
 
-	mu            sync.Mutex
-	connected     bool
 	failOpened    bool
 	failedAt      time.Duration
 	failing       bool
@@ -80,8 +77,6 @@ var errNonTunnelResponse = &tunnelError{ErrTunnelDown.Error() + ": non-tunnel re
 
 // wrapTunnelDown returns the memoized ErrTunnelDown wrap for cause.
 func (c *Client) wrapTunnelDown(cause error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if cause != c.downCause {
 		c.downCause = cause
 		c.downWrapped = &tunnelError{ErrTunnelDown.Error() + ": " + cause.Error()}
@@ -158,37 +153,23 @@ func connect(stack *netsim.Stack, vp *VantagePoint, carrier Carrier) (*Client, e
 	if spec.MasksWebRTC {
 		stack.SetWebRTCMasked(true)
 	}
-	c.connected = true
 	return c, nil
-}
-
-// Connected reports whether the tunnel is (believed) up.
-func (c *Client) Connected() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.connected && !c.failOpened
 }
 
 // FailedOpen reports whether the client has torn down its protections
 // after a tunnel failure.
 func (c *Client) FailedOpen() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.failOpened
 }
 
 // tunnelSend encapsulates one inner packet, carries it over the
 // physical interface, and decapsulates the response.
 func (c *Client) tunnelSend(inner []byte) ([]byte, error) {
-	c.mu.Lock()
 	if c.failOpened {
-		c.mu.Unlock()
 		return nil, ErrTunnelDown
 	}
 	c.sendCount++
-	emitPeer := c.Provider.Spec.PeerExit && c.sendCount%5 == 0
-	c.mu.Unlock()
-	if emitPeer {
+	if c.Provider.Spec.PeerExit && c.sendCount%5 == 0 {
 		c.emitPeerTraffic()
 	}
 
@@ -227,10 +208,8 @@ func (c *Client) tunnelSend(inner []byte) ([]byte, error) {
 // peer: a cleartext DNS query leaving the member's physical interface
 // for a name the member never asked for — the §6.6 signature.
 func (c *Client) emitPeerTraffic() {
-	c.mu.Lock()
 	c.peerSeq++
 	seq := c.peerSeq
-	c.mu.Unlock()
 	name := "exit-" + strconv.Itoa(seq) + ".peer-traffic.example"
 	wire, err := dnssim.AppendQueryEncode(c.dnsBuf[:0], uint16(seq), name, dnssim.TypeA)
 	if err != nil {
@@ -254,8 +233,6 @@ func (c *Client) emitPeerTraffic() {
 // noteFailure tracks tunnel failures and, once the provider's detection
 // delay has elapsed, applies the provider's failure mode.
 func (c *Client) noteFailure(cause error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	now := c.Stack.Net.Clock.Now()
 	if !c.failing {
 		c.failing = true
@@ -267,27 +244,24 @@ func (c *Client) noteFailure(cause error) {
 	}
 	// Failure detected.
 	if c.Provider.Spec.FailOpen {
-		c.failOpenLocked()
+		c.failOpen()
 	}
 	// Fail-closed clients keep their routes pointed at the dead
 	// tunnel; traffic keeps erroring, which is the safe behavior.
 }
 
 func (c *Client) noteSuccess() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.failing = false
 }
 
-// failOpenLocked tears down the client's protections: tunnel routes,
+// failOpen tears down the client's protections: tunnel routes,
 // kill-switch firewall, and provider DNS all revert, so traffic flows
-// directly over the physical interface. Callers hold c.mu.
-func (c *Client) failOpenLocked() {
+// directly over the physical interface.
+func (c *Client) failOpen() {
 	if c.failOpened {
 		return
 	}
 	c.failOpened = true
-	c.connected = false
 	c.Stack.RemoveRoutes(func(r netsim.Route) bool { return r.Iface == netsim.TunnelName })
 	c.Stack.SetAllowOnly(nil)
 	if c.Provider.Spec.SetsDNS {
@@ -297,9 +271,6 @@ func (c *Client) failOpenLocked() {
 
 // Disconnect cleanly tears the tunnel down and restores the stack.
 func (c *Client) Disconnect() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.connected = false
 	c.Stack.RemoveInterface(netsim.TunnelName)
 	ep := c.carrier.Endpoint()
 	c.Stack.RemoveRoutes(func(r netsim.Route) bool {

@@ -44,9 +44,7 @@ func (vp *VantagePoint) installDemuxed(d *tunnelDemux) {
 		}
 	}
 	vp.resolver = resolver
-	d.mu.Lock()
 	d.vps[vp.sessionKey] = vp
-	d.mu.Unlock()
 }
 
 // serveTunnel terminates one encapsulated packet: unscramble, apply

@@ -17,7 +17,6 @@ import (
 	"net/netip"
 	"sort"
 	"strings"
-	"sync"
 
 	"vpnscope/internal/geo"
 	"vpnscope/internal/netsim"
@@ -84,13 +83,12 @@ type Config struct {
 
 	// Derived state below is built lazily, once per Config, and shared
 	// by every slot of a study (the corpora are static, so the per-host
-	// URL strings, probe wire bytes, and host sets never change).
-	derivedOnce   sync.Once
-	tlsURLs       []hostURLs
+	// URL strings, probe wire bytes, and host sets never change). A
+	// Config belongs to one world, so plain nil checks guard the fills.
+	tlsURLs       []hostURLs // non-nil once derived has run
 	sortedV6Hosts []string
 	v6ProbeReqs   [][]byte
 
-	legitOnce sync.Once
 	legitBase *Baseline
 	legitMap  map[string]bool
 }
@@ -102,31 +100,32 @@ type hostURLs struct {
 
 // derived builds the Config's lazily shared probe furniture.
 func (c *Config) derived() {
-	c.derivedOnce.Do(func() {
-		c.tlsURLs = make([]hostURLs, len(c.TLSHosts))
-		for i, h := range c.TLSHosts {
-			c.tlsURLs[i] = hostURLs{https: "https://" + h + "/", http: "http://" + h + "/"}
-		}
-		c.sortedV6Hosts = make([]string, 0, len(c.IPv6ProbeHosts))
-		for host := range c.IPv6ProbeHosts {
-			c.sortedV6Hosts = append(c.sortedV6Hosts, host)
-		}
-		sort.Strings(c.sortedV6Hosts)
-		c.v6ProbeReqs = make([][]byte, len(c.sortedV6Hosts))
-		for i, host := range c.sortedV6Hosts {
-			c.v6ProbeReqs[i] = websim.NewRequest("GET", host, "/").Encode()
-		}
-	})
+	if c.tlsURLs != nil {
+		return
+	}
+	c.tlsURLs = make([]hostURLs, len(c.TLSHosts))
+	for i, h := range c.TLSHosts {
+		c.tlsURLs[i] = hostURLs{https: "https://" + h + "/", http: "http://" + h + "/"}
+	}
+	c.sortedV6Hosts = make([]string, 0, len(c.IPv6ProbeHosts))
+	for host := range c.IPv6ProbeHosts {
+		c.sortedV6Hosts = append(c.sortedV6Hosts, host)
+	}
+	sort.Strings(c.sortedV6Hosts)
+	c.v6ProbeReqs = make([][]byte, len(c.sortedV6Hosts))
+	for i, host := range c.sortedV6Hosts {
+		c.v6ProbeReqs[i] = websim.NewRequest("GET", host, "/").Encode()
+	}
 }
 
 // legitNames returns the exact-match host set legitimateQueryNames
 // uses, cached for the (Config, Baseline) pair every slot of a study
 // shares; an unexpected second baseline gets a fresh uncached build.
 func (c *Config) legitNames(b *Baseline) map[string]bool {
-	c.legitOnce.Do(func() {
+	if c.legitMap == nil {
 		c.legitBase = b
 		c.legitMap = buildLegitNames(c, b)
-	})
+	}
 	if c.legitBase == b {
 		return c.legitMap
 	}

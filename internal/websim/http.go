@@ -74,17 +74,6 @@ func (r *Request) Host() string {
 	return v
 }
 
-// SetHeader replaces the first header with the given name or appends.
-func (r *Request) SetHeader(name, value string) {
-	for i := range r.Headers {
-		if strings.EqualFold(r.Headers[i].Name, name) {
-			r.Headers[i] = Header{name, value}
-			return
-		}
-	}
-	r.Headers = append(r.Headers, Header{name, value})
-}
-
 // Header returns the first matching response header value.
 func (r *Response) Header(name string) (string, bool) { return get(r.Headers, name) }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"strings"
-	"sync"
 
 	"vpnscope/internal/dnssim"
 	"vpnscope/internal/geo"
@@ -24,15 +23,12 @@ type Web struct {
 	IPEcho      *IPEchoService
 	WebRTCProbe *WebRTCProbeService
 
-	mu        sync.RWMutex
 	byName    map[string]*Site
 	vpnRanges []netip.Prefix
 }
 
 // SiteByName resolves a hostname to its simulated site (nil if unknown).
 func (w *Web) SiteByName(name string) *Site {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
 	return w.byName[name]
 }
 
@@ -40,14 +36,10 @@ func (w *Web) SiteByName(name string) *Site {
 // blanket-block with HTTP 403 (the §6.1.2 behavior of services that
 // discriminate against known VPN egress blocks).
 func (w *Web) SetVPNRanges(prefixes []netip.Prefix) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.vpnRanges = append([]netip.Prefix(nil), prefixes...)
 }
 
 func (w *Web) isVPNAddr(a netip.Addr) bool {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
 	for _, p := range w.vpnRanges {
 		if p.Contains(a) {
 			return true
@@ -174,9 +166,7 @@ func BuildWeb(n *netsim.Network, dir *dnssim.Directory, ca *tlssim.CA, seed uint
 		}
 		site.Cert = ca.Issue(site.HostName)
 		site.Install(host)
-		w.mu.Lock()
 		w.byName[site.HostName] = site
-		w.mu.Unlock()
 		w.Sites = append(w.Sites, site)
 		dir.Register(site.HostName, addr, host.Addr6)
 		return nil
