@@ -17,7 +17,8 @@ race:
 # its own entry), the flight-recorder ring race suite, the daemon race
 # suite (admission, drain, kill -9 chaos, panic/stall flight dumps),
 # study bench smoke, the alloc-gated fast-path, prototype-patch,
-# streaming-commit, small-campaign, shard-log, and one-suite benches,
+# flow-handle send, streaming-commit, small-campaign, shard-log, and
+# one-suite benches,
 # the poisoned-arena prototype retention suite and study suites, and
 # the world suites under the ownerdebug single-owner assertion.
 tier1: build
@@ -28,7 +29,7 @@ tier1: build
 	go test -race ./internal/flightrec/...
 	go test -race ./internal/server/...
 	go test -bench Study -benchtime 1x -run '^$$' .
-	go test -bench 'Exchange|BuildPacket|Deliver|PrototypePatch' -benchtime 1x -run '^$$' ./internal/netsim
+	go test -bench 'Exchange|BuildPacket|Deliver|PrototypePatch|FlowSend' -benchtime 1x -run '^$$' ./internal/netsim
 	go test -bench 'CommitStream|SmallCampaign' -benchtime 1x -run '^$$' ./internal/study
 	go test -bench 'ShardedOutcomes' -benchtime 1x -run '^$$' ./internal/results/shardlog
 	go test -bench 'FullSuiteOneVP' -benchtime 1x -run '^$$' ./internal/vpntest
@@ -36,15 +37,18 @@ tier1: build
 	go test -tags arenadebug -short ./internal/study/...
 	go test -tags ownerdebug -short ./internal/netsim/... ./internal/capture/... ./internal/vpn/... ./internal/vpntest/... ./internal/study/... ./internal/server/... ./internal/torsim/... ./internal/dnssim/... ./internal/websim/... ./internal/geodb/... ./internal/faultsim/...
 
-# bench runs the full-study benchmarks and appends the numbers to the
-# BENCH_*.json trajectory (override with BENCH_OUT / BENCH_LABEL).
+# bench runs the full-study benchmarks and appends the numbers, each
+# stamped with the host's fingerprint, to the BENCH_*.json trajectory
+# (override with BENCH_OUT / BENCH_LABEL).
 bench:
 	sh scripts/bench.sh
 
 # benchcheck compares the two newest BENCH_*.json trajectories and
-# fails on any shared benchmark whose latest allocs/op regressed >10%
-# or whose best-of ns/op regressed >25% — run it after `make bench` to
-# catch allocation and wall-time regressions before committing.
+# fails on any shared benchmark whose latest allocs/op regressed >10%,
+# or, between entries measured on hosts with the same fingerprint,
+# whose repeated ns/op [min, max] range moved wholly above the old one
+# — run it after `make bench` to catch allocation and wall-time
+# regressions before committing.
 benchcheck:
 	go run ./cmd/benchtrend -check
 

@@ -8,19 +8,26 @@
 //	go test -bench 'Study' -benchtime 1x -benchmem -run '^$' . |
 //	    go run ./cmd/benchtrend -out BENCH_3.json -label my-change
 //
-// With -best, repeated lines for the same benchmark (a `-count N` run)
-// collapse to the lowest-ns/op measurement before recording — the
-// minimum is the stablest estimator of a benchmark's true cost on a
-// noisy shared host.
+// Every entry carries the fingerprint of the host it was measured on:
+// CPU model, nproc, GOMAXPROCS, Go version and kernel.
+//
+// With -repeats, the lines for one benchmark (a `-count N` run, or
+// samples of several benchmarks interleaved so that a drift in the
+// host's speed hits each alike) collapse into one entry recording the
+// median ns/op and the sample range [min, max].
 //
 // With -check, benchtrend reads no stdin: it finds the two
 // highest-numbered BENCH_*.json trajectories in the current directory
-// and compares every benchmark present in both — latest allocs/op
-// within 10%, best-of ns/op within 25% — exiting non-zero on any
-// regression. This is the post-`make bench` gate (`make benchcheck`).
+// and compares every benchmark present in both. allocs/op (latest
+// entry) must stay within 10%. ns/op is compared only between entries
+// measured on hosts with the same fingerprint, and only for repeated
+// entries: it regresses when the new [min, max] range lies wholly above
+// the old one. A single wall-time sample cannot be ranked and is not
+// gated. Any regression exits non-zero; this is the post-`make bench`
+// gate (`make benchcheck`).
 //
 // The output file holds one JSON object with an "entries" array; each
-// run appends one entry per benchmark line parsed from stdin. See
+// run appends one entry per benchmark parsed from stdin. See
 // README.md ("Profiling and benchmarks") for how to read it.
 package main
 
@@ -29,15 +36,19 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Entry is one benchmark measurement at one point in time.
+// Entry is one benchmark measurement at one point in time. A repeated
+// entry (Samples > 1) records the median as NsPerOp and the sample
+// range as MinNs and MaxNs.
 type Entry struct {
 	Label       string  `json:"label"`
 	Name        string  `json:"name"`
@@ -45,6 +56,20 @@ type Entry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	Samples     int     `json:"samples,omitempty"`
+	MinNs       float64 `json:"min_ns_per_op,omitempty"`
+	MaxNs       float64 `json:"max_ns_per_op,omitempty"`
+	Host        *Host   `json:"host,omitempty"`
+}
+
+// Host fingerprints the machine an entry was measured on, with the
+// keys vpnbench records.
+type Host struct {
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+	Kernel     string `json:"kernel"`
 }
 
 // Trajectory is the whole file.
@@ -57,8 +82,8 @@ func main() {
 	log.SetPrefix("benchtrend: ")
 	out := flag.String("out", "BENCH.json", "trajectory file to append to (created if missing)")
 	label := flag.String("label", "", "label for this run (e.g. a commit or change name)")
-	best := flag.Bool("best", false, "collapse -count repeats of a benchmark to the lowest ns/op before recording")
-	check := flag.Bool("check", false, "compare the two newest BENCH_*.json and fail on >10% allocs/op (latest) or >25% ns/op (best-of) regressions")
+	repeats := flag.Bool("repeats", false, "collapse the samples of each benchmark into one entry: median ns/op plus the [min, max] range")
+	check := flag.Bool("check", false, "compare the two newest BENCH_*.json and fail on >10% allocs/op regressions, or on repeated ns/op ranges that separate on the same host")
 	flag.Parse()
 	if *check {
 		os.Exit(runCheck())
@@ -83,8 +108,8 @@ func main() {
 	if len(entries) == 0 {
 		log.Fatal("no benchmark lines found on stdin")
 	}
-	if *best {
-		entries = bestOf(entries)
+	if *repeats {
+		entries = collapse(entries)
 	}
 	traj.Entries = append(traj.Entries, entries...)
 
@@ -96,18 +121,31 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, e := range entries {
-		fmt.Printf("recorded %s: %.0f ns/op, %d B/op, %d allocs/op\n",
+		fmt.Printf("recorded %s: %.0f ns/op, %d B/op, %d allocs/op",
 			e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp)
+		if e.Samples > 1 {
+			fmt.Printf(" (%d samples, range %.0f-%.0f)", e.Samples, e.MinNs, e.MaxNs)
+		}
+		fmt.Println()
 	}
 }
 
 // parse extracts benchmark result lines ("BenchmarkX-8  10  123 ns/op
-// 45 B/op  6 allocs/op") from r. Non-benchmark lines are ignored.
-func parse(label string, r *os.File) ([]Entry, error) {
+// 45 B/op  6 allocs/op") from r, each stamped with the host fingerprint;
+// the CPU model comes from the "cpu:" header go test prints, and
+// GOMAXPROCS from the benchmark name's -N suffix. Other lines are
+// ignored.
+func parse(label string, r io.Reader) ([]Entry, error) {
 	var entries []Entry
+	host := hostFingerprint()
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
-		f := strings.Fields(sc.Text())
+		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			host.CPU = strings.TrimSpace(cpu)
+			continue
+		}
+		f := strings.Fields(line)
 		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
 			continue
 		}
@@ -115,7 +153,14 @@ func parse(label string, r *os.File) ([]Entry, error) {
 		if err != nil {
 			continue
 		}
-		e := Entry{Label: label, Name: strings.TrimSuffix(f[0], cpuSuffix(f[0])), Iterations: iters}
+		h := host
+		suffix := cpuSuffix(f[0])
+		if procs, err := strconv.Atoi(strings.TrimPrefix(suffix, "-")); err == nil {
+			h.GOMAXPROCS = procs
+		} else {
+			h.GOMAXPROCS = 1 // go test omits the suffix at GOMAXPROCS=1
+		}
+		e := Entry{Label: label, Name: strings.TrimSuffix(f[0], suffix), Iterations: iters, Host: &h}
 		for i := 2; i+1 < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
@@ -138,46 +183,77 @@ func parse(label string, r *os.File) ([]Entry, error) {
 	return entries, sc.Err()
 }
 
-// bestOf keeps, for each benchmark name, only the lowest-ns/op entry,
-// preserving first-appearance order. `-count N` runs feed N lines per
-// benchmark; the minimum across them filters out scheduler noise.
-func bestOf(entries []Entry) []Entry {
+// hostFingerprint reads this machine's fingerprint. The CPU model and
+// GOMAXPROCS are overridden from the benchmark output when it names
+// them.
+func hostFingerprint() Host {
+	h := Host{
+		CPU:        "unknown",
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Go:         runtime.Version(),
+		Kernel:     "unknown",
+	}
+	if raw, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(raw), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	if raw, err := os.ReadFile("/proc/sys/kernel/osrelease"); err == nil {
+		h.Kernel = strings.TrimSpace(string(raw))
+	}
+	return h
+}
+
+// collapse merges the samples of each benchmark, in first-appearance
+// order, into one entry: the median ns/op, the [min, max] range, the
+// sample count, and the last sample's other fields (allocations are
+// deterministic, so any sample's would do).
+func collapse(entries []Entry) []Entry {
 	idx := make(map[string]int)
 	var out []Entry
+	var ns [][]float64
 	for _, e := range entries {
 		i, seen := idx[e.Name]
 		if !seen {
-			idx[e.Name] = len(out)
+			i = len(out)
+			idx[e.Name] = i
 			out = append(out, e)
-			continue
+			ns = append(ns, nil)
 		}
-		if e.NsPerOp < out[i].NsPerOp {
-			out[i] = e
+		out[i] = e
+		ns[i] = append(ns[i], e.NsPerOp)
+	}
+	for i := range out {
+		s := ns[i]
+		sort.Float64s(s)
+		med := s[len(s)/2]
+		if len(s)%2 == 0 {
+			med = (s[len(s)/2-1] + s[len(s)/2]) / 2
 		}
+		out[i].NsPerOp, out[i].MinNs, out[i].MaxNs, out[i].Samples = med, s[0], s[len(s)-1], len(s)
 	}
 	return out
 }
 
 // runCheck compares the two highest-numbered BENCH_*.json trajectories
-// in the current directory. For every benchmark present in both, two
-// gates apply:
+// in the current directory. For every benchmark present in both, the
+// latest entry of each file is compared:
 //
-//   - allocs/op: the latest recorded entry of each file, tolerance
-//     checkTolerance — allocation counts are deterministic, so the
-//     latest measurement is the right one to compare;
-//   - ns/op: the *best* (lowest) measurement of each file, tolerance
-//     wallTolerance — wall time on a shared host is noisy, and `-count`
-//     repeats make the per-file minimum the stablest estimator, so the
-//     gate is best-of-aware and wide (25%) to stay below the noise
-//     floor while still catching real slowdowns.
+//   - allocs/op, tolerance checkTolerance — allocation counts are
+//     deterministic, so they are compared whatever the hosts;
+//   - ns/op, only when both entries carry the same host fingerprint
+//     and both are repeated (a [min, max] range): it regresses when the
+//     new range lies wholly above the old one. Overlapping ranges are
+//     scheduler noise, and a single sample has no spread to judge by.
 //
 // A benchmark missing a comparable field on either side (no -benchmem
 // data, a zero ns/op) is skipped for that gate rather than compared
 // against zero. Returns the process exit code.
-const (
-	checkTolerance = 1.10
-	wallTolerance  = 1.25
-)
+const checkTolerance = 1.10
 
 func runCheck() int {
 	files, err := filepath.Glob("BENCH_*.json")
@@ -204,39 +280,44 @@ func runCheck() int {
 		return 0
 	}
 
-	allocRegressed, wallRegressed := 0, 0
+	allocRegressed, wallRegressed, wallCompared := 0, 0, 0
 	for _, name := range names {
 		p, c := prev[name], cur[name]
-		if p.latest.AllocsPerOp > 0 && c.latest.AllocsPerOp > 0 {
-			ratio := float64(c.latest.AllocsPerOp) / float64(p.latest.AllocsPerOp)
+		if p.AllocsPerOp > 0 && c.AllocsPerOp > 0 {
+			ratio := float64(c.AllocsPerOp) / float64(p.AllocsPerOp)
 			status := "ok"
 			if ratio > checkTolerance {
 				status = "REGRESSED"
 				allocRegressed++
 			}
 			fmt.Printf("%-50s %12d -> %12d allocs/op (%+.1f%%) %s\n",
-				name, p.latest.AllocsPerOp, c.latest.AllocsPerOp, (ratio-1)*100, status)
+				name, p.AllocsPerOp, c.AllocsPerOp, (ratio-1)*100, status)
 		}
-		if p.bestNs > 0 && c.bestNs > 0 {
-			ratio := c.bestNs / p.bestNs
+		switch {
+		case p.NsPerOp == 0 || c.NsPerOp == 0:
+		case p.Host == nil || c.Host == nil || *p.Host != *c.Host:
+			fmt.Printf("%-50s ns/op not compared: host fingerprints differ\n", name)
+		case p.Samples < 2 || c.Samples < 2:
+			fmt.Printf("%-50s ns/op not compared: a single sample has no range\n", name)
+		default:
+			wallCompared++
 			status := "ok"
-			if ratio > wallTolerance {
+			if c.MinNs > p.MaxNs {
 				status = "REGRESSED"
 				wallRegressed++
 			}
-			fmt.Printf("%-50s %12.0f -> %12.0f ns/op     (%+.1f%%) %s\n",
-				name, p.bestNs, c.bestNs, (ratio-1)*100, status)
+			fmt.Printf("%-50s [%.0f, %.0f] -> [%.0f, %.0f] ns/op %s\n",
+				name, p.MinNs, p.MaxNs, c.MinNs, c.MaxNs, status)
 		}
 	}
 	allocPct := int((checkTolerance - 1.0) * 100.0)
-	wallPct := int((wallTolerance - 1.0) * 100.0)
 	if allocRegressed > 0 || wallRegressed > 0 {
-		log.Printf("check: %d benchmark(s) regressed >%d%% allocs/op, %d regressed >%d%% ns/op (%s vs %s)",
-			allocRegressed, allocPct, wallRegressed, wallPct, curFile, prevFile)
+		log.Printf("check: %d benchmark(s) regressed >%d%% allocs/op, %d ns/op range(s) moved wholly above the old (%s vs %s)",
+			allocRegressed, allocPct, wallRegressed, curFile, prevFile)
 		return 1
 	}
-	fmt.Printf("check: %d shared benchmark(s) within %d%% allocs/op and %d%% ns/op of %s\n",
-		len(names), allocPct, wallPct, prevFile)
+	fmt.Printf("check: %d shared benchmark(s) within %d%% allocs/op of %s; %d ns/op range(s) compared, none separated\n",
+		len(names), allocPct, prevFile, wallCompared)
 	return 0
 }
 
@@ -251,18 +332,10 @@ func benchSeq(name string) int {
 	return n
 }
 
-// benchStat aggregates one benchmark's history inside a trajectory:
-// the latest entry (for deterministic fields like allocs/op) and the
-// best wall time seen across every recorded run (for the noisy ns/op
-// gate).
-type benchStat struct {
-	latest Entry
-	bestNs float64
-}
-
-// statsByName loads a trajectory and aggregates per benchmark name —
-// the file is append-only, so the last entry is the newest measurement.
-func statsByName(path string) map[string]benchStat {
+// statsByName loads a trajectory and returns each benchmark's latest
+// entry — the file is append-only, so the last entry is the newest
+// measurement.
+func statsByName(path string) map[string]Entry {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatal(err)
@@ -271,14 +344,9 @@ func statsByName(path string) map[string]benchStat {
 	if err := json.Unmarshal(raw, &traj); err != nil {
 		log.Fatalf("%s is not a trajectory file: %v", path, err)
 	}
-	out := make(map[string]benchStat, len(traj.Entries))
+	out := make(map[string]Entry, len(traj.Entries))
 	for _, e := range traj.Entries {
-		s := out[e.Name]
-		s.latest = e
-		if e.NsPerOp > 0 && (s.bestNs == 0 || e.NsPerOp < s.bestNs) {
-			s.bestNs = e.NsPerOp
-		}
-		out[e.Name] = s
+		out[e.Name] = e
 	}
 	return out
 }

@@ -10,7 +10,7 @@
 // against reproducible chaos: every fault schedule derives from a seed
 // and the virtual clock, so a chaos run replays bit-for-bit.
 //
-// A Plan is installed on a netsim.Network via its FaultHook. Stochastic
+// A Plan is installed on a netsim.Network as its FaultHook. Stochastic
 // per-exchange draws (loss, spikes, refusals) come from a simrand
 // stream that the campaign runner re-derives at every vantage-point
 // boundary (Reset), making each vantage point's fault experience
@@ -250,7 +250,9 @@ func phaseOffset(seed uint64, kind string, every time.Duration) time.Duration {
 func (p *Plan) Profile() Profile { return p.profile }
 
 // SetVPAddrs registers the vantage-point addresses whose connect-time
-// reachability checks are subject to refusal.
+// reachability checks are subject to refusal. Register every address
+// before installing the plan: a network classifies each destination
+// once per flow.
 func (p *Plan) SetVPAddrs(addrs []netip.Addr) {
 	for _, a := range addrs {
 		p.vps[a] = true
@@ -258,7 +260,7 @@ func (p *Plan) SetVPAddrs(addrs []netip.Addr) {
 }
 
 // SetResolverAddrs registers the resolver addresses subject to DNS
-// blackouts.
+// blackouts. Like SetVPAddrs, call it before installing the plan.
 func (p *Plan) SetResolverAddrs(addrs []netip.Addr) {
 	for _, a := range addrs {
 		p.resolvers[a] = true
@@ -296,11 +298,29 @@ func (p *Plan) Absorb(s Stats) {
 	p.stats.TunnelResets += s.TunnelResets
 }
 
-// Hook returns the netsim fault hook backed by this plan.
-func (p *Plan) Hook() netsim.FaultHook {
-	return func(now time.Duration, from *netsim.Host, dst netip.Addr, proto capture.IPProtocol) netsim.FaultAction {
-		return p.decide(now, dst, proto)
+// Destination classes a plan assigns (netsim.FaultClass bits).
+const (
+	classVP netsim.FaultClass = 1 << iota
+	classResolver
+)
+
+// Classify implements netsim.FaultHook: whether dst is a registered
+// vantage point and whether it is a registered resolver.
+func (p *Plan) Classify(dst netip.Addr) netsim.FaultClass {
+	var c netsim.FaultClass
+	if p.vps[dst] {
+		c |= classVP
 	}
+	if p.resolvers[dst] {
+		c |= classResolver
+	}
+	return c
+}
+
+// Decide implements netsim.FaultHook: the plan's verdict on one
+// exchange to a destination of class c.
+func (p *Plan) Decide(now time.Duration, c netsim.FaultClass, proto capture.IPProtocol) netsim.FaultAction {
+	return p.decide(now, c, proto)
 }
 
 func inWindow(now, every, length, offset time.Duration) bool {
@@ -318,8 +338,8 @@ func inWindow(now, every, length, offset time.Duration) bool {
 // the clamp is the backstop for windows of different kinds that adjoin.
 const maxOutageSpan = 12 * time.Second
 
-func (p *Plan) decide(now time.Duration, dst netip.Addr, proto capture.IPProtocol) netsim.FaultAction {
-	act, kind := p.schedule(now, dst, proto)
+func (p *Plan) decide(now time.Duration, c netsim.FaultClass, proto capture.IPProtocol) netsim.FaultAction {
+	act, kind := p.schedule(now, c, proto)
 	if act.Drop && now-p.lastPass >= maxOutageSpan {
 		act, kind = netsim.FaultAction{}, kindNone
 	}
@@ -336,7 +356,7 @@ func (p *Plan) decide(now time.Duration, dst netip.Addr, proto capture.IPProtoco
 // clamp. It returns the action and the fault kind to record if the
 // action survives the clamp. Stochastic draws are consumed here in a
 // fixed order so the stream stays reproducible regardless of clamping.
-func (p *Plan) schedule(now time.Duration, dst netip.Addr, proto capture.IPProtocol) (netsim.FaultAction, faultKind) {
+func (p *Plan) schedule(now time.Duration, c netsim.FaultClass, proto capture.IPProtocol) (netsim.FaultAction, faultKind) {
 	prof := &p.profile
 
 	// Link flap: the whole uplink is down; everything drops.
@@ -348,12 +368,12 @@ func (p *Plan) schedule(now time.Duration, dst netip.Addr, proto capture.IPProto
 		return netsim.FaultAction{Drop: true}, kindTunnelReset
 	}
 	// Resolver blackout.
-	if p.resolvers[dst] && inWindow(now, prof.DNSBlackoutEvery, prof.DNSBlackoutLen, p.dnsOff) {
+	if c&classResolver != 0 && inWindow(now, prof.DNSBlackoutEvery, prof.DNSBlackoutLen, p.dnsOff) {
 		return netsim.FaultAction{Drop: true}, kindBlackout
 	}
 	// Connect-time refusal: ICMP reachability checks against a vantage
 	// point (the only ICMP a client sends straight at a VP address).
-	if proto == capture.ProtoICMP && p.vps[dst] && p.rng.Bool(prof.ConnectRefusalRate) {
+	if proto == capture.ProtoICMP && c&classVP != 0 && p.rng.Bool(prof.ConnectRefusalRate) {
 		return netsim.FaultAction{Refuse: true}, kindRefused
 	}
 	// Packet loss, continuous or burst-scheduled.

@@ -92,6 +92,7 @@ const (
 	errKindAddrHost
 	errKindAddrPort
 	errKindWith
+	errKindBlackhole
 )
 
 // maxInternedErrors bounds the per-network error cache; a campaign's
@@ -136,4 +137,14 @@ func (n *Network) errAddrPort(sentinel error, proto string, addr netip.Addr, por
 func (n *Network) errWith(sentinel error, pre string, addr netip.Addr, post string) error {
 	return n.internErr(errKey{sentinel: sentinel, kind: errKindWith, pre: pre, post: post, addr: addr},
 		func() error { return errWith(sentinel, pre, addr, post) })
+}
+
+// errBlackhole renders "<ErrBlocked>: blackhole route <prefix>",
+// matching fmt.Errorf("%w: blackhole route %v", ErrBlocked, prefix):
+// every IPv6 probe of a provider that blackholes IPv6 fails with it.
+func (n *Network) errBlackhole(p netip.Prefix) error {
+	return n.internErr(errKey{sentinel: ErrBlocked, kind: errKindBlackhole, addr: p.Addr(), port: uint16(p.Bits())},
+		func() error {
+			return &exchangeError{ErrBlocked, ErrBlocked.Error() + ": blackhole route " + p.String()}
+		})
 }

@@ -9,15 +9,23 @@ import (
 	"vpnscope/internal/capture"
 )
 
+// decideFunc is a FaultHook that classifies every destination alike.
+type decideFunc func(now time.Duration, class FaultClass, proto capture.IPProtocol) FaultAction
+
+func (decideFunc) Classify(netip.Addr) FaultClass { return 0 }
+func (f decideFunc) Decide(now time.Duration, class FaultClass, proto capture.IPProtocol) FaultAction {
+	return f(now, class, proto)
+}
+
 func TestFaultHookRefuseDropDelay(t *testing.T) {
 	n, stack, server, dns := world(t)
 
 	var action FaultAction
 	var sawProto capture.IPProtocol
-	n.SetFaultHook(func(now time.Duration, from *Host, dst netip.Addr, proto capture.IPProtocol) FaultAction {
+	n.SetFaultHook(decideFunc(func(now time.Duration, class FaultClass, proto capture.IPProtocol) FaultAction {
 		sawProto = proto
 		return action
-	})
+	}))
 
 	// Refuse: immediate error, no timeout burned.
 	action = FaultAction{Refuse: true}

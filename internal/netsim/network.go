@@ -45,12 +45,22 @@ type FaultAction struct {
 	Delay time.Duration
 }
 
-// FaultHook is consulted once per originated exchange, before the
-// network's own reliability model. It receives the virtual time, the
-// originating host, and the packet's destination and transport
+// FaultClass is what a fault hook knows about one destination (for
+// internal/faultsim: whether it is a resolver, whether it is a vantage
+// point). Flows resolve it once, so the per-exchange decision probes no
+// address set.
+type FaultClass uint8
+
+// FaultHook is a fault injector. Classify is consulted once per flow
+// (again after a world epoch change); Decide once per originated
+// exchange, before the network's own reliability model, with the
+// virtual time, the destination's class and the packet's transport
 // protocol. Install with SetFaultHook; internal/faultsim builds
 // deterministic, seed-reproducible hooks.
-type FaultHook func(now time.Duration, from *Host, dst netip.Addr, proto capture.IPProtocol) FaultAction
+type FaultHook interface {
+	Classify(dst netip.Addr) FaultClass
+	Decide(now time.Duration, class FaultClass, proto capture.IPProtocol) FaultAction
+}
 
 // Network is the simulated Internet: a registry of hosts plus the
 // latency, jitter, and loss models that govern exchanges between them.
@@ -69,6 +79,9 @@ type Network struct {
 	rng       *simrand.Source
 	seed      uint64
 	faultHook FaultHook
+	// hookGen counts hook installations; it tags the classifications
+	// hosts cache (Host.fault), so a new hook reclassifies every host.
+	hookGen uint64
 
 	// owner is the ownerdebug goroutine stamp (zero-size otherwise).
 	owner ownerStamp
@@ -83,16 +96,9 @@ type Network struct {
 	// which build-time traffic needs: its results outlive every slot.
 	slotArena *arena.Arena
 
-	// protos is the flow-scoped packet-prototype cache (prototype.go),
-	// dropped by BeginSlot together with the arena its images live in.
-	// The map itself belongs to the scratch bundle, so it starts warm.
-	protos map[protoKey]packetPrototype
-
-	// paths caches the deterministic per-endpoint-pair path model
-	// (great-circle hop count and unjittered RTT) so the haversine trig
-	// runs once per flow instead of once per exchange. Dropped by
-	// BeginSlot.
-	paths map[pathKey]pathStat
+	// epoch is the world epoch flow handles are checked against
+	// (flow.go). It starts at 1, so a zero Flow is stale.
+	epoch uint64
 
 	// errCache interns the repeated refused/timed-out/blocked failures
 	// of a lossy campaign (errors.go).
@@ -103,52 +109,12 @@ type Network struct {
 	// from the process pool on first need, returned by ReleaseScratch.
 	scratch *scratch
 
-	// hostCache is a tiny MRU over HostByAddr: a slot's traffic hits a
-	// handful of hosts over and over, and three word-compares per probe
-	// beat hashing a 24-byte netip.Addr on every packet. Entries are
-	// dropped whenever the registry changes (AddHost/RewindHosts).
-	hostCache    [4]hostCacheEntry
-	hostCacheIdx int
-
 	// exchanges counts packet exchanges over the world's lifetime; the
 	// campaign runner reads its per-slot delta.
 	exchanges int64
-}
 
-type hostCacheEntry struct {
-	addr netip.Addr
-	h    *Host
-}
-
-// dropHostCache forgets cached HostByAddr results; callers that mutate
-// the host registry must invoke it.
-func (n *Network) dropHostCache() {
-	n.hostCache = [4]hostCacheEntry{}
-}
-
-// pathKey is an ordered endpoint-coordinate pair.
-type pathKey struct{ a, b geo.Coord }
-
-// pathStat is the deterministic part of the path model between two
-// coordinates — everything Exchange derives before jitter is applied.
-type pathStat struct {
-	hops  int
-	rttMs float64
-}
-
-// pathTo returns the cached hop count and unjittered model RTT for the
-// coordinate pair, computing and caching on first sight.
-func (n *Network) pathTo(a, b geo.Coord) pathStat {
-	key := pathKey{a, b}
-	st, ok := n.paths[key]
-	if !ok {
-		st = pathStat{hops: pathHops(a, b), rttMs: n.rttModel.RTTMs(a, b)}
-		if n.paths == nil {
-			n.paths = make(map[pathKey]pathStat, 64)
-		}
-		n.paths[key] = st
-	}
-	return st
+	// stacks numbers the world's stacks, which key the stack-flow table.
+	stacks uint32
 }
 
 // New creates an empty network seeded for deterministic jitter and loss.
@@ -160,6 +126,7 @@ func New(seed uint64) *Network {
 		hosts:    make(map[netip.Addr]*Host),
 		rng:      simrand.New(seed).Fork("netsim"),
 		seed:     seed,
+		epoch:    1,
 	}
 }
 
@@ -175,10 +142,13 @@ func (n *Network) SlotArena() *arena.Arena { return n.slotArena }
 func (n *Network) Exchanges() int64 { return n.exchanges }
 
 // SetFaultHook installs (or, with nil, removes) the fault injector
-// consulted on every exchange.
+// consulted on every exchange. The hook must classify every address the
+// same way for as long as it is installed.
 func (n *Network) SetFaultHook(h FaultHook) {
 	n.owner.check("SetFaultHook")
 	n.faultHook = h
+	n.epoch++
+	n.hookGen++
 }
 
 // ResetStream re-derives the network's stochastic stream (jitter and
@@ -207,7 +177,7 @@ func (n *Network) AddHost(h *Host) error {
 			return fmt.Errorf("netsim: address %v already owned by %q", h.Addr6, other.Name)
 		}
 	}
-	n.dropHostCache()
+	n.epoch++
 	n.hosts[h.Addr] = h
 	if h.Addr6.IsValid() {
 		n.hosts[h.Addr6] = h
@@ -232,7 +202,7 @@ func (n *Network) HostMark() int { return len(n.hostLog) }
 // only lookups of its address stop resolving.
 func (n *Network) RewindHosts(mark int) {
 	n.owner.check("RewindHosts")
-	n.dropHostCache()
+	n.epoch++
 	if mark < 0 || mark >= len(n.hostLog) {
 		return
 	}
@@ -251,24 +221,7 @@ func (n *Network) RewindHosts(mark int) {
 // HostByAddr returns the host owning addr, or nil.
 func (n *Network) HostByAddr(addr netip.Addr) *Host {
 	n.owner.check("HostByAddr")
-	return n.lookupHost(addr)
-}
-
-// lookupHost is HostByAddr for callers already inside a checked entry
-// point: the ownerdebug check costs a stack walk per call, and the
-// delivery path looks a host up on every packet.
-func (n *Network) lookupHost(addr netip.Addr) *Host {
-	for i := range n.hostCache {
-		if e := &n.hostCache[i]; e.h != nil && e.addr == addr {
-			return e.h
-		}
-	}
-	h := n.hosts[addr]
-	if h != nil {
-		n.hostCacheIdx = (n.hostCacheIdx + 1) % len(n.hostCache)
-		n.hostCache[n.hostCacheIdx] = hostCacheEntry{addr: addr, h: h}
-	}
-	return h
+	return n.hosts[addr]
 }
 
 // Hosts returns all registered hosts (deduplicated), sorted by primary
@@ -295,8 +248,8 @@ func (n *Network) baseRTT(a, b geo.Coord) time.Duration {
 }
 
 // jitterRTT applies one jitter draw to an unjittered model RTT —
-// split from baseRTT so Exchange can jitter a path-cached RTT with the
-// same single draw baseRTT would consume.
+// split from baseRTT so an exchange can jitter its flow's resolved RTT
+// with the same single draw baseRTT would consume.
 func (n *Network) jitterRTT(ms float64) time.Duration {
 	jitter := 1 + 0.015*n.rng.NormFloat64()
 	if jitter < 0.95 {
@@ -316,26 +269,35 @@ func (n *Network) Exchange(from *Host, pkt []byte) ([]byte, error) {
 }
 
 // exchange is Exchange without the ownership check, for a stack's
-// physical interface (Stack.Send/SendVia already checked).
+// physical interface (Stack.SendVia already checked): the keyed path,
+// which finds the packet's flow in the world's flow table.
 func (n *Network) exchange(from *Host, pkt []byte) ([]byte, error) {
-	n.exchanges++
 	dst, proto, err := peekIP(pkt)
 	if err != nil {
+		n.exchanges++
 		return nil, err
 	}
-	target := n.lookupHost(dst)
+	src, _, _ := peekSrc(pkt)
+	return n.exchangeOn(from, n.flowFor(src, dst), pkt, proto)
+}
+
+// exchangeOn runs one exchange of pkt, sent by from on flow st.
+func (n *Network) exchangeOn(from *Host, st *flowState, pkt []byte, proto capture.IPProtocol) ([]byte, error) {
+	n.exchanges++
+	n.route(st, from)
+	target := st.target
 	if target == nil {
 		// Unrouted destinations burn the full timeout.
 		n.Clock.Advance(Timeout)
-		return nil, n.errAddr(ErrNoRoute, dst, "")
+		return nil, n.flowNoRoute(st)
 	}
 	if hook := n.faultHook; hook != nil {
-		switch act := hook(n.Clock.Now(), from, dst, proto); {
+		switch act := hook.Decide(n.Clock.Now(), st.fault, proto); {
 		case act.Refuse:
-			return nil, n.errAddr(ErrRefused, dst, " (fault injected)")
+			return nil, n.flowRefused(st)
 		case act.Drop:
 			n.Clock.Advance(Timeout)
-			return nil, n.errAddr(ErrTimeout, dst, " (fault injected)")
+			return nil, n.flowDropped(st)
 		case act.Delay > 0:
 			n.Clock.Advance(act.Delay)
 		}
@@ -344,14 +306,13 @@ func (n *Network) exchange(from *Host, pkt []byte) ([]byte, error) {
 	// target being the last); a packet whose TTL runs out earlier gets
 	// an ICMP Time Exceeded from the router where it died, which is
 	// what traceroute harvests.
-	path := n.pathTo(from.Coord, target.Coord)
-	if ttl := peekTTL(pkt); int(ttl) < path.hops {
-		return n.expireAtHop(from, target, pkt, int(ttl), path.hops)
+	if ttl := peekTTL(pkt); int(ttl) < st.path.hops {
+		return n.expireAtHop(from, target, pkt, int(ttl), st.path.hops)
 	}
-	rtt := n.jitterRTT(path.rttMs)
+	rtt := n.jitterRTT(st.path.rttMs)
 	if target.drop || !n.rng.Bool(target.reliability()) {
 		n.Clock.Advance(Timeout)
-		return nil, n.errAddrHost(ErrTimeout, dst, target.Name)
+		return nil, n.flowLost(st)
 	}
 	if proto == capture.ProtoTCP {
 		// Handshake costs an extra round trip.
@@ -366,7 +327,7 @@ func (n *Network) exchange(from *Host, pkt []byte) ([]byte, error) {
 	// drained and dropped, exactly as the historical [][]byte return
 	// was).
 	ring := n.takeRing()
-	err = n.deliver(target, pkt, ring)
+	err := n.deliverOn(target, pkt, ring, st)
 	first := ring.first()
 	n.putRing(ring)
 	if err != nil {
@@ -473,6 +434,12 @@ func peekSrc(pkt []byte) (src netip.Addr, proto capture.IPProtocol, err error) {
 // into ring. Every emitted packet is an owned copy (slot arena when one
 // is installed), so the ring can be drained and recycled freely.
 func (n *Network) deliver(target *Host, pkt []byte, ring *deliveryRing) error {
+	return n.deliverOn(target, pkt, ring, nil)
+}
+
+// deliverOn is deliver for a packet that arrived on flow st (nil when
+// unknown): replies to it are built on st's reverse flow.
+func (n *Network) deliverOn(target *Host, pkt []byte, ring *deliveryRing, st *flowState) error {
 	if raw := target.raw; raw != nil {
 		// A raw handler that reports handled consumes the packet; one
 		// that reports false falls through to port dispatch below (the
@@ -498,7 +465,7 @@ func (n *Network) deliver(target *Host, pkt []byte, ring *deliveryRing) error {
 			return nil
 		}
 		ring.ls.ICMP = capture.ICMP{TypeCode: capture.ICMPEchoReply, ID: v.ICMPID, Seq: v.ICMPSeq}
-		reply, err := n.buildOwned(64, v.Dst, v.Src,
+		reply, err := n.buildOwnedOn(n.replyFlow(st, &v), 64,
 			ring.ls.Pair(&ring.ls.ICMP, v.Payload)...)
 		if err != nil {
 			return err
@@ -506,7 +473,7 @@ func (n *Network) deliver(target *Host, pkt []byte, ring *deliveryRing) error {
 		ring.emit(reply)
 
 	case capture.TypeUDP:
-		h := target.udp[v.DstPort]
+		h := target.udp.get(v.DstPort)
 		if h == nil {
 			return n.errAddrPort(ErrRefused, "udp", v.Dst, v.DstPort)
 		}
@@ -515,7 +482,7 @@ func (n *Network) deliver(target *Host, pkt []byte, ring *deliveryRing) error {
 			return nil
 		}
 		ring.ls.UDP = capture.UDP{SrcPort: v.DstPort, DstPort: v.SrcPort}
-		reply, err := n.buildOwned(64, v.Dst, v.Src,
+		reply, err := n.buildOwnedOn(n.replyFlow(st, &v), 64,
 			ring.ls.Pair(&ring.ls.UDP, payload)...)
 		if err != nil {
 			return err
@@ -523,7 +490,7 @@ func (n *Network) deliver(target *Host, pkt []byte, ring *deliveryRing) error {
 		ring.emit(reply)
 
 	case capture.TypeTCP:
-		h := target.tcp[v.DstPort]
+		h := target.tcp.get(v.DstPort)
 		if h == nil {
 			return n.errAddrPort(ErrRefused, "tcp", v.Dst, v.DstPort)
 		}
@@ -533,7 +500,7 @@ func (n *Network) deliver(target *Host, pkt []byte, ring *deliveryRing) error {
 		}
 		ring.ls.TCP = capture.TCP{SrcPort: v.DstPort, DstPort: v.SrcPort,
 			Flags: capture.FlagACK | capture.FlagPSH}
-		reply, err := n.buildOwned(64, v.Dst, v.Src,
+		reply, err := n.buildOwnedOn(n.replyFlow(st, &v), 64,
 			ring.ls.Pair(&ring.ls.TCP, payload)...)
 		if err != nil {
 			return err
@@ -541,6 +508,16 @@ func (n *Network) deliver(target *Host, pkt []byte, ring *deliveryRing) error {
 		ring.emit(reply)
 	}
 	return nil
+}
+
+// replyFlow returns the flow a reply to the parsed packet v travels on:
+// the reverse of the flow it arrived on when v is that flow's packet,
+// else the table's entry for the swapped addresses.
+func (n *Network) replyFlow(st *flowState, v *capture.PacketView) *flowState {
+	if st != nil && v.Src == st.key.src && v.Dst == st.key.dst {
+		return n.reverse(st)
+	}
+	return n.flowFor(v.Dst, v.Src)
 }
 
 // peekIP extracts the destination address and transport protocol from a
@@ -567,12 +544,16 @@ func peekIP(pkt []byte) (dst netip.Addr, proto capture.IPProtocol, err error) {
 	}
 }
 
-// firstLayerType returns the layer type of a raw IP packet's first byte.
-func firstLayerType(pkt []byte) capture.LayerType {
-	if len(pkt) > 0 && pkt[0]>>4 == 6 {
-		return capture.TypeIPv6
+// peekProto reads the transport protocol of a raw IP packet that
+// peekIP accepts.
+func peekProto(pkt []byte) capture.IPProtocol {
+	if len(pkt) >= 40 && pkt[0]>>4 == 6 {
+		return capture.IPProtocol(pkt[6])
 	}
-	return capture.TypeIPv4
+	if len(pkt) >= 20 {
+		return capture.IPProtocol(pkt[9])
+	}
+	return 0
 }
 
 // buildPacketTTLInto serializes the packet into buf and returns
@@ -625,13 +606,7 @@ func protoOf(layers []capture.SerializableLayer) capture.IPProtocol {
 // reply the delivery path emits goes through here, so per-packet copies
 // cost a pointer bump instead of a garbage-collected allocation.
 func (n *Network) buildOwned(ttl byte, src, dst netip.Addr, inner ...capture.SerializableLayer) ([]byte, error) {
-	buf := n.AcquireBuffer()
-	defer n.ReleaseBuffer(buf)
-	pkt, err := n.BuildPacketTTLInto(buf, ttl, src, dst, inner...)
-	if err != nil {
-		return nil, err
-	}
-	return n.slotArena.Copy(pkt), nil
+	return n.buildOwnedOn(n.flowFor(src, dst), ttl, inner...)
 }
 
 // BuildPacket builds a packet whose bytes are owned by the network's

@@ -9,3 +9,6 @@ type ownerStamp struct{}
 
 func (*ownerStamp) check(string) {}
 func (*ownerStamp) take()        {}
+
+// staleFlow is a no-op: a stale flow handle re-resolves (flow.go).
+func staleFlow(string) {}

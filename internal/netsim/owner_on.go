@@ -35,6 +35,12 @@ func (o *ownerStamp) check(op string) {
 // take hands ownership to the calling goroutine.
 func (o *ownerStamp) take() { o.gid = goid() }
 
+// staleFlow panics: under ownerdebug a holder that sends on a flow
+// handle without revalidating it after an epoch change is a bug.
+func staleFlow(op string) {
+	panic("netsim: " + op + " on a stale flow handle (revalidate with Network.Resolve or Stack.PhysicalFlow)")
+}
+
 // goid parses the calling goroutine's id out of its stack header
 // ("goroutine 17 [running]:"). Slow, and only ever compiled into
 // ownerdebug builds.

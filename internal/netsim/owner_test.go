@@ -3,8 +3,11 @@
 package netsim
 
 import (
+	"net/netip"
 	"strings"
 	"testing"
+
+	"vpnscope/internal/capture"
 )
 
 // onGoroutine runs fn on a fresh goroutine and returns what it panicked
@@ -55,5 +58,49 @@ func TestOwnerHandOffAtBeginSlot(t *testing.T) {
 		}
 	}); p != nil {
 		t.Fatalf("hand-off through BeginSlot panicked: %v", p)
+	}
+}
+
+// panicOf runs fn and returns what it panicked with (nil when it
+// returned normally).
+func panicOf(fn func()) (panicked any) {
+	defer func() { panicked = recover() }()
+	fn()
+	return nil
+}
+
+// TestStaleFlowHandlePanics: a holder that sends on a handle without
+// revalidating it after a world or stack epoch change panics under
+// ownerdebug (normal builds re-resolve it instead).
+func TestStaleFlowHandlePanics(t *testing.T) {
+	n, st, _, dns := world(t)
+	client := st.Host
+	var fl Flow
+	n.Resolve(&fl, client, client.Addr, dns.Addr)
+	udp := &capture.UDP{SrcPort: 40000, DstPort: 53}
+	buf := capture.NewSerializeBuffer()
+	if _, err := fl.BuildInto(buf, 64, udp, capture.Payload("q")); err != nil {
+		t.Fatal(err)
+	}
+	n.BeginSlot()
+	p := panicOf(func() { _, _ = fl.BuildInto(buf, 64, udp, capture.Payload("q")) })
+	if msg, _ := p.(string); !strings.Contains(msg, "stale flow handle") {
+		t.Fatalf("build on a handle from the previous slot: panic %v", p)
+	}
+	n.Resolve(&fl, client, client.Addr, dns.Addr)
+	pkt, err := fl.BuildInto(buf, 64, udp, capture.Payload("q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fl.Exchange(pkt); err != nil {
+		t.Fatalf("revalidated handle: %v", err)
+	}
+
+	var phys Flow
+	st.PhysicalFlow(&phys, dns.Addr)
+	st.SetAllowOnly([]netip.Addr{dns.Addr})
+	p = panicOf(func() { _, _ = st.SendFlow(&phys, pkt) })
+	if msg, _ := p.(string); !strings.Contains(msg, "stale flow handle") {
+		t.Fatalf("send on a handle from before an allowlist change: panic %v", p)
 	}
 }

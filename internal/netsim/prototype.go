@@ -21,20 +21,11 @@ import (
 // instead of a full header re-sum. Byte-identity to the full serialize
 // is the contract, proven differentially by FuzzPacketPrototype.
 //
-// The cache is flow-scoped and slot-scoped: it lives on the Network,
-// keeps its header images in the slot arena (the heap before one is
-// installed), and is dropped by Network.BeginSlot together with the
-// arena reset that invalidates those images.
-
-// protoShape fingerprints the inner layer stack of a build request:
-// the transport layer type plus whether a payload layer follows.
-type protoShape uint8
-
-// protoKey identifies one flow's prototype.
-type protoKey struct {
-	src, dst netip.Addr
-	shape    protoShape
-}
+// The cache is flow-scoped and slot-scoped: each flow's state
+// (flow.go) holds one prototype per layer shape, keeps its header
+// images in the slot arena (the heap before one is installed), and is
+// dropped by Network.BeginSlot together with the arena reset that
+// invalidates those images.
 
 // packetPrototype is the cached serialized image of a flow's first
 // packet, minus the payload, plus the field values needed to patch.
@@ -50,18 +41,25 @@ type packetPrototype struct {
 
 // splitInner validates that the inner layer stack has a prototype-able
 // shape — a transport layer optionally followed by a payload — and
-// extracts the pieces. ok=false sends the build down the full path.
-func splitInner(inner []capture.SerializableLayer) (transport capture.SerializableLayer, payload []byte, shape protoShape, ok bool) {
+// extracts the pieces. shape indexes a flow's prototypes: the
+// transport, shifted, plus whether a payload layer follows. ok=false
+// sends the build down the full path.
+func splitInner(inner []capture.SerializableLayer) (transport capture.SerializableLayer, payload []byte, shape int, ok bool) {
 	if len(inner) < 1 || len(inner) > 2 {
 		return nil, nil, 0, false
 	}
-	t := inner[0].LayerType()
-	switch t {
-	case capture.TypeUDP, capture.TypeTCP, capture.TypeICMP, capture.TypeTunnel:
+	switch inner[0].LayerType() {
+	case capture.TypeUDP:
+		shape = 0
+	case capture.TypeTCP:
+		shape = 2
+	case capture.TypeICMP:
+		shape = 4
+	case capture.TypeTunnel:
+		shape = 6
 	default:
 		return nil, nil, 0, false
 	}
-	shape = protoShape(t) << 1
 	if len(inner) == 2 {
 		switch p := inner[1].(type) {
 		case *capture.Payload:
@@ -127,15 +125,27 @@ func newPrototype(a *arena.Arena, pkt []byte, ttl byte, transport capture.Serial
 // transport) sends the build down the full path so error text stays
 // identical.
 func (p *packetPrototype) patch(buf *capture.SerializeBuffer, ttl byte, transport capture.SerializableLayer, payload []byte) ([]byte, bool) {
-	total := len(p.hdr) + len(payload)
-	if p.v4 {
-		if total > 0xFFFF {
-			return nil, false
-		}
-	} else if total-p.ipLen > 0xFFFF {
+	total, ok := p.size(payload)
+	if !ok {
 		return nil, false
 	}
-	out := buf.Reserve(total)
+	return p.fill(buf.Reserve(total), ttl, transport, payload)
+}
+
+// size returns the length of the packet carrying payload, and false
+// when the full path would reject that size.
+func (p *packetPrototype) size(payload []byte) (int, bool) {
+	total := len(p.hdr) + len(payload)
+	if p.v4 {
+		return total, total <= 0xFFFF
+	}
+	return total, total-p.ipLen <= 0xFFFF
+}
+
+// fill writes the packet carrying payload into out, which is exactly
+// size(payload) bytes long: patch's work on memory the caller chose.
+func (p *packetPrototype) fill(out []byte, ttl byte, transport capture.SerializableLayer, payload []byte) ([]byte, bool) {
+	total := len(out)
 	copy(out, p.hdr)
 	copy(out[len(p.hdr):], payload)
 
@@ -190,29 +200,11 @@ func (p *packetPrototype) patch(buf *capture.SerializeBuffer, ttl byte, transpor
 
 // BuildPacketTTLInto is the prototype-cached form of buildPacketTTLInto:
 // byte-identical output, but after the first packet on a flow the
-// header is patched instead of re-serialized.
+// header is patched instead of re-serialized. It finds the flow in the
+// world's flow table on every call; a holder of a Flow handle builds
+// with Flow.BuildInto instead.
 func (n *Network) BuildPacketTTLInto(buf *capture.SerializeBuffer, ttl byte, src, dst netip.Addr, inner ...capture.SerializableLayer) ([]byte, error) {
-	transport, payload, shape, ok := splitInner(inner)
-	if !ok {
-		return buildPacketTTLInto(buf, ttl, src, dst, inner...)
-	}
-	key := protoKey{src, dst, shape}
-	if p, hit := n.protos[key]; hit {
-		if out, ok := p.patch(buf, ttl, transport, payload); ok {
-			return out, nil
-		}
-	}
-	pkt, err := buildPacketTTLInto(buf, ttl, src, dst, inner...)
-	if err != nil {
-		return nil, err
-	}
-	if p, ok := newPrototype(n.slotArena, pkt, ttl, transport); ok {
-		if n.protos == nil {
-			n.protos = n.bundle().protos
-		}
-		n.protos[key] = p
-	}
-	return pkt, nil
+	return n.buildOn(n.flowFor(src, dst), buf, ttl, inner...)
 }
 
 // BuildPacketInto is BuildPacketTTLInto with the default TTL of 64. It
@@ -226,14 +218,17 @@ func (n *Network) BuildPacketInto(buf *capture.SerializeBuffer, src, dst netip.A
 	return n.BuildPacketTTLInto(buf, 64, src, dst, inner...)
 }
 
-// BeginSlot recycles the slot arena and drops the packet-prototype
-// cache whose header images live in it. The campaign runner calls it at
-// every vantage-point slot boundary. It is also the one point where
+// BeginSlot recycles the slot arena and drops the flow tables whose
+// prototype images live in it, advancing the world epoch so every flow
+// handle re-resolves. The campaign runner calls it at every
+// vantage-point slot boundary. It is also the one point where
 // ownership of the world may change hands: the calling goroutine
 // becomes the owner.
 func (n *Network) BeginSlot() {
 	n.owner.take()
+	n.epoch++
 	n.slotArena.Reset()
-	clear(n.protos)
-	clear(n.paths)
+	if n.scratch != nil {
+		n.scratch.resetFlows()
+	}
 }

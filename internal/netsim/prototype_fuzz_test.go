@@ -12,7 +12,9 @@ import (
 // FuzzPacketPrototype pins the tentpole contract of the prototype fast
 // path: for any flow and any sequence of mutations to the varying
 // fields (ports, seq/ack, flags, ICMP ids, session ids, TTL, payload
-// bytes and payload length), the cached-and-patched build emits bytes
+// bytes and payload length), the cached-and-patched build — through a
+// held Flow handle, into owned arena bytes, and through the keyed path
+// alike — emits bytes
 // identical to the full layer-by-layer serialize, and returns identical
 // errors on the sizes the full path rejects. The incremental RFC 1624
 // checksum is cross-checked against a full header recompute on every
@@ -38,9 +40,15 @@ func FuzzPacketPrototype(f *testing.F) {
 
 		n := New(1)
 		n.SetSlotArena(arena.New())
+		// The handle path runs on its own world, so its prototypes evolve
+		// independently of the keyed path's.
+		hn := New(1)
+		hn.SetSlotArena(arena.New())
+		var fl Flow
 
 		buf := capture.NewSerializeBuffer()
 		refBuf := capture.NewSerializeBuffer()
+		hBuf := capture.NewSerializeBuffer()
 
 		errStr := func(err error) string {
 			if err == nil {
@@ -83,14 +91,29 @@ func FuzzPacketPrototype(f *testing.F) {
 
 			got, gotErr := n.BuildPacketTTLInto(buf, ttl, src, dst, inner...)
 			want, wantErr := buildPacketTTLInto(refBuf, ttl, src, dst, inner...)
+			hn.Resolve(&fl, nil, src, dst)
+			viaFlow, flowErr := fl.BuildInto(hBuf, ttl, inner...)
+			owned, ownedErr := hn.buildOwnedOn(fl.st, ttl, inner...)
 			if errStr(gotErr) != errStr(wantErr) {
 				t.Fatalf("step %d (m=%d): cached err %q vs full err %q", step, m, errStr(gotErr), errStr(wantErr))
+			}
+			if errStr(flowErr) != errStr(wantErr) {
+				t.Fatalf("step %d (m=%d): handle err %q vs full err %q", step, m, errStr(flowErr), errStr(wantErr))
+			}
+			if errStr(ownedErr) != errStr(wantErr) {
+				t.Fatalf("step %d (m=%d): owned err %q vs full err %q", step, m, errStr(ownedErr), errStr(wantErr))
 			}
 			if wantErr != nil {
 				continue
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("step %d (m=%d): cached build differs\ncached: %x\nfull:   %x", step, m, got, want)
+			}
+			if !bytes.Equal(viaFlow, want) {
+				t.Fatalf("step %d (m=%d): handle build differs\nhandle: %x\nfull:   %x", step, m, viaFlow, want)
+			}
+			if !bytes.Equal(owned, want) {
+				t.Fatalf("step %d (m=%d): owned build differs\nowned: %x\nfull:  %x", step, m, owned, want)
 			}
 			if !v6 {
 				// Incremental checksum ≡ full recompute over the header.
@@ -105,6 +128,7 @@ func FuzzPacketPrototype(f *testing.F) {
 			// subsequent bytes.
 			if m%11 == 0 {
 				n.BeginSlot()
+				hn.BeginSlot()
 			}
 		}
 	})

@@ -10,9 +10,9 @@ import (
 
 // scratch is a measuring world's recyclable working memory: the slot
 // arena's chunks, the capture record arrays retired stacks hand back,
-// the serialize-buffer and delivery-ring freelists, and the
-// packet-prototype map. A world regrows all of them from nothing unless
-// it starts with a warm bundle, and a small campaign — one provider, a
+// the serialize-buffer and delivery-ring freelists, and the flow tables
+// with the flow state they point into. A world regrows all of them from
+// nothing unless it starts with a warm bundle, and a small campaign — one provider, a
 // couple of vantage points — ends before the growth amortises. So bundles outlive their worlds: a
 // Network takes one from the process pool on first need and hands it
 // back, reset, when its campaign ends (ReleaseScratch). While a world
@@ -30,8 +30,14 @@ type scratch struct {
 	// handler's onward Exchange runs while the outer ring is live), so
 	// a world can hold several rings at once.
 	rings []*deliveryRing
-	// protos backs Network.protos; clear keeps its buckets.
-	protos map[protoKey]packetPrototype
+	// flows is the world's flow table (flow.go), the keyed slow path
+	// handles resolve through; stackFlows is its Stack counterpart.
+	// Both are emptied at every slot boundary, with the arena their
+	// prototype images live in.
+	flows      table[flowKey, flowState]
+	stackFlows table[stackKey, stackFlow]
+	// protos is the slab the flows' packet prototypes live in.
+	protos slab[packetPrototype]
 }
 
 // maxRecordArrays bounds a bundle's recycled record arrays; a slot
@@ -41,16 +47,23 @@ const maxRecordArrays = 16
 // reset invalidates everything the bundle handed out: arena memory is
 // recycled (and poisoned when the arena poisons, as under -tags
 // arenadebug), and so are the serialize buffers' bytes. Record arrays
-// come back already cleared by Sink.Rebase, and the prototype map is
-// emptied, since its header images may live in the arena.
+// come back already cleared by Sink.Rebase, and the flow tables are
+// emptied, since their prototype images may live in the arena.
 func (s *scratch) reset() {
 	s.arena.Reset()
-	clear(s.protos)
+	s.resetFlows()
 	if s.arena.Poison {
 		for _, b := range s.sbufs {
 			b.Poison(arena.PoisonByte)
 		}
 	}
+}
+
+// resetFlows empties the flow tables and recycles their slabs.
+func (s *scratch) resetFlows() {
+	s.flows.reset()
+	s.stackFlows.reset()
+	s.protos.reset()
 }
 
 // scratchPool is the process-wide pool of idle bundles. It holds at
@@ -72,7 +85,11 @@ func takeScratch() *scratch {
 		scratchPool.idle = scratchPool.idle[:k-1]
 		return s
 	}
-	return &scratch{arena: arena.New(), protos: make(map[protoKey]packetPrototype, 64)}
+	return &scratch{
+		arena:      arena.New(),
+		flows:      newTable[flowKey, flowState](),
+		stackFlows: newTable[stackKey, stackFlow](),
+	}
 }
 
 func putScratch(s *scratch) {
@@ -130,7 +147,7 @@ func (n *Network) ReleaseScratch() {
 	n.owner.check("ReleaseScratch")
 	s := n.scratch
 	n.scratch = nil
-	n.protos = nil
+	n.epoch++
 	if n.slotArena == s.arena {
 		n.slotArena = nil
 	}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -20,6 +21,10 @@ type Interface struct {
 	Addr netip.Addr
 	Sink *capture.Sink
 	send SendFunc
+	// direct marks the physical interface NewStack installs, whose send
+	// is a plain exchange from the stack's host: flow sends exchange on
+	// their handle instead of calling send.
+	direct bool
 }
 
 // Route maps a destination prefix to an egress interface. Longest
@@ -75,6 +80,37 @@ type Stack struct {
 	// can be removed before teardown, taking their map entry with
 	// them); Retire harvests their record arrays for the next slot.
 	allSinks []*capture.Sink
+
+	// epoch is the stack epoch its flows are checked against (flow.go):
+	// every route, interface, allowlist and IPv6 change advances it.
+	epoch uint64
+	// id numbers the stack within its world, for the stack-flow table.
+	id uint32
+}
+
+// stackKey identifies one stack flow in the world's table.
+type stackKey struct {
+	s   *Stack
+	dst netip.Addr
+}
+
+// stackFlow is a stack's resolved route to one destination: everything
+// Send decides per packet, decided once per stack epoch.
+type stackFlow struct {
+	dst   netip.Addr
+	epoch uint64 // the stack epoch it was resolved at
+	// routed reports whether a route matches dst; src is the source
+	// address packets to dst get (invalid when there is none).
+	routed bool
+	src    netip.Addr
+	// iface is the egress interface. sendErr, when set, is what Send
+	// fails with before anything is captured: IPv6 disabled, no route,
+	// a blackhole route, the interface gone, or the physical firewall.
+	iface   *Interface
+	sendErr error
+	// net is the flow packets to dst are built on, and exchanged on
+	// when iface is the physical interface.
+	net Flow
 }
 
 // NewStack builds a stack for host with its physical interface and
@@ -85,12 +121,16 @@ func NewStack(n *Network, host *Host) *Stack {
 		Net:    n,
 		ifaces: make(map[string]*Interface),
 		ipv6:   host.HasIPv6(),
+		epoch:  1,
 	}
+	n.stacks++
+	s.id = n.stacks
 	phys := &Interface{
-		Name: PhysicalName,
-		Addr: host.Addr,
-		Sink: capture.NewSink(),
-		send: func(pkt []byte) ([]byte, error) { return n.exchange(host, pkt) },
+		Name:   PhysicalName,
+		Addr:   host.Addr,
+		Sink:   capture.NewSink(),
+		send:   func(pkt []byte) ([]byte, error) { return n.exchange(host, pkt) },
+		direct: true,
 	}
 	s.adoptSink(phys.Sink)
 	s.ifaces[PhysicalName] = phys
@@ -114,6 +154,7 @@ func (s *Stack) AddInterface(name string, addr netip.Addr, send SendFunc) *Inter
 	}
 	s.adoptSink(iface.Sink)
 	s.ifaces[name] = iface
+	s.epoch++
 	return iface
 }
 
@@ -152,6 +193,7 @@ func (s *Stack) SetCaptureAlloc(alloc func(n int) []byte) {
 // it.
 func (s *Stack) RemoveInterface(name string) {
 	delete(s.ifaces, name)
+	s.epoch++
 	kept := s.routes[:0]
 	for _, r := range s.routes {
 		if r.Iface != name || r.Blackhole {
@@ -164,6 +206,7 @@ func (s *Stack) RemoveInterface(name string) {
 // AddRoute installs a route. Routes added later win ties.
 func (s *Stack) AddRoute(r Route) {
 	s.routes = append(s.routes, r)
+	s.epoch++
 }
 
 // RemoveRoutes deletes all routes matching pred.
@@ -175,6 +218,7 @@ func (s *Stack) RemoveRoutes(pred func(Route) bool) {
 		}
 	}
 	s.routes = kept
+	s.epoch++
 }
 
 // Routes returns a copy of the routing table.
@@ -223,6 +267,7 @@ func (s *Stack) Resolver0() (netip.Addr, bool) {
 // SetIPv6 toggles IPv6 on the stack.
 func (s *Stack) SetIPv6(on bool) {
 	s.ipv6 = on
+	s.epoch++
 }
 
 // IPv6Enabled reports whether the stack will emit IPv6 packets.
@@ -235,6 +280,7 @@ func (s *Stack) IPv6Enabled() bool {
 // switches. The resulting firewall drops packets to any destination not
 // listed.
 func (s *Stack) SetAllowOnly(addrs []netip.Addr) {
+	s.epoch++
 	if addrs == nil {
 		s.allowOnly = nil
 		return
@@ -252,6 +298,7 @@ func (s *Stack) AllowAlso(addrs ...netip.Addr) {
 	if s.allowOnly == nil {
 		return
 	}
+	s.epoch++
 	for _, a := range addrs {
 		s.allowOnly[a] = true
 	}
@@ -270,17 +317,137 @@ func (s *Stack) Send(pkt []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if dst.Is6() && !s.IPv6Enabled() {
-		return nil, errV6Disabled
+	return s.send(s.flow(dst), pkt)
+}
+
+// flow returns the stack's resolved route to dst, from the world's
+// stack-flow table: the one lookup a stack exchange makes.
+func (s *Stack) flow(dst netip.Addr) *stackFlow {
+	var packed uint64
+	if dst.Is4() {
+		d4 := dst.As4()
+		packed = uint64(s.id)<<32 | uint64(binary.BigEndian.Uint32(d4[:]))
 	}
+	sf, fresh := s.Net.bundle().stackFlows.get(packed, dst.Is4(), stackKey{s, dst})
+	if fresh {
+		sf.dst = dst
+	}
+	s.refresh(sf)
+	return sf
+}
+
+// refresh re-resolves sf if the stack changed since it was resolved.
+func (s *Stack) refresh(sf *stackFlow) {
+	if sf.epoch == s.epoch {
+		return
+	}
+	dst := sf.dst
+	*sf = stackFlow{dst: dst, epoch: s.epoch}
 	route := s.lookupRoute(dst)
-	if route == nil {
-		return nil, s.Net.errAddr(ErrNoRoute, dst, " (no route)")
+	if route != nil {
+		sf.routed = true
+		sf.src = s.srcAddrFor(dst, route)
 	}
-	if route.Blackhole {
-		return nil, fmt.Errorf("%w: blackhole route %v", ErrBlocked, route.Prefix)
+	switch {
+	case dst.Is6() && !s.ipv6:
+		sf.sendErr = errV6Disabled
+	case route == nil:
+		sf.sendErr = s.Net.errAddr(ErrNoRoute, dst, " (no route)")
+	case route.Blackhole:
+		sf.sendErr = s.Net.errBlackhole(route.Prefix)
+	default:
+		sf.iface = s.ifaces[route.Iface]
+		switch {
+		case sf.iface == nil:
+			sf.sendErr = fmt.Errorf("%w: interface %q gone", ErrNoRoute, route.Iface)
+		case route.Iface == PhysicalName && s.blockedByFirewall(dst):
+			sf.sendErr = s.Net.errAddr(ErrBlocked, dst, "")
+		}
 	}
-	return s.sendVia(route.Iface, pkt)
+}
+
+// netFlow returns sf's packet flow, revalidated.
+func (s *Stack) netFlow(sf *stackFlow) *Flow {
+	var from *Host
+	if sf.iface != nil && sf.iface.direct {
+		from = s.Host
+	}
+	s.Net.Resolve(&sf.net, from, sf.src, sf.dst)
+	return &sf.net
+}
+
+// send is Send on a resolved stack flow, re-resolved if the stack
+// changed since (a send can fail a tunnel open mid-traceroute).
+func (s *Stack) send(sf *stackFlow, pkt []byte) ([]byte, error) {
+	s.refresh(sf)
+	if sf.sendErr != nil {
+		return nil, sf.sendErr
+	}
+	var st *flowState
+	if sf.iface.direct {
+		st = s.netFlow(sf).st
+	}
+	return s.transmit(sf.iface, st, pkt)
+}
+
+// transmit captures pkt leaving iface, sends it — on flow st when iface
+// is the direct physical interface — and captures the response.
+func (s *Stack) transmit(iface *Interface, st *flowState, pkt []byte) ([]byte, error) {
+	iface.Sink.Capture(s.Net.Clock.Now(), iface.Name, capture.DirOut, pkt)
+	var resp []byte
+	var err error
+	if st != nil {
+		resp, err = s.Net.exchangeOn(s.Host, st, pkt, peekProto(pkt))
+	} else {
+		resp, err = iface.send(pkt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if resp != nil {
+		iface.Sink.Capture(s.Net.Clock.Now(), iface.Name, capture.DirIn, resp)
+	}
+	return resp, nil
+}
+
+// PhysicalFlow resolves f, unless it is live and keyed so already, as
+// the flow from the stack's host out its physical interface to dst,
+// with that interface and the firewall's verdict on dst: the handle a
+// tunnel client holds for its encapsulated traffic and sends with
+// SendFlow.
+func (s *Stack) PhysicalFlow(f *Flow, dst netip.Addr) {
+	if f.stack == s && f.sepoch == s.epoch && f.epoch == s.Net.epoch && f.dst == dst {
+		return
+	}
+	src := s.Host.Addr
+	if dst.Is6() {
+		src = s.Host.Addr6
+	}
+	s.Net.Resolve(f, s.Host, src, dst)
+	f.stack, f.sepoch = s, s.epoch
+	f.iface, f.blocked = s.ifaces[PhysicalName], s.blockedByFirewall(dst)
+}
+
+// SendFlow is SendVia(PhysicalName, pkt) for a packet built on f, a
+// handle from PhysicalFlow: the firewall verdict, target, path and
+// reply prototype come from the handle.
+func (s *Stack) SendFlow(f *Flow, pkt []byte) ([]byte, error) {
+	s.Net.owner.check("Stack.SendFlow")
+	if f.stack != s || f.sepoch != s.epoch || f.epoch != s.Net.epoch {
+		staleFlow("Stack.SendFlow")
+		s.PhysicalFlow(f, f.dst)
+	}
+	st, iface := f.st, f.iface
+	if iface == nil {
+		return nil, fmt.Errorf("%w: interface %q gone", ErrNoRoute, PhysicalName)
+	}
+	if f.blocked {
+		return nil, s.Net.flowBlocked(st)
+	}
+	if !iface.direct {
+		st = nil
+	}
+	return s.transmit(iface, st, pkt)
 }
 
 // SendVia sends a raw IP packet out a specific interface, applying the
@@ -344,12 +511,12 @@ func (s *Stack) ExchangeTCP(dst netip.Addr, port uint16, payload []byte) ([]byte
 }
 
 func (s *Stack) exchange(dst netip.Addr, port uint16, payload []byte, tcp bool) ([]byte, error) {
-	route := s.lookupRoute(dst)
-	if route == nil {
+	s.Net.owner.check("Stack.Send")
+	sf := s.flow(dst)
+	if !sf.routed {
 		return nil, s.Net.errAddr(ErrNoRoute, dst, " (no route)")
 	}
-	src := s.srcAddrFor(dst, route)
-	if !src.IsValid() {
+	if !sf.src.IsValid() {
 		return nil, s.Net.errWith(ErrNoRoute, "no ", dst, " source address")
 	}
 	var transport capture.SerializableLayer
@@ -363,11 +530,11 @@ func (s *Stack) exchange(dst netip.Addr, port uint16, payload []byte, tcp bool) 
 	}
 	buf := s.Net.AcquireBuffer()
 	defer s.Net.ReleaseBuffer(buf)
-	pkt, err := s.Net.BuildPacketTTLInto(buf, 64, src, dst, s.ls.Pair(transport, payload)...)
+	pkt, err := s.netFlow(sf).BuildInto(buf, 64, s.ls.Pair(transport, payload)...)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := s.Send(pkt)
+	resp, err := s.send(sf, pkt)
 	if err != nil {
 		return nil, err
 	}
@@ -385,23 +552,23 @@ func (s *Stack) exchange(dst netip.Addr, port uint16, payload []byte, tcp bool) 
 // Ping sends an ICMP echo to dst via the routing table and returns its
 // RTT as observed by the stack (virtual clock delta).
 func (s *Stack) Ping(dst netip.Addr) (rtt float64, err error) {
-	route := s.lookupRoute(dst)
-	if route == nil {
+	s.Net.owner.check("Stack.Send")
+	sf := s.flow(dst)
+	if !sf.routed {
 		return 0, s.Net.errAddr(ErrNoRoute, dst, " (no route)")
 	}
-	src := s.srcAddrFor(dst, route)
-	if !src.IsValid() {
+	if !sf.src.IsValid() {
 		return 0, s.Net.errWith(ErrNoRoute, "no source address for ", dst, "")
 	}
 	buf := s.Net.AcquireBuffer()
 	defer s.Net.ReleaseBuffer(buf)
 	s.ls.ICMP = capture.ICMP{TypeCode: capture.ICMPEchoRequest, ID: 9, Seq: 1}
-	pkt, err := s.Net.BuildPacketInto(buf, src, dst, s.ls.One(&s.ls.ICMP)...)
+	pkt, err := s.netFlow(sf).BuildInto(buf, 64, s.ls.One(&s.ls.ICMP)...)
 	if err != nil {
 		return 0, err
 	}
 	before := s.Net.Clock.Now()
-	resp, err := s.Send(pkt)
+	resp, err := s.send(sf, pkt)
 	if err != nil {
 		return 0, err
 	}
@@ -456,26 +623,30 @@ func (s *Stack) Traceroute(dst netip.Addr, maxHops int) ([]TracerouteHop, error)
 	if maxHops <= 0 {
 		maxHops = 16
 	}
-	route := s.lookupRoute(dst)
-	if route == nil {
+	s.Net.owner.check("Stack.Send")
+	sf := s.flow(dst)
+	if !sf.routed {
 		return nil, s.Net.errAddr(ErrNoRoute, dst, " (no route)")
 	}
-	src := s.srcAddrFor(dst, route)
-	if !src.IsValid() {
+	if !sf.src.IsValid() {
 		return nil, s.Net.errWith(ErrNoRoute, "no source address for ", dst, "")
 	}
+	// Every probe keeps the first route's source address, even if a
+	// probe's failure reroutes the stack; a copy of the handle holds it.
+	probes := *s.netFlow(sf)
 	var out []TracerouteHop
 	buf := s.Net.AcquireBuffer()
 	defer s.Net.ReleaseBuffer(buf)
 	probe := capture.ICMP{TypeCode: capture.ICMPEchoRequest, ID: 33}
 	for ttl := 1; ttl <= maxHops; ttl++ {
 		probe.Seq = uint16(ttl)
-		pkt, err := s.Net.BuildPacketTTLInto(buf, byte(ttl), src, dst, &probe)
+		s.Net.Resolve(&probes, probes.from, probes.src, dst)
+		pkt, err := probes.BuildInto(buf, byte(ttl), &probe)
 		if err != nil {
 			return out, err
 		}
 		before := s.Net.Clock.Now()
-		resp, err := s.Send(pkt)
+		resp, err := s.send(sf, pkt)
 		rtt := float64(s.Net.Clock.Now()-before) / 1e6
 		if err != nil || resp == nil {
 			// Silent hop: record an invalid address, keep probing.

@@ -361,6 +361,9 @@ func (d *Daemon) runCampaign(c *campaign, need int) {
 	}
 	defer lg.Close()
 	res, err := lg.Result()
+	// Close the log before publishing done, as the catalog path does: a
+	// client that sees done must find none of the shard files open.
+	lg.Close()
 	if err == nil {
 		err = results.SaveFile(d.resultPath(c.id), res, c.spec.envelopeOptions()...)
 	}

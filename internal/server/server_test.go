@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -725,5 +726,44 @@ func TestGoroutinesReturnToBaseline(t *testing.T) {
 	}
 	if after > before {
 		t.Fatalf("%d goroutines after the drain, want the pre-daemon %d", after, before)
+	}
+}
+
+// TestDoneCampaignHoldsNoShardFiles: a campaign publishes done only
+// after closing its outcome log, so a client that sees done finds none
+// of the campaign's shard files open. The daemon's log line for done
+// blocks until the check has run, which holds the runner right after
+// it published the state.
+func TestDoneCampaignHoldsNoShardFiles(t *testing.T) {
+	logged, release := make(chan struct{}), make(chan struct{})
+	d := newTestDaemon(t, Config{FleetWorkers: 1, Logf: func(format string, args ...any) {
+		t.Logf(format, args...)
+		if strings.Contains(format, ": done (") {
+			logged <- struct{}{}
+			<-release
+		}
+	}})
+	for i := 0; i < 3; i++ {
+		spec := smallSpec(uint64(5 + i))
+		spec.VPsPerProvider = 1
+		c := submitOK(t, d, spec)
+		<-logged
+		c.mu.Lock()
+		state := c.state
+		c.mu.Unlock()
+		if state != StateDone {
+			t.Fatalf("campaign %s logged done in state %s", c.id, state)
+		}
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot list open descriptors: %v", err)
+		}
+		for _, e := range entries {
+			target, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name()))
+			if err == nil && strings.Contains(target, c.id+".outcomes"+string(filepath.Separator)) {
+				t.Errorf("campaign %s reads done with %s still open", c.id, target)
+			}
+		}
+		release <- struct{}{}
 	}
 }

@@ -453,7 +453,7 @@ func (w *World) EnableFaults(profile faultsim.Profile) *faultsim.Plan {
 	}
 	plan.SetVPAddrs(vpAddrs)
 	plan.SetResolverAddrs([]netip.Addr{googleDNS, quad9DNS, ispDNS})
-	w.Net.SetFaultHook(plan.Hook())
+	w.Net.SetFaultHook(plan)
 	w.faults = plan
 	return plan
 }

@@ -60,6 +60,11 @@ type Client struct {
 	// wrap is built once per distinct cause instead of per send.
 	downCause   error
 	downWrapped error
+	// encap is the tunnel's outer flow, host to vantage point out the
+	// physical interface, held for the client's life; direct reports
+	// that the carrier is that interface, so frames go out on encap.
+	encap  netsim.Flow
+	direct bool
 }
 
 // tunnelError mirrors fmt.Errorf("%w: %v", ErrTunnelDown, cause): the
@@ -120,6 +125,7 @@ func connect(stack *netsim.Stack, vp *VantagePoint, carrier Carrier) (*Client, e
 		return nil, fmt.Errorf("%w: %s: %v", ErrConnectFailed, vp.ID(), err)
 	}
 	c := &Client{Provider: vp.Provider, VP: vp, Stack: stack, carrier: carrier}
+	_, c.direct = carrier.(*directCarrier)
 	c.origResolvers = stack.Resolvers()
 	spec := &vp.Provider.Spec
 
@@ -179,12 +185,17 @@ func (c *Client) tunnelSend(inner []byte) ([]byte, error) {
 	buf := c.Stack.Net.AcquireBuffer()
 	defer c.Stack.Net.ReleaseBuffer(buf)
 	c.ls.Tunnel = capture.Tunnel{SessionID: c.VP.sessionKey}
-	outer, err := c.Stack.Net.BuildPacketInto(buf, c.Stack.Host.Addr, c.VP.Addr(),
-		c.ls.Pair(&c.ls.Tunnel, enc)...)
+	c.Stack.PhysicalFlow(&c.encap, c.VP.Addr())
+	outer, err := c.encap.BuildInto(buf, 64, c.ls.Pair(&c.ls.Tunnel, enc)...)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.carrier.Send(outer)
+	var resp []byte
+	if c.direct {
+		resp, err = c.Stack.SendFlow(&c.encap, outer)
+	} else {
+		resp, err = c.carrier.Send(outer)
+	}
 	if err != nil {
 		c.noteFailure(err)
 		return nil, c.wrapTunnelDown(err)

@@ -17,6 +17,14 @@ import (
 type ServerEnv struct {
 	Dir *dnssim.Directory
 	Web *websim.Web
+
+	// Flow handles the world's vantage points forward on, revalidated
+	// per packet: wrap carries tunnel replies to the client, fwd the
+	// forwarded packet from the egress, and reply the inner response
+	// back to the tunnel-internal client. One set serves every vantage
+	// point: only the world's owner goroutine forwards, and every use
+	// re-resolves the handle for its own flow first.
+	wrap, fwd, reply netsim.Flow
 }
 
 // installDemuxed builds the vantage point's tunnel-internal resolver
@@ -72,8 +80,8 @@ func (vp *VantagePoint) serveTunnel(n *netsim.Network, env *ServerEnv, pkt []byt
 	}
 	vp.ks.XOR(vp.sessionKey, respInner)
 	vp.ls.Tunnel = capture.Tunnel{SessionID: vp.sessionKey}
-	wrapped, err := n.BuildPacket(vp.Addr(), clientAddr,
-		vp.ls.Pair(&vp.ls.Tunnel, respInner)...)
+	n.Resolve(&env.wrap, nil, vp.Addr(), clientAddr)
+	wrapped, err := env.wrap.Build(vp.ls.Pair(&vp.ls.Tunnel, respInner)...)
 	if err != nil {
 		return
 	}
@@ -110,8 +118,8 @@ func (vp *VantagePoint) serveInner(n *netsim.Network, env *ServerEnv, resolver *
 				return nil
 			}
 			vp.ls.UDP = capture.UDP{SrcPort: 53, DstPort: v.SrcPort}
-			resp, err := n.BuildPacket(TunnelInternalDNS, src,
-				vp.ls.Pair(&vp.ls.UDP, answer)...)
+			n.Resolve(&env.reply, nil, TunnelInternalDNS, src)
+			resp, err := env.reply.Build(vp.ls.Pair(&vp.ls.UDP, answer)...)
 			if err != nil {
 				return nil
 			}
@@ -130,8 +138,8 @@ func (vp *VantagePoint) serveInner(n *netsim.Network, env *ServerEnv, resolver *
 		ttl := v.TTL
 		if ttl <= 1 {
 			vp.ls.ICMP = capture.ICMP{TypeCode: capture.ICMPTimeExceeded}
-			out, err := n.BuildPacket(TunnelInternalDNS, src,
-				vp.ls.One(&vp.ls.ICMP)...)
+			n.Resolve(&env.reply, nil, TunnelInternalDNS, src)
+			out, err := env.reply.Build(vp.ls.One(&vp.ls.ICMP)...)
 			if err != nil {
 				return nil
 			}
@@ -140,12 +148,12 @@ func (vp *VantagePoint) serveInner(n *netsim.Network, env *ServerEnv, resolver *
 		buf := n.AcquireBuffer()
 		defer n.ReleaseBuffer(buf)
 		vp.ls.ICMP = capture.ICMP{TypeCode: v.ICMPType, ID: v.ICMPID, Seq: v.ICMPSeq}
-		fwd, err := n.BuildPacketTTLInto(buf, ttl-1, egress, dst,
-			vp.ls.Pair(&vp.ls.ICMP, v.Payload)...)
+		n.Resolve(&env.fwd, vp.Host, egress, dst)
+		fwd, err := env.fwd.BuildInto(buf, ttl-1, vp.ls.Pair(&vp.ls.ICMP, v.Payload)...)
 		if err != nil {
 			return nil
 		}
-		resp, err := n.Exchange(vp.Host, fwd)
+		resp, err := env.fwd.Exchange(fwd)
 		if err != nil || resp == nil {
 			return nil
 		}
@@ -161,31 +169,31 @@ func (vp *VantagePoint) serveInner(n *netsim.Network, env *ServerEnv, resolver *
 			responder = rv.Src
 		}
 		vp.ls.ICMP = capture.ICMP{TypeCode: rv.ICMPType, ID: rv.ICMPID, Seq: rv.ICMPSeq}
-		out, err := n.BuildPacket(responder, src,
-			vp.ls.Pair(&vp.ls.ICMP, rv.Payload)...)
+		n.ResolveRelay(&env.reply, &env.fwd, responder, src)
+		out, err := env.reply.Build(vp.ls.Pair(&vp.ls.ICMP, rv.Payload)...)
 		if err != nil {
 			return nil
 		}
 		return out
 
 	case capture.TypeUDP:
-		return vp.forwardUDP(n, egress, src, dst, v.SrcPort, v.DstPort, v.Payload)
+		return vp.forwardUDP(n, env, egress, src, dst, v.SrcPort, v.DstPort, v.Payload)
 	case capture.TypeTCP:
 		return vp.forwardTCP(n, env, egress, src, dst, v.SrcPort, v.DstPort, v.Payload)
 	}
 	return nil
 }
 
-func (vp *VantagePoint) forwardUDP(n *netsim.Network, egress, src, dst netip.Addr, srcPort, dstPort uint16, payload []byte) []byte {
+func (vp *VantagePoint) forwardUDP(n *netsim.Network, env *ServerEnv, egress, src, dst netip.Addr, srcPort, dstPort uint16, payload []byte) []byte {
 	buf := n.AcquireBuffer()
 	defer n.ReleaseBuffer(buf)
 	vp.ls.UDP = capture.UDP{SrcPort: srcPort, DstPort: dstPort}
-	fwd, err := n.BuildPacketInto(buf, egress, dst,
-		vp.ls.Pair(&vp.ls.UDP, payload)...)
+	n.Resolve(&env.fwd, vp.Host, egress, dst)
+	fwd, err := env.fwd.BuildInto(buf, 64, vp.ls.Pair(&vp.ls.UDP, payload)...)
 	if err != nil {
 		return nil
 	}
-	resp, err := n.Exchange(vp.Host, fwd)
+	resp, err := env.fwd.Exchange(fwd)
 	if err != nil || resp == nil {
 		return nil
 	}
@@ -194,8 +202,8 @@ func (vp *VantagePoint) forwardUDP(n *netsim.Network, egress, src, dst netip.Add
 		return nil
 	}
 	vp.ls.UDP = capture.UDP{SrcPort: rv.SrcPort, DstPort: rv.DstPort}
-	out, err := n.BuildPacket(dst, src,
-		vp.ls.Pair(&vp.ls.UDP, rv.Payload)...)
+	n.ResolveRelay(&env.reply, &env.fwd, dst, src)
+	out, err := env.reply.Build(vp.ls.Pair(&vp.ls.UDP, rv.Payload)...)
 	if err != nil {
 		return nil
 	}
@@ -209,11 +217,11 @@ func (vp *VantagePoint) forwardTCP(n *netsim.Network, env *ServerEnv, egress, sr
 	// this is exactly why redirections appeared "only on endpoints
 	// claiming to be in their respective countries" (§6.1.1): those
 	// endpoints really were there.
-	if dstPort == 80 && env != nil && env.Web != nil {
+	if dstPort == 80 && env.Web != nil {
 		if policy := websim.PolicyFor(vp.ActualCity.Country); policy != nil {
 			if host, ok := websim.RequestHost(payload); ok {
 				if resp, blocked := policy.Apply(vp.Host.Block.Org, host, env.Web.SiteByName); blocked {
-					return vp.buildTCPResponse(n, dst, src, srcPort, dstPort, resp.Encode())
+					return vp.buildTCPResponse(n, env, dst, src, srcPort, dstPort, resp.Encode())
 				}
 			}
 		}
@@ -229,7 +237,7 @@ func (vp *VantagePoint) forwardTCP(n *netsim.Network, env *ServerEnv, egress, sr
 	if dstPort == 443 && spec.InterceptTLS && vp.Provider.MITMCA != nil {
 		if sni, innerReq, err := tlssim.ParseClientHello(payload); err == nil {
 			vp.helloBuf = tlssim.AppendClientHello(vp.helloBuf[:0], sni, innerReq)
-			upstream := vp.exchangeTCP(n, egress, dst, srcPort, dstPort, vp.helloBuf)
+			upstream := vp.exchangeTCP(n, env, egress, dst, srcPort, dstPort, vp.helloBuf)
 			if upstream == nil {
 				return nil
 			}
@@ -242,11 +250,11 @@ func (vp *VantagePoint) forwardTCP(n *netsim.Network, env *ServerEnv, egress, sr
 				return nil
 			}
 			vp.mitmBuf = mitm
-			return vp.buildTCPResponse(n, dst, src, srcPort, dstPort, mitm)
+			return vp.buildTCPResponse(n, env, dst, src, srcPort, dstPort, mitm)
 		}
 	}
 
-	respPayload := vp.exchangeTCP(n, egress, dst, srcPort, dstPort, payload)
+	respPayload := vp.exchangeTCP(n, env, egress, dst, srcPort, dstPort, payload)
 	if respPayload == nil {
 		return nil
 	}
@@ -255,21 +263,21 @@ func (vp *VantagePoint) forwardTCP(n *netsim.Network, env *ServerEnv, egress, sr
 	if dstPort == 80 && spec.InjectContent {
 		respPayload = websim.InjectOverlay(respPayload, vp.Provider.Spec.Domain)
 	}
-	return vp.buildTCPResponse(n, dst, src, srcPort, dstPort, respPayload)
+	return vp.buildTCPResponse(n, env, dst, src, srcPort, dstPort, respPayload)
 }
 
 // exchangeTCP forwards a TCP request payload from the egress address and
 // returns the response payload.
-func (vp *VantagePoint) exchangeTCP(n *netsim.Network, egress, dst netip.Addr, srcPort, dstPort uint16, payload []byte) []byte {
+func (vp *VantagePoint) exchangeTCP(n *netsim.Network, env *ServerEnv, egress, dst netip.Addr, srcPort, dstPort uint16, payload []byte) []byte {
 	buf := n.AcquireBuffer()
 	defer n.ReleaseBuffer(buf)
 	vp.ls.TCP = capture.TCP{SrcPort: srcPort, DstPort: dstPort, Flags: capture.FlagACK | capture.FlagPSH}
-	fwd, err := n.BuildPacketInto(buf, egress, dst,
-		vp.ls.Pair(&vp.ls.TCP, payload)...)
+	n.Resolve(&env.fwd, vp.Host, egress, dst)
+	fwd, err := env.fwd.BuildInto(buf, 64, vp.ls.Pair(&vp.ls.TCP, payload)...)
 	if err != nil {
 		return nil
 	}
-	resp, err := n.Exchange(vp.Host, fwd)
+	resp, err := env.fwd.Exchange(fwd)
 	if err != nil || resp == nil {
 		return nil
 	}
@@ -285,10 +293,10 @@ func (vp *VantagePoint) exchangeTCP(n *netsim.Network, egress, dst netip.Addr, s
 // buildTCPResponse builds the inner response packet back to the client
 // (slot-arena owned, like every packet on the delivery path). Ports are
 // the client's original request ports; the reply swaps them.
-func (vp *VantagePoint) buildTCPResponse(n *netsim.Network, fromDst, toSrc netip.Addr, reqSrcPort, reqDstPort uint16, payload []byte) []byte {
+func (vp *VantagePoint) buildTCPResponse(n *netsim.Network, env *ServerEnv, fromDst, toSrc netip.Addr, reqSrcPort, reqDstPort uint16, payload []byte) []byte {
 	vp.ls.TCP = capture.TCP{SrcPort: reqDstPort, DstPort: reqSrcPort, Flags: capture.FlagACK | capture.FlagPSH}
-	out, err := n.BuildPacket(fromDst, toSrc,
-		vp.ls.Pair(&vp.ls.TCP, payload)...)
+	n.ResolveRelay(&env.reply, &env.fwd, fromDst, toSrc)
+	out, err := env.reply.Build(vp.ls.Pair(&vp.ls.TCP, payload)...)
 	if err != nil {
 		return nil
 	}
