@@ -11,9 +11,9 @@
 // Every entry carries the fingerprint of the host it was measured on:
 // CPU model, nproc, GOMAXPROCS, Go version and kernel.
 //
-// With -repeats, the lines for one benchmark (a `-count N` run, or
+// A benchmark whose name repeats on stdin (a `-count N` run, or
 // samples of several benchmarks interleaved so that a drift in the
-// host's speed hits each alike) collapse into one entry recording the
+// host's speed hits each alike) collapses into one entry recording the
 // median ns/op and the sample range [min, max].
 //
 // With -check, benchtrend reads no stdin: it finds the two
@@ -82,7 +82,6 @@ func main() {
 	log.SetPrefix("benchtrend: ")
 	out := flag.String("out", "BENCH.json", "trajectory file to append to (created if missing)")
 	label := flag.String("label", "", "label for this run (e.g. a commit or change name)")
-	repeats := flag.Bool("repeats", false, "collapse the samples of each benchmark into one entry: median ns/op plus the [min, max] range")
 	check := flag.Bool("check", false, "compare the two newest BENCH_*.json and fail on >10% allocs/op regressions, or on repeated ns/op ranges that separate on the same host")
 	flag.Parse()
 	if *check {
@@ -108,9 +107,7 @@ func main() {
 	if len(entries) == 0 {
 		log.Fatal("no benchmark lines found on stdin")
 	}
-	if *repeats {
-		entries = collapse(entries)
-	}
+	entries = collapse(entries)
 	traj.Entries = append(traj.Entries, entries...)
 
 	enc, err := json.MarshalIndent(&traj, "", "  ")
@@ -211,7 +208,8 @@ func hostFingerprint() Host {
 // collapse merges the samples of each benchmark, in first-appearance
 // order, into one entry: the median ns/op, the [min, max] range, the
 // sample count, and the last sample's other fields (allocations are
-// deterministic, so any sample's would do).
+// deterministic, so any sample's would do). A benchmark with a single
+// sample keeps its entry as parsed.
 func collapse(entries []Entry) []Entry {
 	idx := make(map[string]int)
 	var out []Entry
@@ -229,6 +227,9 @@ func collapse(entries []Entry) []Entry {
 	}
 	for i := range out {
 		s := ns[i]
+		if len(s) < 2 {
+			continue
+		}
 		sort.Float64s(s)
 		med := s[len(s)/2]
 		if len(s)%2 == 0 {

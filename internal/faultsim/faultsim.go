@@ -212,11 +212,12 @@ type Plan struct {
 	profile Profile
 	seed    uint64
 
-	rng       *simrand.Source
-	vps       map[netip.Addr]bool
-	resolvers map[netip.Addr]bool
-	stats     Stats
-	lastPass  time.Duration
+	rng *simrand.Source
+	// class holds the registered vantage-point and resolver bits of
+	// each address (Classify).
+	class    map[netip.Addr]netsim.FaultClass
+	stats    Stats
+	lastPass time.Duration
 
 	flapOff, lossOff, dnsOff, tunnelOff time.Duration
 }
@@ -224,11 +225,10 @@ type Plan struct {
 // New builds a plan for profile, deriving every schedule from seed.
 func New(profile Profile, seed uint64) *Plan {
 	p := &Plan{
-		profile:   profile,
-		seed:      seed,
-		rng:       simrand.New(seed).Fork("faultsim"),
-		vps:       make(map[netip.Addr]bool),
-		resolvers: make(map[netip.Addr]bool),
+		profile: profile,
+		seed:    seed,
+		rng:     simrand.New(seed).Fork("faultsim"),
+		class:   make(map[netip.Addr]netsim.FaultClass),
 	}
 	p.flapOff = phaseOffset(seed, "flap", profile.FlapEvery)
 	p.lossOff = phaseOffset(seed, "loss", profile.LossBurstEvery)
@@ -255,7 +255,7 @@ func (p *Plan) Profile() Profile { return p.profile }
 // once per flow.
 func (p *Plan) SetVPAddrs(addrs []netip.Addr) {
 	for _, a := range addrs {
-		p.vps[a] = true
+		p.class[a] |= classVP
 	}
 }
 
@@ -263,7 +263,7 @@ func (p *Plan) SetVPAddrs(addrs []netip.Addr) {
 // blackouts. Like SetVPAddrs, call it before installing the plan.
 func (p *Plan) SetResolverAddrs(addrs []netip.Addr) {
 	for _, a := range addrs {
-		p.resolvers[a] = true
+		p.class[a] |= classResolver
 	}
 }
 
@@ -307,14 +307,7 @@ const (
 // Classify implements netsim.FaultHook: whether dst is a registered
 // vantage point and whether it is a registered resolver.
 func (p *Plan) Classify(dst netip.Addr) netsim.FaultClass {
-	var c netsim.FaultClass
-	if p.vps[dst] {
-		c |= classVP
-	}
-	if p.resolvers[dst] {
-		c |= classResolver
-	}
-	return c
+	return p.class[dst]
 }
 
 // Decide implements netsim.FaultHook: the plan's verdict on one

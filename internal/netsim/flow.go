@@ -197,22 +197,8 @@ func (n *Network) route(st *flowState, from *Host) {
 		rttMs: n.rttModel.RTTMs(from.Coord, st.target.Coord),
 	}
 	if n.faultHook != nil {
-		st.fault = n.classify(st.target, st.key.dst)
+		st.fault = n.faultHook.Classify(st.key.dst)
 	}
-}
-
-// classify returns the fault hook's class for dst, an address of h.
-// A host keeps its classes for as long as the hook is installed, so
-// each address is classified once per hook, not once per flow.
-func (n *Network) classify(h *Host, dst netip.Addr) FaultClass {
-	i := 0
-	if dst.Is6() {
-		i = 1
-	}
-	if h.faultGen[i] != n.hookGen {
-		h.fault[i], h.faultGen[i] = n.faultHook.Classify(dst), n.hookGen
-	}
-	return h.fault[i]
 }
 
 // Interned failures of an exchange on st.

@@ -10,12 +10,12 @@ import (
 	"vpnscope/internal/capture"
 )
 
-// flowCount counts the world's flow-table entries.
-func (n *Network) flowCount() int {
+// protoCount counts the packet prototypes the world's flows hold.
+func (n *Network) protoCount() int {
 	if n.scratch == nil {
 		return 0
 	}
-	return len(n.scratch.flows.packed) + len(n.scratch.flows.wide)
+	return n.scratch.protos.used
 }
 
 // dropFlows forgets every resolved flow, so the next packet on each

@@ -30,8 +30,8 @@ type TCPHandler func(src netip.Addr, srcPort uint16, payload []byte) []byte
 type RawHandler func(n *Network, packet []byte, emit func([]byte)) bool
 
 // Host is a machine on the simulated Internet: one or more addresses,
-// a physical location, and registered service handlers. A host joins
-// one Network, and like it is driven only by the world's owner
+// a physical location, and registered service handlers. Like the
+// Network it joins, a host is driven only by the world's owner
 // goroutine.
 type Host struct {
 	Name    string
@@ -46,16 +46,10 @@ type Host struct {
 	// Zero means "use 1.0".
 	Reliability float64
 
-	udp  ports[UDPHandler]
-	tcp  ports[TCPHandler]
+	udp  map[uint16]UDPHandler
+	tcp  map[uint16]TCPHandler
 	raw  RawHandler
 	drop bool // administratively down
-
-	// fault caches the installed fault hook's class for the host's IPv4
-	// and IPv6 address; faultGen holds the hook generation each was
-	// classified under (zero: never).
-	fault    [2]FaultClass
-	faultGen [2]uint64
 }
 
 // NewHost creates a host at the given city.
@@ -64,40 +58,19 @@ func NewHost(name string, city geo.City, addr netip.Addr) *Host {
 }
 
 // HandleUDP registers a UDP service on port.
-func (h *Host) HandleUDP(port uint16, fn UDPHandler) { h.udp.set(port, fn) }
+func (h *Host) HandleUDP(port uint16, fn UDPHandler) {
+	if h.udp == nil {
+		h.udp = make(map[uint16]UDPHandler)
+	}
+	h.udp[port] = fn
+}
 
 // HandleTCP registers a TCP service on port.
-func (h *Host) HandleTCP(port uint16, fn TCPHandler) { h.tcp.set(port, fn) }
-
-// ports maps a host's ports to their handlers. A host serves a handful
-// of ports, which a scan finds faster than a map lookup on every
-// delivered packet.
-type ports[H any] []portHandler[H]
-
-type portHandler[H any] struct {
-	port uint16
-	fn   H
-}
-
-// set registers fn on port, replacing any earlier handler.
-func (p *ports[H]) set(port uint16, fn H) {
-	for i := range *p {
-		if (*p)[i].port == port {
-			(*p)[i].fn = fn
-			return
-		}
+func (h *Host) HandleTCP(port uint16, fn TCPHandler) {
+	if h.tcp == nil {
+		h.tcp = make(map[uint16]TCPHandler)
 	}
-	*p = append(*p, portHandler[H]{port, fn})
-}
-
-// get returns port's handler, or the zero H (nil) when none.
-func (p ports[H]) get(port uint16) (fn H) {
-	for _, e := range p {
-		if e.port == port {
-			return e.fn
-		}
-	}
-	return fn
+	h.tcp[port] = fn
 }
 
 // HandleRaw registers a whole-packet handler consulted before port

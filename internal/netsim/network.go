@@ -79,9 +79,6 @@ type Network struct {
 	rng       *simrand.Source
 	seed      uint64
 	faultHook FaultHook
-	// hookGen counts hook installations; it tags the classifications
-	// hosts cache (Host.fault), so a new hook reclassifies every host.
-	hookGen uint64
 
 	// owner is the ownerdebug goroutine stamp (zero-size otherwise).
 	owner ownerStamp
@@ -148,7 +145,6 @@ func (n *Network) SetFaultHook(h FaultHook) {
 	n.owner.check("SetFaultHook")
 	n.faultHook = h
 	n.epoch++
-	n.hookGen++
 }
 
 // ResetStream re-derives the network's stochastic stream (jitter and
@@ -473,7 +469,7 @@ func (n *Network) deliverOn(target *Host, pkt []byte, ring *deliveryRing, st *fl
 		ring.emit(reply)
 
 	case capture.TypeUDP:
-		h := target.udp.get(v.DstPort)
+		h := target.udp[v.DstPort]
 		if h == nil {
 			return n.errAddrPort(ErrRefused, "udp", v.Dst, v.DstPort)
 		}
@@ -490,7 +486,7 @@ func (n *Network) deliverOn(target *Host, pkt []byte, ring *deliveryRing, st *fl
 		ring.emit(reply)
 
 	case capture.TypeTCP:
-		h := target.tcp.get(v.DstPort)
+		h := target.tcp[v.DstPort]
 		if h == nil {
 			return n.errAddrPort(ErrRefused, "tcp", v.Dst, v.DstPort)
 		}

@@ -32,7 +32,7 @@ func TestPrototypeNoArenaRetention(t *testing.T) {
 	}
 
 	build(40000, "warm the prototype")
-	if n.flowCount() == 0 {
+	if n.protoCount() == 0 {
 		t.Fatal("first build did not install a prototype")
 	}
 	patched := build(40001, "patched off the cached image")
@@ -45,7 +45,7 @@ func TestPrototypeNoArenaRetention(t *testing.T) {
 	if !bytes.Equal(patched, snapshot) {
 		t.Fatalf("emitted packet mutated by arena reset:\nbefore: %x\nafter:  %x", snapshot, patched)
 	}
-	if n.flowCount() != 0 {
+	if n.protoCount() != 0 {
 		t.Fatal("BeginSlot left prototypes pointing into recycled arena memory")
 	}
 

@@ -76,7 +76,7 @@ func TestReleaseScratchPoisons(t *testing.T) {
 		&capture.UDP{SrcPort: 1, DstPort: 53}, capture.Payload("q")); err != nil {
 		t.Fatal(err)
 	}
-	if n.flowCount() == 0 {
+	if n.protoCount() == 0 {
 		t.Fatal("precondition: the build cached no prototype")
 	}
 	kept := a.Copy([]byte("slot bytes"))
@@ -92,7 +92,7 @@ func TestReleaseScratchPoisons(t *testing.T) {
 	if !bytes.Equal(wire, bytes.Repeat([]byte{arena.PoisonByte}, len(wire))) {
 		t.Errorf("serialize-buffer bytes survived release: %q", wire)
 	}
-	if n.SlotArena() != nil || n.flowCount() != 0 {
+	if n.SlotArena() != nil || n.protoCount() != 0 {
 		t.Error("release left the bundle's arena installed or its prototypes cached")
 	}
 }

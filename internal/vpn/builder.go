@@ -26,9 +26,6 @@ type Builder struct {
 
 // NewBuilder returns a builder over the given network and environment.
 func NewBuilder(n *netsim.Network, env *ServerEnv, seed uint64) *Builder {
-	if env == nil {
-		env = &ServerEnv{}
-	}
 	return &Builder{
 		Net:        n,
 		Env:        env,

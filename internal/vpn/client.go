@@ -61,10 +61,8 @@ type Client struct {
 	downCause   error
 	downWrapped error
 	// encap is the tunnel's outer flow, host to vantage point out the
-	// physical interface, held for the client's life; direct reports
-	// that the carrier is that interface, so frames go out on encap.
-	encap  netsim.Flow
-	direct bool
+	// physical interface, held for the client's life.
+	encap netsim.Flow
 }
 
 // tunnelError mirrors fmt.Errorf("%w: %v", ErrTunnelDown, cause): the
@@ -90,14 +88,16 @@ func (c *Client) wrapTunnelDown(cause error) error {
 }
 
 // directCarrier ships tunnel frames straight to the vantage point over
-// the physical interface.
+// the physical interface, on a flow handle held for the carrier's life.
 type directCarrier struct {
 	stack *netsim.Stack
 	vp    *VantagePoint
+	flow  netsim.Flow
 }
 
 func (d *directCarrier) Send(pkt []byte) ([]byte, error) {
-	return d.stack.SendVia(netsim.PhysicalName, pkt)
+	d.stack.PhysicalFlow(&d.flow, d.vp.Addr())
+	return d.stack.SendFlow(&d.flow, pkt)
 }
 
 func (d *directCarrier) Endpoint() netip.Addr { return d.vp.Addr() }
@@ -125,7 +125,6 @@ func connect(stack *netsim.Stack, vp *VantagePoint, carrier Carrier) (*Client, e
 		return nil, fmt.Errorf("%w: %s: %v", ErrConnectFailed, vp.ID(), err)
 	}
 	c := &Client{Provider: vp.Provider, VP: vp, Stack: stack, carrier: carrier}
-	_, c.direct = carrier.(*directCarrier)
 	c.origResolvers = stack.Resolvers()
 	spec := &vp.Provider.Spec
 
@@ -190,12 +189,7 @@ func (c *Client) tunnelSend(inner []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var resp []byte
-	if c.direct {
-		resp, err = c.Stack.SendFlow(&c.encap, outer)
-	} else {
-		resp, err = c.carrier.Send(outer)
-	}
+	resp, err := c.carrier.Send(outer)
 	if err != nil {
 		c.noteFailure(err)
 		return nil, c.wrapTunnelDown(err)

@@ -192,6 +192,19 @@ type VantagePoint struct {
 	mitmBuf  []byte
 	// regen is the transparent proxy's rewrite scratch (same contract).
 	regen websim.HeaderRegenerator
+	// flows holds the flow handles the tunnel terminator sends on
+	// (same contract), made when the vantage point first serves a
+	// tunnel packet, so a world pays only for the vantage points it
+	// measures.
+	flows *relayFlows
+}
+
+// relayFlows are a vantage point's flow handles, revalidated per packet:
+// wrap carries tunnel replies to the client, fwd the forwarded packet
+// from the egress, and reply the inner response back to the
+// tunnel-internal client.
+type relayFlows struct {
+	wrap, fwd, reply netsim.Flow
 }
 
 // ID returns a stable identifier like "HideMyAss#17".

@@ -17,14 +17,6 @@ import (
 type ServerEnv struct {
 	Dir *dnssim.Directory
 	Web *websim.Web
-
-	// Flow handles the world's vantage points forward on, revalidated
-	// per packet: wrap carries tunnel replies to the client, fwd the
-	// forwarded packet from the egress, and reply the inner response
-	// back to the tunnel-internal client. One set serves every vantage
-	// point: only the world's owner goroutine forwards, and every use
-	// re-resolves the handle for its own flow first.
-	wrap, fwd, reply netsim.Flow
 }
 
 // installDemuxed builds the vantage point's tunnel-internal resolver
@@ -68,6 +60,9 @@ func (vp *VantagePoint) serveTunnel(n *netsim.Network, env *ServerEnv, pkt []byt
 		return // unknown session
 	}
 	clientAddr := outer.Src
+	if vp.flows == nil {
+		vp.flows = new(relayFlows)
+	}
 
 	// The decapsulated inner packet lives only for this delivery — a
 	// slot-arena copy when the world has one installed.
@@ -80,8 +75,8 @@ func (vp *VantagePoint) serveTunnel(n *netsim.Network, env *ServerEnv, pkt []byt
 	}
 	vp.ks.XOR(vp.sessionKey, respInner)
 	vp.ls.Tunnel = capture.Tunnel{SessionID: vp.sessionKey}
-	n.Resolve(&env.wrap, nil, vp.Addr(), clientAddr)
-	wrapped, err := env.wrap.Build(vp.ls.Pair(&vp.ls.Tunnel, respInner)...)
+	n.Resolve(&vp.flows.wrap, nil, vp.Addr(), clientAddr)
+	wrapped, err := vp.flows.wrap.Build(vp.ls.Pair(&vp.ls.Tunnel, respInner)...)
 	if err != nil {
 		return
 	}
@@ -118,8 +113,8 @@ func (vp *VantagePoint) serveInner(n *netsim.Network, env *ServerEnv, resolver *
 				return nil
 			}
 			vp.ls.UDP = capture.UDP{SrcPort: 53, DstPort: v.SrcPort}
-			n.Resolve(&env.reply, nil, TunnelInternalDNS, src)
-			resp, err := env.reply.Build(vp.ls.Pair(&vp.ls.UDP, answer)...)
+			n.Resolve(&vp.flows.reply, nil, TunnelInternalDNS, src)
+			resp, err := vp.flows.reply.Build(vp.ls.Pair(&vp.ls.UDP, answer)...)
 			if err != nil {
 				return nil
 			}
@@ -138,8 +133,8 @@ func (vp *VantagePoint) serveInner(n *netsim.Network, env *ServerEnv, resolver *
 		ttl := v.TTL
 		if ttl <= 1 {
 			vp.ls.ICMP = capture.ICMP{TypeCode: capture.ICMPTimeExceeded}
-			n.Resolve(&env.reply, nil, TunnelInternalDNS, src)
-			out, err := env.reply.Build(vp.ls.One(&vp.ls.ICMP)...)
+			n.Resolve(&vp.flows.reply, nil, TunnelInternalDNS, src)
+			out, err := vp.flows.reply.Build(vp.ls.One(&vp.ls.ICMP)...)
 			if err != nil {
 				return nil
 			}
@@ -148,12 +143,12 @@ func (vp *VantagePoint) serveInner(n *netsim.Network, env *ServerEnv, resolver *
 		buf := n.AcquireBuffer()
 		defer n.ReleaseBuffer(buf)
 		vp.ls.ICMP = capture.ICMP{TypeCode: v.ICMPType, ID: v.ICMPID, Seq: v.ICMPSeq}
-		n.Resolve(&env.fwd, vp.Host, egress, dst)
-		fwd, err := env.fwd.BuildInto(buf, ttl-1, vp.ls.Pair(&vp.ls.ICMP, v.Payload)...)
+		n.Resolve(&vp.flows.fwd, vp.Host, egress, dst)
+		fwd, err := vp.flows.fwd.BuildInto(buf, ttl-1, vp.ls.Pair(&vp.ls.ICMP, v.Payload)...)
 		if err != nil {
 			return nil
 		}
-		resp, err := env.fwd.Exchange(fwd)
+		resp, err := vp.flows.fwd.Exchange(fwd)
 		if err != nil || resp == nil {
 			return nil
 		}
@@ -169,31 +164,31 @@ func (vp *VantagePoint) serveInner(n *netsim.Network, env *ServerEnv, resolver *
 			responder = rv.Src
 		}
 		vp.ls.ICMP = capture.ICMP{TypeCode: rv.ICMPType, ID: rv.ICMPID, Seq: rv.ICMPSeq}
-		n.ResolveRelay(&env.reply, &env.fwd, responder, src)
-		out, err := env.reply.Build(vp.ls.Pair(&vp.ls.ICMP, rv.Payload)...)
+		n.ResolveRelay(&vp.flows.reply, &vp.flows.fwd, responder, src)
+		out, err := vp.flows.reply.Build(vp.ls.Pair(&vp.ls.ICMP, rv.Payload)...)
 		if err != nil {
 			return nil
 		}
 		return out
 
 	case capture.TypeUDP:
-		return vp.forwardUDP(n, env, egress, src, dst, v.SrcPort, v.DstPort, v.Payload)
+		return vp.forwardUDP(n, egress, src, dst, v.SrcPort, v.DstPort, v.Payload)
 	case capture.TypeTCP:
 		return vp.forwardTCP(n, env, egress, src, dst, v.SrcPort, v.DstPort, v.Payload)
 	}
 	return nil
 }
 
-func (vp *VantagePoint) forwardUDP(n *netsim.Network, env *ServerEnv, egress, src, dst netip.Addr, srcPort, dstPort uint16, payload []byte) []byte {
+func (vp *VantagePoint) forwardUDP(n *netsim.Network, egress, src, dst netip.Addr, srcPort, dstPort uint16, payload []byte) []byte {
 	buf := n.AcquireBuffer()
 	defer n.ReleaseBuffer(buf)
 	vp.ls.UDP = capture.UDP{SrcPort: srcPort, DstPort: dstPort}
-	n.Resolve(&env.fwd, vp.Host, egress, dst)
-	fwd, err := env.fwd.BuildInto(buf, 64, vp.ls.Pair(&vp.ls.UDP, payload)...)
+	n.Resolve(&vp.flows.fwd, vp.Host, egress, dst)
+	fwd, err := vp.flows.fwd.BuildInto(buf, 64, vp.ls.Pair(&vp.ls.UDP, payload)...)
 	if err != nil {
 		return nil
 	}
-	resp, err := env.fwd.Exchange(fwd)
+	resp, err := vp.flows.fwd.Exchange(fwd)
 	if err != nil || resp == nil {
 		return nil
 	}
@@ -202,8 +197,8 @@ func (vp *VantagePoint) forwardUDP(n *netsim.Network, env *ServerEnv, egress, sr
 		return nil
 	}
 	vp.ls.UDP = capture.UDP{SrcPort: rv.SrcPort, DstPort: rv.DstPort}
-	n.ResolveRelay(&env.reply, &env.fwd, dst, src)
-	out, err := env.reply.Build(vp.ls.Pair(&vp.ls.UDP, rv.Payload)...)
+	n.ResolveRelay(&vp.flows.reply, &vp.flows.fwd, dst, src)
+	out, err := vp.flows.reply.Build(vp.ls.Pair(&vp.ls.UDP, rv.Payload)...)
 	if err != nil {
 		return nil
 	}
@@ -217,11 +212,11 @@ func (vp *VantagePoint) forwardTCP(n *netsim.Network, env *ServerEnv, egress, sr
 	// this is exactly why redirections appeared "only on endpoints
 	// claiming to be in their respective countries" (§6.1.1): those
 	// endpoints really were there.
-	if dstPort == 80 && env.Web != nil {
+	if dstPort == 80 && env != nil && env.Web != nil {
 		if policy := websim.PolicyFor(vp.ActualCity.Country); policy != nil {
 			if host, ok := websim.RequestHost(payload); ok {
 				if resp, blocked := policy.Apply(vp.Host.Block.Org, host, env.Web.SiteByName); blocked {
-					return vp.buildTCPResponse(n, env, dst, src, srcPort, dstPort, resp.Encode())
+					return vp.buildTCPResponse(n, dst, src, srcPort, dstPort, resp.Encode())
 				}
 			}
 		}
@@ -237,7 +232,7 @@ func (vp *VantagePoint) forwardTCP(n *netsim.Network, env *ServerEnv, egress, sr
 	if dstPort == 443 && spec.InterceptTLS && vp.Provider.MITMCA != nil {
 		if sni, innerReq, err := tlssim.ParseClientHello(payload); err == nil {
 			vp.helloBuf = tlssim.AppendClientHello(vp.helloBuf[:0], sni, innerReq)
-			upstream := vp.exchangeTCP(n, env, egress, dst, srcPort, dstPort, vp.helloBuf)
+			upstream := vp.exchangeTCP(n, egress, dst, srcPort, dstPort, vp.helloBuf)
 			if upstream == nil {
 				return nil
 			}
@@ -250,11 +245,11 @@ func (vp *VantagePoint) forwardTCP(n *netsim.Network, env *ServerEnv, egress, sr
 				return nil
 			}
 			vp.mitmBuf = mitm
-			return vp.buildTCPResponse(n, env, dst, src, srcPort, dstPort, mitm)
+			return vp.buildTCPResponse(n, dst, src, srcPort, dstPort, mitm)
 		}
 	}
 
-	respPayload := vp.exchangeTCP(n, env, egress, dst, srcPort, dstPort, payload)
+	respPayload := vp.exchangeTCP(n, egress, dst, srcPort, dstPort, payload)
 	if respPayload == nil {
 		return nil
 	}
@@ -263,21 +258,21 @@ func (vp *VantagePoint) forwardTCP(n *netsim.Network, env *ServerEnv, egress, sr
 	if dstPort == 80 && spec.InjectContent {
 		respPayload = websim.InjectOverlay(respPayload, vp.Provider.Spec.Domain)
 	}
-	return vp.buildTCPResponse(n, env, dst, src, srcPort, dstPort, respPayload)
+	return vp.buildTCPResponse(n, dst, src, srcPort, dstPort, respPayload)
 }
 
 // exchangeTCP forwards a TCP request payload from the egress address and
 // returns the response payload.
-func (vp *VantagePoint) exchangeTCP(n *netsim.Network, env *ServerEnv, egress, dst netip.Addr, srcPort, dstPort uint16, payload []byte) []byte {
+func (vp *VantagePoint) exchangeTCP(n *netsim.Network, egress, dst netip.Addr, srcPort, dstPort uint16, payload []byte) []byte {
 	buf := n.AcquireBuffer()
 	defer n.ReleaseBuffer(buf)
 	vp.ls.TCP = capture.TCP{SrcPort: srcPort, DstPort: dstPort, Flags: capture.FlagACK | capture.FlagPSH}
-	n.Resolve(&env.fwd, vp.Host, egress, dst)
-	fwd, err := env.fwd.BuildInto(buf, 64, vp.ls.Pair(&vp.ls.TCP, payload)...)
+	n.Resolve(&vp.flows.fwd, vp.Host, egress, dst)
+	fwd, err := vp.flows.fwd.BuildInto(buf, 64, vp.ls.Pair(&vp.ls.TCP, payload)...)
 	if err != nil {
 		return nil
 	}
-	resp, err := env.fwd.Exchange(fwd)
+	resp, err := vp.flows.fwd.Exchange(fwd)
 	if err != nil || resp == nil {
 		return nil
 	}
@@ -293,10 +288,10 @@ func (vp *VantagePoint) exchangeTCP(n *netsim.Network, env *ServerEnv, egress, d
 // buildTCPResponse builds the inner response packet back to the client
 // (slot-arena owned, like every packet on the delivery path). Ports are
 // the client's original request ports; the reply swaps them.
-func (vp *VantagePoint) buildTCPResponse(n *netsim.Network, env *ServerEnv, fromDst, toSrc netip.Addr, reqSrcPort, reqDstPort uint16, payload []byte) []byte {
+func (vp *VantagePoint) buildTCPResponse(n *netsim.Network, fromDst, toSrc netip.Addr, reqSrcPort, reqDstPort uint16, payload []byte) []byte {
 	vp.ls.TCP = capture.TCP{SrcPort: reqDstPort, DstPort: reqSrcPort, Flags: capture.FlagACK | capture.FlagPSH}
-	n.ResolveRelay(&env.reply, &env.fwd, fromDst, toSrc)
-	out, err := env.reply.Build(vp.ls.Pair(&vp.ls.TCP, payload)...)
+	n.ResolveRelay(&vp.flows.reply, &vp.flows.fwd, fromDst, toSrc)
+	out, err := vp.flows.reply.Build(vp.ls.Pair(&vp.ls.TCP, payload)...)
 	if err != nil {
 		return nil
 	}

@@ -54,7 +54,7 @@ while [ "$i" -lt 5 ]; do
         "$bin/root.test" -test.bench "$b" -test.benchtime 1x -test.benchmem -test.run '^$'
     done
     i=$((i + 1))
-done | go run ./cmd/benchtrend -repeats -out "$out" -label "$label"
+done | go run ./cmd/benchtrend -out "$out" -label "$label"
 
 # The raw record path — Ring.Record plus every explicit fact method
 # (its zero-alloc gate, live and nil ring, lives inside the benchmark
@@ -63,14 +63,14 @@ done | go run ./cmd/benchtrend -repeats -out "$out" -label "$label"
 # campaign benchmarks above use, or scheduler jitter dominates.
 go test -bench 'BenchmarkTelemetryOverhead/record$' \
     -benchtime 20000x -count 5 -benchmem -run '^$' . |
-    go run ./cmd/benchtrend -repeats -out "$out" -label "$label"
+    go run ./cmd/benchtrend -out "$out" -label "$label"
 
 # Streaming-commit cost (the allocs-per-outcome gate lives inside the
 # benchmark itself and fails the run on a per-outcome allocation). Also
 # cheap: repeat and record the range.
 go test -bench 'BenchmarkCommitStream$' \
     -benchtime 100x -count 5 -benchmem -run '^$' ./internal/study |
-    go run ./cmd/benchtrend -repeats -out "$out" -label "$label"
+    go run ./cmd/benchtrend -out "$out" -label "$label"
 
 # Ecosystem-scale sweep: the full 200-provider catalog (tested 62 plus
 # derived synthetic profiles) streamed into a sharded outcome log and
