@@ -9,18 +9,20 @@ test:
 	go test ./...
 
 race:
-	go test -race -short ./internal/study/... ./internal/faultsim/... ./internal/netsim/... ./internal/results/... ./internal/arena/...
+	go test -race -short ./internal/study/... ./internal/faultsim/... ./internal/netsim/... ./internal/results/... ./internal/arena/... ./internal/campaign/...
 
 # tier1 is the full verification gate: build, gofmt, vet, tests, race
 # subset (the study wildcard covers internal/study/slotsched and the
-# sharded outcome log in internal/results/shardlog; the slot arena has
-# its own entry), the flight-recorder ring race suite, the daemon race
-# suite (admission, drain, kill -9 chaos, panic/stall flight dumps),
+# sharded outcome log in internal/results/shardlog; the slot arena and
+# the campaign runner have their own entries), the flight-recorder
+# ring race suite, the daemon race suite (admission, drain, kill -9
+# chaos, panic/stall flight dumps),
 # study bench smoke, the alloc-gated fast-path, prototype-patch,
 # flow-handle send, streaming-commit, small-campaign, shard-log, and
 # one-suite benches,
 # the poisoned-arena prototype retention suite and study suites, and
-# the world suites under the ownerdebug single-owner assertion.
+# the world suites and the campaign runner's under the ownerdebug
+# single-owner assertion.
 tier1: build
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	go vet ./...
@@ -35,7 +37,7 @@ tier1: build
 	go test -bench 'FullSuiteOneVP' -benchtime 1x -run '^$$' ./internal/vpntest
 	go test -tags arenadebug -run 'Prototype' ./internal/netsim
 	go test -tags arenadebug -short ./internal/study/...
-	go test -tags ownerdebug -short ./internal/netsim/... ./internal/capture/... ./internal/vpn/... ./internal/vpntest/... ./internal/study/... ./internal/server/... ./internal/torsim/... ./internal/dnssim/... ./internal/websim/... ./internal/geodb/... ./internal/faultsim/...
+	go test -tags ownerdebug -short ./internal/netsim/... ./internal/capture/... ./internal/vpn/... ./internal/vpntest/... ./internal/study/... ./internal/server/... ./internal/torsim/... ./internal/dnssim/... ./internal/websim/... ./internal/geodb/... ./internal/faultsim/... ./internal/campaign/...
 
 # bench runs the full-study benchmarks and appends the numbers, each
 # stamped with the host's fingerprint, to the BENCH_*.json trajectory

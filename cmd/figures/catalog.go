@@ -6,25 +6,21 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"vpnscope/internal/analysis"
+	"vpnscope/internal/campaign"
 	"vpnscope/internal/ecosystem"
-	"vpnscope/internal/faultsim"
+	"vpnscope/internal/flightrec"
 	"vpnscope/internal/report"
 	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
-	"vpnscope/internal/vpn"
 )
 
-// catalogParams carries the flag values the streaming sweep needs.
+// catalogParams carries what the streaming sweep needs beyond its spec.
 type catalogParams struct {
-	seed                    uint64
-	catalog, months, shards int
-	outcomes, faults        string
-	fullVPs, retries        int
-	quarantine, parallel    int
-	rec                     *recorder
+	catalog  int // the -catalog flag: 0 sweeps the tested 62
+	outcomes string
+	rec      *recorder
 }
 
 // runCatalogMode is the ecosystem-scale entry point: every outcome is
@@ -32,24 +28,28 @@ type catalogParams struct {
 // by re-iterating the log (never materializing the result set), and
 // -months re-audits the catalog at later virtual months, reporting
 // verdict churn against the planted synthetic drift.
-func runCatalogMode(ctx context.Context, stopSignals func(), p catalogParams) {
+func runCatalogMode(ctx context.Context, stopSignals func(), spec campaign.Spec, p catalogParams) {
 	out := os.Stdout
 	var entries []ecosystem.CatalogEntry
 	if p.catalog > 0 {
-		entries = ecosystem.BuildCatalogN(p.seed, p.catalog)
+		entries = spec.CatalogEntries()
 		fmt.Fprintf(out, "catalog sweep: %d providers (%d with hand-built tested specs)\n",
 			len(entries), countTested(entries))
 	}
 
-	baseLog, baseLean, w := auditMonth(ctx, stopSignals, p, entries, 0)
+	base := auditMonth(ctx, stopSignals, &spec, p, 0)
 	p.rec.stopProgress()
+	baseLean, err := base.Log.Lean()
+	if err != nil {
+		log.Fatal(err)
+	}
 	var scanErr error
-	src := baseLog.Reports(&scanErr)
-	writeReport(out, src, baseLean, w, nil)
+	src := base.Log.Reports(&scanErr)
+	writeReport(out, src, baseLean, base.World, nil)
 	if scanErr != nil {
 		log.Fatal(scanErr)
 	}
-	if p.months <= 0 {
+	if spec.Months <= 0 {
 		return
 	}
 
@@ -59,17 +59,14 @@ func runCatalogMode(ctx context.Context, stopSignals func(), p catalogParams) {
 	if scanErr != nil {
 		log.Fatal(scanErr)
 	}
-	baseLog.Close()
-	for m := 1; m <= p.months; m++ {
-		// Month M worlds differ (drifted specs), so the cached world
-		// templates of month M-1 would only hold memory.
-		study.ClearWorldTemplates()
-		lg, _, _ := auditMonth(ctx, stopSignals, p, entries, m)
-		cur := analysis.VerdictSnapshot(lg.Reports(&scanErr))
+	base.Log.Close()
+	for m := 1; m <= spec.Months; m++ {
+		a := auditMonth(ctx, stopSignals, &spec, p, m)
+		cur := analysis.VerdictSnapshot(a.Log.Reports(&scanErr))
 		if scanErr != nil {
 			log.Fatal(scanErr)
 		}
-		lg.Close()
+		a.Log.Close()
 		var rows [][]string
 		for _, ev := range analysis.VerdictChurn(prev, cur, m) {
 			rows = append(rows, []string{ev.Provider, ev.Verdict, onOff(ev.From), onOff(ev.To)})
@@ -82,7 +79,7 @@ func runCatalogMode(ctx context.Context, stopSignals func(), p catalogParams) {
 	// The ground truth the churn tables should have recovered.
 	var planted [][]string
 	for _, e := range entries {
-		if d := ecosystem.SyntheticDrift(p.seed, e); d.Month != 0 && d.Month <= p.months {
+		if d := ecosystem.SyntheticDrift(spec.Seed, e); d.Month != 0 && d.Month <= spec.Months {
 			planted = append(planted, []string{e.Name, fmt.Sprint(d.Month), d.Kind})
 		}
 	}
@@ -90,66 +87,30 @@ func runCatalogMode(ctx context.Context, stopSignals func(), p catalogParams) {
 		[]string{"Provider", "Month", "Change"}, planted)
 }
 
-// auditMonth opens (and, after a kill, recovers) the month's shard log,
-// builds the month's world, and streams any not-yet-durable outcomes
-// into the log. A sealed log skips the campaign entirely.
-func auditMonth(ctx context.Context, stopSignals func(), p catalogParams, entries []ecosystem.CatalogEntry, month int) (*shardlog.Log, *study.Result, *study.World) {
-	dir := p.outcomes
-	if p.months > 0 {
-		dir = filepath.Join(p.outcomes, fmt.Sprintf("month-%03d", month))
-	}
-	lg, err := shardlog.Open(dir, shardlog.Meta{
-		Seed: p.seed, Shards: p.shards, FaultProfile: p.faults, Month: month,
+// auditMonth runs one month of the sweep into its shard log, resuming
+// the log after a kill (a sealed log measures nothing), and returns
+// the month's sealed audit.
+func auditMonth(ctx context.Context, stopSignals func(), spec *campaign.Spec, p catalogParams, month int) *campaign.Audit {
+	dir := campaign.MonthDir(p.outcomes, spec, month)
+	a, err := campaign.RunMonth(ctx, spec, dir, month, campaign.Hooks{
+		Flight: func(w *study.World) *flightrec.Ring { return p.rec.attach(w, spec.Months+1) },
+		Started: func(lg *shardlog.Log, _ int) error {
+			if lg.NextRank() > 0 {
+				fmt.Printf("month %d: resuming %s: %d outcomes already durable\n", month, dir, lg.NextRank())
+			}
+			return nil
+		},
 	})
+	if errors.Is(err, study.ErrCanceled) {
+		stopSignals() // a second signal now kills the process the hard way
+		log.Printf("interrupted after %d outcomes; rerun with the same flags to resume from %s",
+			a.Log.NextRank(), dir)
+		os.Exit(130)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	var specs []vpn.ProviderSpec // nil: the tested 62
-	if entries != nil {
-		specs = ecosystem.CatalogSpecs(p.seed, entries, 0, month)
-	}
-	w, err := study.Build(study.Options{Seed: p.seed, MaxFullSuiteVPs: p.fullVPs, Providers: specs})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if p.faults != "" {
-		profile, err := faultsim.ByName(p.faults)
-		if err != nil {
-			log.Fatal(err)
-		}
-		w.EnableFaults(profile)
-	}
-	ring := p.rec.attach(w, p.months+1)
-
-	if !lg.Complete() {
-		cfg := study.RunConfig{
-			ConnectAttempts: p.retries, QuarantineAfter: p.quarantine,
-			Parallel: p.parallel, Ctx: ctx, Stream: lg.Append, Flight: ring,
-		}
-		if lg.NextRank() > 0 {
-			cfg.Resume = lg.Scan
-			fmt.Printf("month %d: resuming %s: %d outcomes already durable\n", month, dir, lg.NextRank())
-		}
-		_, err := w.RunWith(cfg)
-		if errors.Is(err, study.ErrCanceled) {
-			stopSignals() // a second signal now kills the process the hard way
-			log.Printf("interrupted after %d outcomes; rerun with the same flags to resume from %s",
-				lg.NextRank(), dir)
-			os.Exit(130)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := lg.MarkComplete(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	lean, err := lg.Lean()
-	if err != nil {
-		log.Fatal(err)
-	}
-	return lg, lean, w
+	return a
 }
 
 func countTested(entries []ecosystem.CatalogEntry) int {

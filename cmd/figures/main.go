@@ -41,7 +41,8 @@ import (
 	"time"
 
 	"vpnscope/internal/analysis"
-	"vpnscope/internal/faultsim"
+	"vpnscope/internal/campaign"
+	"vpnscope/internal/ecosystem"
 	"vpnscope/internal/flightrec"
 	"vpnscope/internal/profiling"
 	"vpnscope/internal/report"
@@ -79,6 +80,22 @@ func main() {
 	if *outcomes != "" && (*provider != "" || *jsonPath != "") {
 		log.Fatal("-provider/-json are not supported with -outcomes (use vpnaudit, or read the shard log)")
 	}
+	spec := campaign.Spec{
+		Seed: *seed, FaultProfile: *faults, Workers: *parallel,
+		ConnectAttempts: *retries, QuarantineAfter: *quarantine, MaxFullSuiteVPs: *fullVPs,
+	}
+	if *outcomes != "" {
+		// The tested 62 are the catalog's first 62 entries, with their
+		// hand-built specs, so a sweep of them keeps the sharded log
+		// layout -outcomes has always written.
+		spec.Catalog, spec.Months, spec.Shards = *catalogN, *months, *shards
+		if spec.Catalog == 0 {
+			spec.Catalog = len(ecosystem.TestedNames())
+		}
+	}
+	if err := spec.Validate(); err != nil {
+		log.Fatal(err)
+	}
 
 	stopProf, err := profiling.Start(profiling.Config{
 		CPUProfile:   *cpuprofile,
@@ -101,12 +118,7 @@ func main() {
 	defer stopSignals()
 
 	if *outcomes != "" {
-		runCatalogMode(ctx, stopSignals, catalogParams{
-			seed: *seed, catalog: *catalogN, months: *months, shards: *shards,
-			outcomes: *outcomes, faults: *faults, fullVPs: *fullVPs,
-			retries: *retries, quarantine: *quarantine, parallel: *parallel,
-			rec: rec,
-		})
+		runCatalogMode(ctx, stopSignals, spec, catalogParams{catalog: *catalogN, outcomes: *outcomes, rec: rec})
 		if err := rec.ring.WriteFiles(*metricsOut, *traceOut); err != nil {
 			log.Print(err) // not fatal: the results are already in hand
 		}
@@ -114,40 +126,27 @@ func main() {
 		return
 	}
 
-	w, err := study.Build(study.Options{Seed: *seed, MaxFullSuiteVPs: *fullVPs})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *faults != "" {
-		profile, err := faultsim.ByName(*faults)
-		if err != nil {
-			log.Fatal(err)
-		}
-		w.EnableFaults(profile)
-	}
-
-	cfg := study.RunConfig{ConnectAttempts: *retries, QuarantineAfter: *quarantine, Parallel: *parallel, Ctx: ctx,
-		Flight: rec.attach(w, 1)}
-
-	var res *study.Result
+	var measure func(*study.World, study.RunConfig) (*study.Result, error)
 	if *provider != "" {
-		res, err = w.RunProviderWith(*provider, cfg)
-	} else {
-		res, err = w.RunWith(cfg)
+		measure = func(w *study.World, cfg study.RunConfig) (*study.Result, error) {
+			return w.RunProviderWith(*provider, cfg)
+		}
 	}
+	a, err := campaign.RunMonth(ctx, &spec, "", 0, campaign.Hooks{
+		Measure: measure,
+		Flight:  func(w *study.World) *flightrec.Ring { return rec.attach(w, 1) },
+	})
 	rec.stopProgress() // final progress line before the report starts
 	if errors.Is(err, study.ErrCanceled) {
 		stopSignals() // a second signal now kills the process the hard way
-		at := 0
-		if res != nil {
-			at = res.VPsAttempted
-		}
-		log.Printf("interrupted after %d vantage points (progress not saved; -outcomes DIR makes a run resumable)", at)
+		log.Printf("interrupted after %d vantage points (progress not saved; -outcomes DIR makes a run resumable)",
+			a.Result.VPsAttempted)
 		os.Exit(130)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
+	res, w := a.Result, a.World
 	if err := rec.ring.WriteFiles(*metricsOut, *traceOut); err != nil {
 		log.Print(err) // not fatal: the results are already in hand
 	}
@@ -158,11 +157,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		opts := []results.Option{results.WithSeed(*seed)}
-		if *faults != "" {
-			opts = append(opts, results.WithFaultProfile(*faults))
-		}
-		if err := results.Save(f, res, opts...); err != nil {
+		if err := results.Save(f, res, spec.EnvelopeOptions()...); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {

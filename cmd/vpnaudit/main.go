@@ -23,18 +23,16 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
-	"path/filepath"
-	"vpnscope/internal/ecosystem"
-	"vpnscope/internal/faultsim"
+	"vpnscope/internal/campaign"
 	"vpnscope/internal/flightrec"
 	"vpnscope/internal/profiling"
 	"vpnscope/internal/report"
 	"vpnscope/internal/results/shardlog"
-
 	"vpnscope/internal/study"
 	"vpnscope/internal/vpntest"
 )
@@ -62,6 +60,35 @@ func main() {
 	progress := flag.Bool("progress", false, "print a periodic progress line to stderr")
 	flag.Parse()
 
+	if *list {
+		for _, name := range (&campaign.Spec{Seed: *seed, Catalog: *catalogN}).ProviderNames() {
+			fmt.Println(name)
+		}
+		return
+	}
+	if *provider == "" {
+		log.Fatal("missing -provider (use -list to see choices)")
+	}
+	spec := campaign.Spec{
+		Seed: *seed, FaultProfile: *faults, Workers: *parallel,
+		ConnectAttempts: *retries, QuarantineAfter: *quarantine,
+		Providers: []string{*provider}, Months: *month,
+	}
+	if *catalogN > 0 {
+		// Synthetic profiles are a function of (seed, entry) alone, so a
+		// single-provider world audits identically to a full-catalog one.
+		spec.Catalog, spec.Shards = *catalogN, 1
+	}
+	if err := spec.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	if *catalogN == 0 {
+		// A tested provider is audited inside the full 62-provider world:
+		// the builder allocates address blocks in provider order, so a
+		// one-provider world would hand out different egress addresses.
+		spec.Providers = nil
+	}
+
 	stopProf, err := profiling.Start(profiling.Config{
 		CPUProfile:   *cpuprofile,
 		MemProfile:   *memprofile,
@@ -73,61 +100,9 @@ func main() {
 	}
 	defer stopProf()
 
-	if *list {
-		if *catalogN > 0 {
-			for _, name := range ecosystem.CatalogNames(ecosystem.BuildCatalogN(*seed, *catalogN)) {
-				fmt.Println(name)
-			}
-		} else {
-			for _, name := range ecosystem.TestedNames() {
-				fmt.Println(name)
-			}
-		}
-		return
-	}
-	if *provider == "" {
-		log.Fatal("missing -provider (use -list to see choices)")
-	}
-
-	opts := study.Options{Seed: *seed, CollectCaptures: *pcapDir != ""}
-	if *catalogN > 0 {
-		// Synthetic profiles are a function of (seed, entry) alone, so a
-		// single-provider world audits identically to a full-catalog one.
-		found := false
-		for _, e := range ecosystem.BuildCatalogN(*seed, *catalogN) {
-			if e.Name == *provider {
-				opts.Providers = ecosystem.CatalogSpecs(*seed, []ecosystem.CatalogEntry{e}, 0, *month)
-				found = true
-				break
-			}
-		}
-		if !found {
-			log.Fatalf("provider %q is not in the first %d catalog entries (use -list -catalog %d)", *provider, *catalogN, *catalogN)
-		}
-	} else if *month != 0 {
-		log.Fatal("-month needs -catalog (tested providers never drift)")
-	}
-	w, err := study.Build(opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *faults != "" {
-		profile, err := faultsim.ByName(*faults)
-		if err != nil {
-			log.Fatal(err)
-		}
-		w.EnableFaults(profile)
-	}
 	// The audit's one flight recorder, sized from the world's slot count.
 	var ring *flightrec.Ring
-	if *metricsOut != "" || *traceOut != "" || *progress {
-		ring = flightrec.NewRing(flightrec.EventsFor(w.SlotCount()))
-	}
 	stopProgress := func() {}
-	if *progress {
-		stopProgress = ring.StartProgress(os.Stderr, 2*time.Second)
-		defer stopProgress()
-	}
 	pcap := func(r *vpntest.VPReport) {
 		if *pcapDir != "" && len(r.Captures) > 0 {
 			if err := writePcap(*pcapDir, r); err != nil {
@@ -135,55 +110,61 @@ func main() {
 			}
 		}
 	}
+	hooks := campaign.Hooks{
+		Build: func(s *campaign.Spec, m int) (*study.World, error) {
+			opts := s.Options(m)
+			opts.CollectCaptures = *pcapDir != ""
+			return campaign.BuildWorld(opts, s.FaultProfile)
+		},
+		Measure: func(w *study.World, cfg study.RunConfig) (*study.Result, error) {
+			return w.RunProviderWith(*provider, cfg)
+		},
+		Flight: func(w *study.World) *flightrec.Ring {
+			if *metricsOut != "" || *traceOut != "" || *progress {
+				ring = flightrec.NewRing(flightrec.EventsFor(w.SlotCount()))
+			}
+			if *progress {
+				stopProgress = ring.StartProgress(os.Stderr, 2*time.Second)
+			}
+			return ring
+		},
+		Started: func(lg *shardlog.Log, _ int) error {
+			if lg.NextRank() > 0 {
+				fmt.Printf("resuming %s: %d vantage points already decided\n", *outcomes, lg.NextRank())
+			}
+			return nil
+		},
+		// Captures are written before Append strips them from the log.
+		Outcome: func(o study.Outcome) error {
+			if o.Report != nil {
+				pcap(o.Report)
+			}
+			return nil
+		},
+	}
 	// SIGINT/SIGTERM cancel the audit at the next vantage-point slot
 	// boundary: with -outcomes every earlier outcome is already durable,
 	// so rerunning with the same flags resumes the audit.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	cfg := study.RunConfig{ConnectAttempts: *retries, QuarantineAfter: *quarantine, Parallel: *parallel, Ctx: ctx, Flight: ring}
-	var lg *shardlog.Log
-	if *outcomes != "" {
-		lg, err = shardlog.Open(*outcomes, shardlog.Meta{Seed: *seed, Shards: 1, FaultProfile: *faults, Month: *month})
-		if err != nil {
-			log.Fatal(err)
+	a, err := campaign.RunMonth(ctx, &spec, *outcomes, *month, hooks)
+	stopProgress() // final progress line before the report starts
+	if errors.Is(err, study.ErrCanceled) {
+		stopSignals() // a second signal now kills the process the hard way
+		if a.Log != nil {
+			log.Printf("interrupted after %d vantage points; rerun with the same flags to resume from %s", a.Log.NextRank(), *outcomes)
+		} else {
+			log.Printf("interrupted after %d vantage points (progress not saved; -outcomes DIR makes an audit resumable)", a.Result.VPsAttempted)
 		}
-		defer lg.Close()
-		if lg.NextRank() > 0 && !lg.Complete() {
-			cfg.Resume = lg.Scan
-			fmt.Printf("resuming %s: %d vantage points already decided\n", *outcomes, lg.NextRank())
-		}
-		// Captures are written before Append strips them from the log.
-		cfg.Stream = func(o study.Outcome) error {
-			if o.Report != nil {
-				pcap(o.Report)
-			}
-			return lg.Append(o)
-		}
+		os.Exit(130)
 	}
-	var res *study.Result
-	if lg == nil || !lg.Complete() {
-		res, err = w.RunProviderWith(*provider, cfg)
-		stopProgress() // final progress line before the report starts
-		if errors.Is(err, study.ErrCanceled) {
-			stopSignals() // a second signal now kills the process the hard way
-			if lg != nil {
-				log.Printf("interrupted after %d vantage points; rerun with the same flags to resume from %s", lg.NextRank(), *outcomes)
-			} else {
-				log.Printf("interrupted after %d vantage points (progress not saved; -outcomes DIR makes an audit resumable)", res.VPsAttempted)
-			}
-			os.Exit(130)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if lg != nil {
-			if err := lg.MarkComplete(); err != nil {
-				log.Fatal(err)
-			}
-		}
+	if err != nil {
+		log.Fatal(err)
 	}
-	if lg != nil {
-		if res, err = lg.Result(); err != nil {
+	res := a.Result
+	if a.Log != nil {
+		defer a.Log.Close()
+		if res, err = a.Log.Result(); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -45,7 +45,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vpnscoped: ")
 	addr := flag.String("addr", "127.0.0.1:8080", "HTTP listen address (:0 picks a free port)")
-	state := flag.String("state", "", "state directory for specs, outcome logs, and results (required)")
+	state := flag.String("state", "", "state directory for specs and outcome logs (required)")
 	queue := flag.Int("queue", 16, "admission queue bound; submissions beyond it get 429 + Retry-After")
 	fleet := flag.Int("fleet", runtime.GOMAXPROCS(0), "shared worker-fleet size across all running campaigns")
 	tenantQuota := flag.Int("tenant-quota", 0, "max queued+running campaigns per tenant (0 = unlimited)")

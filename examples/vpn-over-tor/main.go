@@ -11,7 +11,9 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
 	"net/netip"
+	"slices"
 
 	"vpnscope/internal/capture"
 	"vpnscope/internal/geo"
@@ -91,7 +93,8 @@ func main() {
 	}
 	fmt.Println("\nwire peers observed by the member's ISP:")
 	sawVPN := false
-	for peer, n := range peers {
+	for _, peer := range slices.SortedFunc(maps.Keys(peers), netip.Addr.Compare) {
+		n := peers[peer]
 		role := "UNEXPECTED"
 		switch {
 		case peer == circuit.Guard.Addr():

@@ -1,50 +1,40 @@
-// Catalog-mode campaigns: ecosystem-scale sweeps over K-shard outcome
-// logs, one per audited month.
+// Outcome logs and the results folded from them.
 //
 // Durable layout in StateDir (see state.go for the rest):
 //
 //	<id>.outcomes/                 the shard log (Months == 0)
 //	<id>.outcomes/month-NNN/       one shard log per month (Months > 0)
-//	<id>.result.json               bounded summary (counts only) once done
 //
-// The recovery contract is every campaign's: a catalog campaign with a
-// spec and no result re-enters the queue, and the runner resumes each
-// month's shard log from its recovered contiguous prefix — the same
-// byte-identity guarantee the CLI sweep has. Unlike a single-provider
-// campaign, whose sealed log folds into a full envelope, the catalog
-// result set is never materialized in daemon memory: progress, the
-// summary, and the merged-NDJSON outcomes endpoint all work from the
-// logs.
+// A single-provider campaign's log has one shard; a catalog sweep's has
+// Shards shards per month. The sealed logs are the campaign's only
+// result: GET /campaigns/{id}/result folds them on request — into the
+// full envelope for a tested spec, into a bounded summary (counts per
+// month audit) for a catalog sweep, whose result set is never
+// materialized in daemon memory. The outcomes endpoint streams a
+// month's log merged.
 package server
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
-	"fmt"
-	"io"
 	"path/filepath"
 
-	"vpnscope/internal/study"
+	runner "vpnscope/internal/campaign"
+	"vpnscope/internal/results/shardlog"
 )
 
 func (d *Daemon) outcomesDir(id string) string {
 	return filepath.Join(d.cfg.StateDir, id+".outcomes")
 }
 
-// monthDir is the shard-log directory for one virtual month. Baseline-
-// only campaigns (every non-catalog one included) use the flat outcomes
-// dir, mirroring the CLI sweep.
+// monthDir is the shard-log directory for one virtual month.
 func (d *Daemon) monthDir(id string, spec *CampaignSpec, month int) string {
-	dir := d.outcomesDir(id)
-	if spec.Months > 0 {
-		dir = filepath.Join(dir, fmt.Sprintf("month-%03d", month))
-	}
-	return dir
+	return runner.MonthDir(d.outcomesDir(id), (*runner.Spec)(spec), month)
 }
 
-// catalogSummary is the bounded final result of a catalog campaign:
-// counts only, never the outcome set itself (that stays in the shard
-// logs, served merged by the outcomes endpoint).
+// catalogSummary is the bounded result of a catalog campaign: counts
+// only, never the outcome set itself (that stays in the shard logs,
+// served merged by the outcomes endpoint).
 type catalogSummary struct {
 	Catalog   int          `json:"catalog"`
 	Months    int          `json:"months"`
@@ -60,60 +50,45 @@ type monthAudit struct {
 	Quarantined int `json:"quarantined"`
 }
 
-// runCatalogCampaign executes a catalog spec: every month's audit in
-// sequence, each streaming into its own shard log, then the bounded
-// summary as the durable result. Runs on runCampaign's fleet tokens,
-// panic shield, and cancellation context.
-func (d *Daemon) runCatalogCampaign(ctx context.Context, c *campaign, need int) {
-	summary := catalogSummary{
-		Catalog:   c.spec.Catalog,
-		Months:    c.spec.Months,
-		Providers: len(c.spec.catalogEntries()),
-	}
-	for m := 0; m <= c.spec.Months; m++ {
-		if m > 0 {
-			// Month worlds differ (drifted specs); the previous month's
-			// cached template would only hold memory.
-			study.ClearWorldTemplates()
-		}
-		audit, err := d.runCatalogMonth(ctx, c, need, m)
+// foldResult folds a done campaign's sealed logs into its result
+// document: the results envelope of a tested spec, written with the
+// spec's envelope options, or a catalog sweep's summary.
+func (d *Daemon) foldResult(c *campaign) ([]byte, error) {
+	spec := (*runner.Spec)(&c.spec)
+	if spec.Catalog == 0 {
+		lg, err := shardlog.OpenExisting(d.monthDir(c.id, &c.spec, 0))
 		if err != nil {
-			d.finishCanceledOrFail(ctx, c, err)
-			return
+			return nil, err
 		}
-		summary.Audits = append(summary.Audits, audit)
+		defer lg.Close()
+		res, err := lg.Result()
+		if err != nil {
+			return nil, err
+		}
+		return EnvelopeBytes(c.spec, res)
 	}
-	err := writeFileAtomic(d.resultPath(c.id), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(summary)
-	})
-	if err != nil {
-		d.failCampaign(c, fmt.Sprintf("saving result summary: %v", err))
-		return
+	summary := catalogSummary{Catalog: spec.Catalog, Months: spec.Months, Providers: len(spec.CatalogEntries())}
+	for m := 0; m <= spec.Months; m++ {
+		lg, err := shardlog.OpenExisting(d.monthDir(c.id, &c.spec, m))
+		if err != nil {
+			return nil, err
+		}
+		lean, err := lg.Lean()
+		lg.Close()
+		if err != nil {
+			return nil, err
+		}
+		summary.Audits = append(summary.Audits, monthAudit{
+			Month:       m,
+			Outcomes:    lean.VPsAttempted,
+			Reports:     len(lean.Reports),
+			Failures:    len(lean.ConnectFailures),
+			Quarantined: len(lean.Quarantines),
+		})
 	}
-	c.setState(StateDone, "")
-	d.cfg.Logf("campaign %s: done (catalog=%d providers=%d month audits=%d)",
-		c.id, summary.Catalog, summary.Providers, len(summary.Audits))
-}
-
-// runCatalogMonth streams the month's audit into its shard log (see
-// streamLog) and summarizes the sealed log without materializing it.
-func (d *Daemon) runCatalogMonth(ctx context.Context, c *campaign, need, month int) (monthAudit, error) {
-	lg, err := d.streamLog(ctx, c, need, month)
-	if err != nil {
-		return monthAudit{}, err
-	}
-	defer lg.Close()
-	lean, err := lg.Lean()
-	if err != nil {
-		return monthAudit{}, err
-	}
-	return monthAudit{
-		Month:       month,
-		Outcomes:    lean.VPsAttempted,
-		Reports:     len(lean.Reports),
-		Failures:    len(lean.ConnectFailures),
-		Quarantined: len(lean.Quarantines),
-	}, nil
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	err := enc.Encode(summary)
+	return buf.Bytes(), err
 }

@@ -71,10 +71,7 @@ func TestCatalogSpecValidation(t *testing.T) {
 func catalogSummaryOf(t *testing.T, d *Daemon, c *campaign) catalogSummary {
 	t.Helper()
 	waitState(t, c, StateDone)
-	raw, err := os.ReadFile(d.resultPath(c.id))
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := get(t, d, "/campaigns/"+c.id+"/result").Body.Bytes()
 	var sum catalogSummary
 	if err := json.Unmarshal(raw, &sum); err != nil {
 		t.Fatal(err)

@@ -10,8 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	runner "vpnscope/internal/campaign"
 	"vpnscope/internal/flightrec"
-	"vpnscope/internal/results"
 	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
 )
@@ -20,9 +20,9 @@ import (
 // required (campaign durability is not optional); everything else
 // defaults via fill.
 type Config struct {
-	// StateDir holds campaign specs, outcome logs, results, and error
-	// markers. It is the daemon's only durable state: a daemon restarted
-	// over the same StateDir resumes every in-flight campaign.
+	// StateDir holds campaign specs, outcome logs, error markers, and
+	// flight dumps. It is the daemon's only durable state: a daemon
+	// restarted over the same StateDir resumes every in-flight campaign.
 	StateDir string
 	// QueueBound caps how many admitted campaigns may wait for fleet
 	// capacity (running campaigns don't count). Submissions beyond it
@@ -102,8 +102,8 @@ const (
 	// StateRunning: measuring on fleet workers, appending every
 	// vantage-point outcome to the campaign's shard log.
 	StateRunning State = "running"
-	// StateDone: finished; the final envelope is on disk and served by
-	// the result endpoint.
+	// StateDone: finished; every outcome log is sealed, and the result
+	// endpoint folds them on request.
 	StateDone State = "done"
 	// StateFailed: terminally failed (run error, deadline, client
 	// cancellation, or panic); never resumed.
@@ -247,9 +247,9 @@ var (
 
 // New creates a daemon over cfg.StateDir and recovers its durable
 // state: done and failed campaigns re-register for the read endpoints,
-// and every in-flight campaign (spec present, no result, no error
-// marker) re-enters the queue in its original admission order, to be
-// resumed from its outcome log.
+// and every in-flight campaign (spec present, no error marker, an
+// outcome log not yet sealed) re-enters the queue in its original
+// admission order, to be resumed from its outcome log.
 func New(cfg Config) (*Daemon, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -340,106 +340,66 @@ func (d *Daemon) runCampaign(c *campaign, need int) {
 
 	ctx, cancel := context.WithCancelCause(d.baseCtx)
 	defer cancel(nil)
-	if c.spec.TimeoutSec > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, time.Duration(c.spec.TimeoutSec*float64(time.Second)))
-		defer tcancel()
-	}
 	c.mu.Lock()
 	c.cancel = cancel
 	c.state = StateRunning
 	c.mu.Unlock()
 
-	if c.spec.Catalog > 0 {
-		d.runCatalogCampaign(ctx, c, need)
-		return
-	}
-	lg, err := d.streamLog(ctx, c, need, 0)
+	spec := runner.Spec(c.spec)
+	spec.Workers = need
+	audits, err := runner.Run(ctx, spec, d.outcomesDir(c.id), d.hooks(c, need))
 	if err != nil {
 		d.finishCanceledOrFail(ctx, c, err)
 		return
 	}
-	defer lg.Close()
-	res, err := lg.Result()
-	// Close the log before publishing done, as the catalog path does: a
-	// client that sees done must find none of the shard files open.
-	lg.Close()
-	if err == nil {
-		err = results.SaveFile(d.resultPath(c.id), res, c.spec.envelopeOptions()...)
-	}
-	if err != nil {
-		d.failCampaign(c, fmt.Sprintf("saving result: %v", err))
-		return
+	// Close the logs before publishing done: a client that sees done
+	// must find none of the shard files open.
+	for _, a := range audits {
+		a.Log.Close()
 	}
 	c.setState(StateDone, "")
-	d.cfg.Logf("campaign %s: done (%d reports, %d failures)", c.id, len(res.Reports), len(res.ConnectFailures))
+	d.cfg.Logf("campaign %s: done (%d outcome logs sealed)", c.id, len(audits))
 }
 
-// streamLog opens (and, after a crash or drain, recovers) the shard log
-// of one campaign month, builds the month's world, and streams every
-// not-yet-durable outcome into the log, sealing it once the campaign
-// finishes. A sealed log skips the campaign: a restart that finds one
-// only has to fold it. The caller closes the returned log.
-func (d *Daemon) streamLog(ctx context.Context, c *campaign, need, month int) (*shardlog.Log, error) {
-	lg, err := shardlog.Open(d.monthDir(c.id, &c.spec, month), c.spec.logMeta(month))
-	if err != nil || lg.Complete() {
-		return lg, err
-	}
-	fail := func(err error) (*shardlog.Log, error) {
-		lg.Close()
-		return nil, err
-	}
-	w, err := buildWorldFn(&c.spec, month)
-	if err != nil {
-		return fail(fmt.Errorf("building month %d world: %w", month, err))
-	}
-	// The campaign run returns the world's scratch bundle to the pool;
-	// this covers the paths that leave before running it.
-	defer w.Net.ReleaseScratch()
-	slotsTotal := w.SlotCount()
-	c.mu.Lock()
-	c.slotsTotal = slotsTotal
-	c.mu.Unlock()
-
-	cfg := c.spec.runConfig(ctx, need)
-	cfg.Flight = c.flight
-	resumed, reports, failures := lg.NextRank(), 0, 0
-	if resumed > 0 {
-		lean, err := lg.Lean()
-		if err != nil {
-			return fail(err)
+// hooks wire a campaign's runner to the daemon: the test seams, the
+// campaign's flight recorder, and its started and progress events.
+// Both events come from the committer goroutine, in rank order, so the
+// counters need no lock.
+func (d *Daemon) hooks(c *campaign, need int) runner.Hooks {
+	h := seams()
+	h.Flight = func(*study.World) *flightrec.Ring { return c.flight }
+	var slots, reports, failures int
+	h.Started = func(lg *shardlog.Log, total int) error {
+		slots, reports, failures = total, 0, 0
+		resumed := lg.NextRank()
+		if resumed > 0 {
+			lean, err := lg.Lean()
+			if err != nil {
+				return err
+			}
+			reports, failures = len(lean.Reports), len(lean.ConnectFailures)
 		}
-		cfg.Resume = lg.Scan
-		reports, failures = len(lean.Reports), len(lean.ConnectFailures)
+		c.mu.Lock()
+		c.slotsTotal = slots
+		c.mu.Unlock()
+		c.emit(Event{Type: "started", SlotsTotal: slots, SlotsDone: resumed,
+			Reports: reports, Failures: failures,
+			Detail: fmt.Sprintf("month=%d workers=%d resumed=%d shards=%d",
+				lg.Meta().Month, need, resumed, lg.Meta().Shards)})
+		return nil
 	}
-	c.emit(Event{Type: "started", SlotsTotal: slotsTotal, SlotsDone: resumed,
-		Reports: reports, Failures: failures,
-		Detail: fmt.Sprintf("month=%d workers=%d resumed=%d shards=%d",
-			month, need, resumed, lg.Meta().Shards)})
-
-	// The stream callback runs on the committer goroutine, strictly in
-	// rank order — the counters need no lock.
-	cfg.Stream = func(o study.Outcome) error {
-		if err := lg.Append(o); err != nil {
-			return err
-		}
+	h.Outcome = func(o study.Outcome) error {
 		if o.Report != nil {
 			reports++
 		}
 		if o.Failure != nil {
 			failures++
 		}
-		c.emit(Event{Type: "progress", SlotsDone: lg.NextRank(), SlotsTotal: slotsTotal,
+		c.emit(Event{Type: "progress", SlotsDone: o.Rank + 1, SlotsTotal: slots,
 			Reports: reports, Failures: failures})
 		return nil
 	}
-	if _, err := runStudyFn(w, cfg); err != nil {
-		return fail(err)
-	}
-	if err := lg.MarkComplete(); err != nil {
-		return fail(err)
-	}
-	return lg, nil
+	return h
 }
 
 // finishCanceledOrFail maps a campaign-run error to the campaign's
@@ -460,7 +420,7 @@ func (d *Daemon) finishCanceledOrFail(ctx context.Context, c *campaign, err erro
 		d.cfg.Logf("campaign %s: interrupted by drain at %d/%d slots", c.id, st.SlotsDone, st.SlotsTotal)
 	case errors.Is(cause, errClientCanceled):
 		d.failCampaign(c, "canceled by client")
-	case errors.Is(ctx.Err(), context.DeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded):
 		d.failCampaign(c, fmt.Sprintf("deadline exceeded after %.0fs", c.spec.TimeoutSec))
 	default:
 		d.failCampaign(c, fmt.Sprintf("canceled: %v", cause))
@@ -483,7 +443,7 @@ func (d *Daemon) failCampaign(c *campaign, detail string) {
 // campaign is queued; a SubmitError carries the HTTP status and
 // Retry-After for the refusal cases.
 func (d *Daemon) Submit(spec CampaignSpec) (*campaign, error) {
-	if err := spec.validate(); err != nil {
+	if err := (*runner.Spec)(&spec).Validate(); err != nil {
 		return nil, &SubmitError{Status: 400, Err: err}
 	}
 	tc := d.metrics.tenant(spec.tenant())

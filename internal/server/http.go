@@ -5,7 +5,8 @@
 //	                              body that is not exactly one spec)
 //	GET    /campaigns             list campaigns
 //	GET    /campaigns/{id}        status JSON
-//	GET    /campaigns/{id}/result final envelope (200 once done)
+//	GET    /campaigns/{id}/result final envelope (200 once done), folded
+//	                              from the sealed log on request
 //	GET    /campaigns/{id}/outcomes merged shard-log NDJSON (?month=N
 //	                              selects a catalog campaign's month)
 //	GET    /campaigns/{id}/events NDJSON progress stream (tails live)
@@ -30,13 +31,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"time"
 
@@ -262,14 +263,13 @@ func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
 			"error": fmt.Sprintf("campaign %s is %s, result not available", c.id, state)})
 		return
 	}
-	f, err := os.Open(d.resultPath(c.id))
+	body, err := d.foldResult(c)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return
 	}
-	defer f.Close()
 	w.Header().Set("Content-Type", "application/json")
-	http.ServeContent(w, r, c.id+".result.json", time.Time{}, f)
+	http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(body))
 }
 
 // handleOutcomes streams a campaign's merged outcome log as NDJSON, in rank order, straight off the shard files — the result set

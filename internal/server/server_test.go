@@ -542,10 +542,7 @@ func TestDaemonRealCampaignDrainResumeByteIdentical(t *testing.T) {
 	}
 	waitState(t, c2, StateDone)
 
-	got, err := os.ReadFile(d2.resultPath(c.id))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := get(t, d2, "/campaigns/"+c.id+"/result").Body.Bytes()
 	ref, err := RunOneShot(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -614,10 +611,7 @@ func TestLegacyCheckpointIgnored(t *testing.T) {
 		t.Fatalf("campaign %s not recovered", id)
 	}
 	waitState(t, c, StateDone)
-	got, err := os.ReadFile(d.resultPath(id))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := get(t, d, "/campaigns/"+id+"/result").Body.Bytes()
 	if !bytes.Equal(got, oneShotEnvelope(t, spec)) {
 		t.Fatal("result after a legacy checkpoint differs from the one-shot envelope")
 	}

@@ -4,20 +4,21 @@
 //	<id>.spec.json         the submission, fsynced before admission succeeds
 //	<id>.outcomes/         the campaign's shard log (one shard; catalog
 //	                       sweeps use K shards per month, see catalog.go),
-//	                       fsynced per outcome and sealed when finished
-//	<id>.result.json       the final envelope (the fold of the sealed log;
-//	                       a bounded summary for catalog sweeps)
+//	                       fsynced per outcome and sealed when finished;
+//	                       the sealed log is the result, folded on request
 //	<id>.error             the terminal-failure marker (never resumed)
 //	<id>.flightrec.ndjson  flight-recorder dump (panic/cancel/watchdog)
 //	<id>.stacks.txt        goroutine stacks accompanying a dump
 //
-// Crash recovery is a pure function of this layout: spec with result →
-// done; spec with error marker → failed; spec alone (outcome log or
-// not) → in-flight, re-queued in admission order and resumed from the
+// Crash recovery is a pure function of this layout: spec with error
+// marker → failed; else spec with every month's log sealed → done;
+// else → in-flight, re-queued in admission order and resumed from each
 // log's recovered prefix. Any other file is ignored. Every file but the
 // log is written atomically (results.WriteFileAtomic), and the log
 // recovers from a torn append, so a kill -9 at any instant leaves a
-// directory recovery can always parse.
+// directory recovery can always parse. Sealing is the last durable
+// write of a campaign: there is no window between a sealed log and a
+// result for a crash to fall into.
 package server
 
 import (
@@ -31,16 +32,14 @@ import (
 
 	"vpnscope/internal/flightrec"
 	"vpnscope/internal/results"
+	"vpnscope/internal/results/shardlog"
 )
 
 // writeFileAtomic is the shared durability primitive (temp + fsync +
 // rename + dir sync, orphan cleanup on failure).
 var writeFileAtomic = results.WriteFileAtomic
 
-func (d *Daemon) specPath(id string) string { return filepath.Join(d.cfg.StateDir, id+".spec.json") }
-func (d *Daemon) resultPath(id string) string {
-	return filepath.Join(d.cfg.StateDir, id+".result.json")
-}
+func (d *Daemon) specPath(id string) string  { return filepath.Join(d.cfg.StateDir, id+".spec.json") }
 func (d *Daemon) errorPath(id string) string { return filepath.Join(d.cfg.StateDir, id+".error") }
 
 // flightPath/stacksPath hold a flight-recorder dump and its goroutine
@@ -150,15 +149,15 @@ func (d *Daemon) recoverState() error {
 		d.campaigns[id] = c
 		d.order = append(d.order, c)
 		switch {
-		case exists(d.resultPath(id)):
-			c.state = StateDone
-			c.events = append(c.events, Event{Type: string(StateDone), Detail: "recovered"})
 		case exists(d.errorPath(id)):
 			c.state = StateFailed
 			if msg, err := os.ReadFile(d.errorPath(id)); err == nil {
 				c.errText = string(msg)
 			}
 			c.events = append(c.events, Event{Type: string(StateFailed), Detail: c.errText})
+		case d.sealed(id, &sf.Spec):
+			c.state = StateDone
+			c.events = append(c.events, Event{Type: string(StateDone), Detail: "recovered"})
 		default:
 			// In-flight at crash or drain: requeue. The runner finds and
 			// resumes the outcome log, when one exists.
@@ -169,6 +168,17 @@ func (d *Daemon) recoverState() error {
 		}
 	}
 	return nil
+}
+
+// sealed reports whether every month's outcome log of a campaign is
+// sealed, which is what makes a campaign done.
+func (d *Daemon) sealed(id string, spec *CampaignSpec) bool {
+	for m := 0; m <= spec.Months; m++ {
+		if !shardlog.Sealed(d.monthDir(id, spec, m)) {
+			return false
+		}
+	}
+	return true
 }
 
 func exists(path string) bool {

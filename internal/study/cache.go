@@ -3,6 +3,7 @@ package study
 import (
 	"encoding/json"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,8 +25,9 @@ import (
 // a cache-miss world — byte-identical campaign results either way.
 //
 // Invalidation: none needed in-process — the key captures every input.
-// ClearWorldTemplates exists for tests and long-lived processes that
-// want the memory back.
+// The cache holds at most templateCapacity templates, evicting the
+// oldest first, so a resident daemon that keeps seeing fresh seeds
+// holds a bounded set. ClearWorldTemplates drops them all.
 
 // worldTemplate holds the memoized artifacts for one Options
 // fingerprint.
@@ -34,9 +36,17 @@ type worldTemplate struct {
 	ipv6Probes map[string]netip.Addr
 }
 
+// templateCapacity bounds the cache (a small daemon campaign's template
+// is about 55 KB of heap). Eight covers the option sets one process
+// alternates between, such as a daemon re-running recent specs, without
+// letting a stream of one-off seeds grow the heap.
+const templateCapacity = 8
+
 var (
 	templateMu    sync.Mutex
 	templateCache = map[string]*worldTemplate{}
+	// templateOrder lists templateCache's keys, oldest first.
+	templateOrder []string
 )
 
 // templateKey fingerprints the filled options. ok is false when the
@@ -59,7 +69,15 @@ func lookupTemplate(key string) *worldTemplate {
 func storeTemplate(key string, t *worldTemplate) {
 	templateMu.Lock()
 	defer templateMu.Unlock()
+	if templateCache[key] != nil {
+		return // a concurrent build stored it first
+	}
+	if len(templateOrder) == templateCapacity {
+		delete(templateCache, templateOrder[0])
+		templateOrder = slices.Delete(templateOrder, 0, 1)
+	}
 	templateCache[key] = t
+	templateOrder = append(templateOrder, key)
 }
 
 // ClearWorldTemplates drops every memoized world template. Subsequent
@@ -68,6 +86,7 @@ func ClearWorldTemplates() {
 	templateMu.Lock()
 	defer templateMu.Unlock()
 	templateCache = map[string]*worldTemplate{}
+	templateOrder = nil
 }
 
 // cloneBaseline deep-copies a baseline so cached state never aliases a

@@ -1,6 +1,7 @@
 package study
 
 import (
+	"fmt"
 	"testing"
 
 	"vpnscope/internal/ecosystem"
@@ -86,5 +87,67 @@ func TestWorldTemplateCache(t *testing.T) {
 	templateMu.Unlock()
 	if size != 2 {
 		t.Fatalf("distinct options share a template: %d cached, want 2", size)
+	}
+}
+
+// TestWorldTemplateCacheBounded: a stream of one-off option sets (a
+// resident daemon drawing fresh seeds) never holds more than
+// templateCapacity templates.
+func TestWorldTemplateCacheBounded(t *testing.T) {
+	ClearWorldTemplates()
+	defer ClearWorldTemplates()
+	for i := 0; i < 3*templateCapacity; i++ {
+		seed := uint64(7000 + i)
+		_, err := Build(Options{
+			Seed:           seed,
+			Providers:      ecosystem.TestedSpecs(seed, 2)[:1],
+			VPsPerProvider: 2,
+			ExtraTLSHosts:  5,
+			LandmarkCount:  10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		templateMu.Lock()
+		size, order := len(templateCache), len(templateOrder)
+		templateMu.Unlock()
+		if size > templateCapacity || size != order {
+			t.Fatalf("after %d builds: %d templates cached (%d in eviction order), want at most %d",
+				i+1, size, order, templateCapacity)
+		}
+	}
+}
+
+// TestWorldTemplateCacheDaemonPattern: the daemon benchmark's schedule
+// (campaign i of an odd index >= 3 repeats campaign i-3's spec; every
+// other campaign draws a fresh seed), served by two clients whose
+// adjacent campaigns may build in either order, hits the cache on
+// every repeat.
+func TestWorldTemplateCacheDaemonPattern(t *testing.T) {
+	defer ClearWorldTemplates()
+	spec := func(i int) int {
+		for i%2 == 1 && i >= 3 {
+			i -= 3
+		}
+		return i
+	}
+	for _, swapped := range []bool{false, true} {
+		ClearWorldTemplates()
+		for pair := 0; pair < 200; pair += 2 {
+			order := []int{pair, pair + 1}
+			if swapped {
+				order = []int{pair + 1, pair}
+			}
+			for _, i := range order {
+				key := fmt.Sprintf("spec-%d", spec(i))
+				if lookupTemplate(key) != nil {
+					continue
+				}
+				if spec(i) != i {
+					t.Fatalf("swapped=%v: campaign %d repeats campaign %d but missed the cache", swapped, i, spec(i))
+				}
+				storeTemplate(key, &worldTemplate{})
+			}
+		}
 	}
 }
