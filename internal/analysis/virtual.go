@@ -67,27 +67,6 @@ func pingOffset(r *vpntest.VPReport) float64 {
 	return offset
 }
 
-// correctedVector returns offset-corrected landmark RTTs for a report
-// (-1 entries for missing samples).
-func correctedVector(r *vpntest.VPReport, cfg *vpntest.Config) []float64 {
-	if r.Pings == nil {
-		return nil
-	}
-	vec := r.Pings.Vector(cfg)
-	offset := pingOffset(r)
-	for i, v := range vec {
-		if v < 0 {
-			continue
-		}
-		c := v - offset
-		if c < 0.1 {
-			c = 0.1
-		}
-		vec[i] = c
-	}
-	return vec
-}
-
 // pingRec is the distilled per-vantage-point record the co-location
 // clustering needs — identity plus the raw ping vector. Keeping these
 // instead of whole reports bounds DetectVirtualVPs' memory to a few

@@ -7,23 +7,47 @@ import (
 	"testing"
 )
 
-// TestKeystreamMatchesScramble pins Keystream.XOR to Scramble across
-// lengths, keys, and key switches mid-stream: the cached keystream must
-// be indistinguishable from regenerating it per call.
+// TestKeystreamMatchesScramble pins Keystream.XOR and the fused
+// copy-and-scramble XORInto to Scramble across lengths, keys, and key
+// switches mid-stream: the cached keystream must be indistinguishable
+// from regenerating it per call. One keystream serves both forms, as
+// one world's keystream serves both ends of every tunnel.
 func TestKeystreamMatchesScramble(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var ks Keystream
 	keys := []uint32{0, 1, 0xDEADBEEF, 1 << 31, 7, 7} // repeats exercise the cache hit
-	for round := 0; round < 200; round++ {
+	// Short and odd lengths straddle the 8- and 32-byte strides of
+	// vectorised XOR and the 2048-byte extension chunk.
+	lengths := []int{0, 1, 7, 8, 9, 31, 32, 33, 63, 65, 100, 2047, 2048, 2049, 4097}
+	for round := 0; round < 400; round++ {
 		key := keys[rng.Intn(len(keys))]
-		n := rng.Intn(4096)
-		data := make([]byte, n)
-		rng.Read(data)
-		want := append([]byte(nil), data...)
+		n := rng.Intn(4200)
+		if round%2 == 0 {
+			n = lengths[rng.Intn(len(lengths))]
+		}
+		src := make([]byte, n)
+		rng.Read(src)
+		want := append([]byte(nil), src...)
 		Scramble(key, want)
+
+		data := append([]byte(nil), src...)
 		ks.XOR(key, data)
 		if !bytes.Equal(data, want) {
 			t.Fatalf("round %d (key %08x, len %d): XOR != Scramble", round, key, n)
+		}
+
+		// The fused form into a longer, dirty dst: only its first n
+		// bytes change, and src is left intact.
+		orig := append([]byte(nil), src...)
+		dst := make([]byte, n+5)
+		rng.Read(dst)
+		tail := append([]byte(nil), dst[n:]...)
+		ks.XORInto(key, dst, src)
+		if !bytes.Equal(dst[:n], want) || !bytes.Equal(dst[n:], tail) {
+			t.Fatalf("round %d (key %08x, len %d): XORInto != copy+Scramble", round, key, n)
+		}
+		if !bytes.Equal(src, orig) {
+			t.Fatalf("round %d (key %08x, len %d): XORInto modified src", round, key, n)
 		}
 	}
 }
@@ -34,6 +58,10 @@ func TestKeystreamAllocSteadyState(t *testing.T) {
 	ks.XOR(42, data) // warm the cache
 	if n := testing.AllocsPerRun(100, func() { ks.XOR(42, data) }); n > 0 {
 		t.Errorf("steady-state XOR allocates %v per call", n)
+	}
+	dst := make([]byte, len(data))
+	if n := testing.AllocsPerRun(100, func() { ks.XORInto(42, dst, data) }); n > 0 {
+		t.Errorf("steady-state XORInto allocates %v per call", n)
 	}
 }
 

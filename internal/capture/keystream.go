@@ -1,18 +1,21 @@
 package capture
 
-import "encoding/binary"
+import "crypto/subtle"
 
 // Keystream caches the Scramble keystream for one session key. The
 // xorshift state Scramble evolves is independent of the data being
 // scrambled, so the byte stream XORed into a session's packets is a
 // fixed sequence per key: generate it once, extend it lazily, and apply
-// it eight bytes at a time instead of re-deriving one state step per
-// byte per packet. XOR produces bytes identical to Scramble(key, data)
-// by construction (see TestKeystreamMatchesScramble).
+// it in one vectorised pass instead of re-deriving one state step per
+// byte per packet. XOR and XORInto produce bytes identical to
+// Scramble(key, data) by construction (see
+// TestKeystreamMatchesScramble).
 //
-// A Keystream is single-goroutine, like the client or vantage point
-// that owns it. The zero value is ready to use with any key; switching
-// keys discards the cached stream.
+// A world keeps one Keystream, shared by every tunnel endpoint in it:
+// a call re-keys it when the session key differs from the last one, so
+// sharing it cannot change a byte. It is single-goroutine, like the
+// world that owns it. The zero value is ready to use with any key;
+// switching keys discards the cached stream.
 type Keystream struct {
 	key   uint32
 	valid bool
@@ -28,23 +31,24 @@ const keystreamChunk = 2048
 // XOR applies the Scramble keystream for key to data in place,
 // byte-identical to Scramble(key, data).
 func (k *Keystream) XOR(key uint32, data []byte) {
+	k.XORInto(key, data, data)
+}
+
+// XORInto writes src scrambled under key into dst, which must be at
+// least len(src) long and may alias src exactly: the copy and the
+// scramble in one pass, byte-identical to copying src into dst and
+// then calling Scramble(key, dst[:len(src)]).
+func (k *Keystream) XORInto(key uint32, dst, src []byte) {
 	if !k.valid || k.key != key {
 		k.key = key
 		k.valid = true
 		k.state = uint64(key)*0x9E3779B97F4A7C15 + 1
 		k.ks = k.ks[:0]
 	}
-	for len(k.ks) < len(data) {
+	for len(k.ks) < len(src) {
 		k.extend()
 	}
-	i := 0
-	for ; i+8 <= len(data); i += 8 {
-		binary.LittleEndian.PutUint64(data[i:],
-			binary.LittleEndian.Uint64(data[i:])^binary.LittleEndian.Uint64(k.ks[i:]))
-	}
-	for ; i < len(data); i++ {
-		data[i] ^= k.ks[i]
-	}
+	subtle.XORBytes(dst, src, k.ks[:len(src)])
 }
 
 func (k *Keystream) extend() {

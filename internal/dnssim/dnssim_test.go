@@ -3,6 +3,7 @@ package dnssim
 import (
 	"bytes"
 	"net/netip"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -311,3 +312,42 @@ func TestAppendNameFastPathMatchesSlow(t *testing.T) {
 		}
 	}
 }
+
+// TestInternerKeepsStaticNamesWhenFull: one world's interner serves
+// every slot of a campaign, and each slot decodes a one-shot probe
+// name. Once those fill the table, the static names queried every slot
+// must keep their entries, a static name first queried late must still
+// get one, and the table must stay within its cap.
+func TestInternerKeepsStaticNamesWhenFull(t *testing.T) {
+	var in Interner
+	static := []string{"www.example.com", "echo.example", "ipecho.example"}
+	late := "cdn.lateprovider.example"
+	for slot := 0; slot < 3*maxInternedNames; slot++ {
+		for _, n := range static {
+			in.Intern([]byte(n))
+		}
+		if slot >= 2*maxInternedNames {
+			in.Intern([]byte(late))
+		}
+		probe := []byte("t" + strconv.Itoa(slot) + ".probe.example")
+		for i := 0; i < 3; i++ { // the resolver's and the client's decodes
+			in.Intern(probe)
+		}
+	}
+	if in.Len() > maxInternedNames {
+		t.Fatalf("table holds %d names, cap %d", in.Len(), maxInternedNames)
+	}
+	for _, n := range append(static, late) {
+		b := []byte(n)
+		// The result escapes through internSink, so a fallback cannot
+		// convert into a stack buffer and hide its allocation.
+		if allocs := testing.AllocsPerRun(10, func() { internSink = in.Intern(b) }); allocs != 0 {
+			t.Errorf("%s: %v allocations per Intern; the full table lost it or never admitted it", n, allocs)
+		}
+		if internSink != n {
+			t.Errorf("Intern(%q) = %q", n, internSink)
+		}
+	}
+}
+
+var internSink string

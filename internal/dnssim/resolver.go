@@ -156,26 +156,27 @@ type Resolver struct {
 	Dir  *Directory
 	// Manipulate, when non-nil, rewrites every answer set.
 	Manipulate Manipulator
+	// Names is the interner query names decode through: the world's
+	// one table, shared by every resolver and web client in it, so no
+	// resolver keeps a name table of its own. Nil allocates each name.
+	Names *Interner
 
 	// Slot-agnostic serving scratch. Safe because a resolver answers
 	// one exchange at a time (netsim delivers on the originating
 	// goroutine and copies the returned payload into the reply packet
 	// before the next exchange can start): the reusable response-encode
-	// buffer, the reusable decoded-query and reply messages, the answer
-	// slice handed to Lookup/Manipulate, and the name interner that
-	// stops every query for the same static hostname from materializing
-	// a fresh string.
+	// buffer, the reusable decoded-query and reply messages, and the
+	// answer slice handed to Lookup/Manipulate.
 	scratch []byte
 	qmsg    Message
 	rmsg    Message
 	addrBuf []netip.Addr
-	intern  Interner
 }
 
 // HandleQuery processes one wire-format DNS query and returns the
 // wire-format response.
 func (r *Resolver) HandleQuery(query []byte) []byte {
-	if err := DecodeInto(&r.qmsg, query, &r.intern); err != nil || r.qmsg.Response || len(r.qmsg.Questions) == 0 {
+	if err := DecodeInto(&r.qmsg, query, r.Names); err != nil || r.qmsg.Response || len(r.qmsg.Questions) == 0 {
 		return nil
 	}
 	m := &r.qmsg

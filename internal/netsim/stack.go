@@ -270,11 +270,6 @@ func (s *Stack) SetIPv6(on bool) {
 	s.epoch++
 }
 
-// IPv6Enabled reports whether the stack will emit IPv6 packets.
-func (s *Stack) IPv6Enabled() bool {
-	return s.ipv6
-}
-
 // SetAllowOnly installs (or, with nil, removes) the physical-interface
 // outbound allowlist used to induce tunnel failures and to model kill
 // switches. The resulting firewall drops packets to any destination not

@@ -1,6 +1,7 @@
 package study
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"net/netip"
 	"slices"
@@ -49,15 +50,17 @@ var (
 	templateOrder []string
 )
 
-// templateKey fingerprints the filled options. ok is false when the
+// templateKey fingerprints the filled options: the SHA-256 of their
+// JSON, so a key costs 32 bytes however large the provider list (a
+// 200-provider catalog's JSON is about 0.2 MB). ok is false when the
 // options cannot be fingerprinted (never for the plain-data Options
 // this package defines; kept defensive so Build degrades to uncached).
 func templateKey(o Options) (string, bool) {
-	b, err := json.Marshal(o)
-	if err != nil {
+	h := sha256.New()
+	if err := json.NewEncoder(h).Encode(o); err != nil {
 		return "", false
 	}
-	return string(b), true
+	return string(h.Sum(nil)), true
 }
 
 func lookupTemplate(key string) *worldTemplate {

@@ -518,7 +518,7 @@ func (w *World) measureSlot(cfg *RunConfig, s slotSpec) vpResult {
 		opts.SkipFailure = true
 	}
 	env := vpntest.NewEnv(w.Config, w.Baseline, stack, s.provider, s.label, vp.ClaimedCountry)
-	env.Client.Intern = &w.dnsIntern
+	env.Client.Intern = &w.env.Names
 	env.Client.Certs = &w.certCache
 	out.report = vpntest.RunSuite(env, opts)
 	return out

@@ -94,12 +94,15 @@ type World struct {
 	// on its flight-recorder events. The sequential runner uses worker
 	// 0; the parallel executor stamps each replica.
 	worker int
-	// dnsIntern and certCache are the world-lived lookup caches handed
-	// to every slot's web client: slots resolve the same static
-	// hostnames and fetch the same certificates over and over, and a
-	// per-slot cache would start cold every time. Single-goroutine, like
-	// everything else hanging off a world.
-	dnsIntern dnssim.Interner
+	// env is the context every vantage point serves from; it owns the
+	// world's DNS name interner (env.Names), which every resolver here
+	// decodes through. The interner and certCache are handed to every
+	// slot's web client: slots resolve the same static hostnames and
+	// fetch the same certificates over and over, and a per-slot or
+	// per-vantage-point cache would start cold every time, and the
+	// latter would outlive its slot. Single-goroutine, like everything
+	// else hanging off a world.
+	env       vpn.ServerEnv
 	certCache tlssim.CertCache
 }
 
@@ -189,7 +192,7 @@ func (w *World) buildResolvers() error {
 		if err := w.Net.AddHost(host); err != nil {
 			return err
 		}
-		r := &dnssim.Resolver{Name: s.name, Addr: s.addr, Dir: w.Dir}
+		r := &dnssim.Resolver{Name: s.name, Addr: s.addr, Dir: w.Dir, Names: &w.env.Names}
 		host.HandleUDP(53, r.Handler())
 	}
 	w.ispResolver = ispDNS
@@ -250,8 +253,8 @@ func (w *World) buildLandmarks() ([]vpntest.Landmark, error) {
 }
 
 func (w *World) buildProviders() error {
-	env := &vpn.ServerEnv{Dir: w.Dir, Web: w.Web}
-	builder := vpn.NewBuilder(w.Net, env, w.Opts.Seed)
+	w.env.Dir, w.env.Web = w.Dir, w.Web
+	builder := vpn.NewBuilder(w.Net, &w.env, w.Opts.Seed)
 	for _, spec := range w.Opts.Providers {
 		p, err := builder.Build(spec)
 		if err != nil {

@@ -75,7 +75,7 @@ func (b *Builder) allocatorFor(blk netsim.Block) *netsim.Allocator {
 // Build constructs the provider: hosts for every vantage point, tunnel
 // terminators, and (for intercepting providers) a MITM CA.
 func (b *Builder) Build(spec ProviderSpec) (*Provider, error) {
-	p := &Provider{Spec: spec}
+	p := &Provider{Spec: spec, env: b.Env}
 	if spec.InterceptTLS {
 		p.MITMCA = tlssim.NewCA(spec.Name+" Proxy CA", b.Seed)
 	}
@@ -137,7 +137,7 @@ func (b *Builder) buildVP(p *Provider, index int, spec VantagePointSpec) (*Vanta
 		ActualCity:     city,
 		sessionKey:     sessionKeyFor(p.Name(), index),
 	}
-	b.demuxFor(host).register(vp, b.Env)
+	vp.installDemuxed(b.demuxFor(host))
 	return vp, nil
 }
 
@@ -193,10 +193,6 @@ func (b *Builder) demuxFor(host *netsim.Host) *tunnelDemux {
 	b.demuxes[host] = d
 	host.HandleRaw(d.handle)
 	return d
-}
-
-func (d *tunnelDemux) register(vp *VantagePoint, env *ServerEnv) {
-	vp.installDemuxed(d)
 }
 
 func (d *tunnelDemux) handle(n *netsim.Network, pkt []byte, emit func([]byte)) bool {

@@ -179,8 +179,9 @@ func (c *Client) tunnelSend(inner []byte) ([]byte, error) {
 	}
 
 	// The scrambled frame dies inside this send — slot-arena scratch.
-	enc := c.Stack.Net.SlotArena().Copy(inner)
-	c.VP.ks.XOR(c.VP.sessionKey, enc)
+	ks := &c.Provider.env.ks
+	enc := c.Stack.Net.SlotArena().Bytes(len(inner))
+	ks.XORInto(c.VP.sessionKey, enc, inner)
 	buf := c.Stack.Net.AcquireBuffer()
 	defer c.Stack.Net.ReleaseBuffer(buf)
 	c.ls.Tunnel = capture.Tunnel{SessionID: c.VP.sessionKey}
@@ -205,7 +206,7 @@ func (c *Client) tunnelSend(inner []byte) ([]byte, error) {
 	// resp is owned by this call, so unscramble the tunnel payload in
 	// place instead of copying it out first.
 	dec := v.Payload
-	c.VP.ks.XOR(c.VP.sessionKey, dec)
+	ks.XOR(c.VP.sessionKey, dec)
 	return dec, nil
 }
 

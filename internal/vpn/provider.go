@@ -15,12 +15,10 @@ import (
 	"net/netip"
 	"time"
 
-	"vpnscope/internal/capture"
 	"vpnscope/internal/dnssim"
 	"vpnscope/internal/geo"
 	"vpnscope/internal/netsim"
 	"vpnscope/internal/tlssim"
-	"vpnscope/internal/websim"
 )
 
 // ClientType classifies how users run the provider's tunnels, which
@@ -177,25 +175,10 @@ type VantagePoint struct {
 	ActualCity geo.City
 	sessionKey uint32
 	resolver   *dnssim.Resolver
-	// ls backs the layer headers the tunnel terminator builds. One
-	// vantage point serves one world's single goroutine, and every
-	// build serializes before the next scratch use, so a single scratch
-	// suffices even for nested forwards.
-	ls capture.LayerScratch
-	// ks caches the session-key keystream both tunnel endpoints scramble
-	// with; client and server share it safely because tunnel handling
-	// nests on the world's single goroutine.
-	ks capture.Keystream
-	// helloBuf/mitmBuf are the TLS-interception frame scratch buffers
-	// (same single-goroutine, serialize-before-reuse contract as ls).
-	helloBuf []byte
-	mitmBuf  []byte
-	// regen is the transparent proxy's rewrite scratch (same contract).
-	regen websim.HeaderRegenerator
-	// flows holds the flow handles the tunnel terminator sends on
-	// (same contract), made when the vantage point first serves a
-	// tunnel packet, so a world pays only for the vantage points it
-	// measures.
+	// flows holds the flow handles the tunnel terminator sends on, made
+	// when the vantage point first serves a tunnel packet, so a world
+	// pays only for the vantage points it measures. Its serving scratch
+	// lives in the world's ServerEnv.
 	flows *relayFlows
 }
 
@@ -227,6 +210,9 @@ type Provider struct {
 	VPs  []*VantagePoint
 	// MITMCA is the CA an intercepting provider signs MITM leaves with.
 	MITMCA *tlssim.CA
+	// env is the world context the provider was built into; its
+	// clients scramble with the world's keystream.
+	env *ServerEnv
 }
 
 // Name returns the provider's name.

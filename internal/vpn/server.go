@@ -11,21 +11,44 @@ import (
 )
 
 // ServerEnv supplies the world context a vantage point needs to forward
-// traffic: the DNS directory (for its resolver), the web (to classify
-// hosts for censorship), and the trusted CA whose leaves an intercepting
-// provider swaps out.
+// traffic: the DNS directory (for its resolver) and the web (to
+// classify hosts for censorship). It also holds the caches and scratch
+// every tunnel terminator in the world shares, so none keeps its own
+// alive after its slot: Names, the DNS name interner every resolver in
+// the world decodes through; the tunnel keystream, which both ends of
+// every tunnel scramble with; and the terminators' serving scratch. All
+// are held by value and ready at their zero values, and the world's one
+// goroutine drives everything that touches them.
 type ServerEnv struct {
-	Dir *dnssim.Directory
-	Web *websim.Web
+	Dir   *dnssim.Directory
+	Web   *websim.Web
+	Names dnssim.Interner
+
+	// ks is the tunnel keystream; a call under another session key
+	// re-keys it, so sharing it cannot change a byte.
+	ks capture.Keystream
+
+	// ls backs the layer headers the tunnel terminators build. The
+	// world's single goroutine serves one packet at a time, and every
+	// build serializes before the next scratch use, so one scratch
+	// suffices even for nested forwards.
+	ls capture.LayerScratch
+	// helloBuf/mitmBuf are the TLS-interception frame scratch buffers
+	// (same single-goroutine, serialize-before-reuse contract as ls).
+	helloBuf []byte
+	mitmBuf  []byte
+	// regen is the transparent proxy's rewrite scratch (same contract).
+	regen websim.HeaderRegenerator
 }
 
 // installDemuxed builds the vantage point's tunnel-internal resolver
 // and registers it with the host's session demultiplexer.
 func (vp *VantagePoint) installDemuxed(d *tunnelDemux) {
 	resolver := &dnssim.Resolver{
-		Name: vp.Provider.Name() + "-dns",
-		Addr: vp.Addr(),
-		Dir:  d.env.Dir,
+		Name:  vp.Provider.Name() + "-dns",
+		Addr:  vp.Addr(),
+		Dir:   d.env.Dir,
+		Names: &d.env.Names,
 	}
 	if vp.Provider.Spec.ManipulateDNS && len(vp.Provider.Spec.ManipulatedDomains) > 0 {
 		hijacked := make(map[string]bool)
@@ -66,17 +89,17 @@ func (vp *VantagePoint) serveTunnel(n *netsim.Network, env *ServerEnv, pkt []byt
 
 	// The decapsulated inner packet lives only for this delivery — a
 	// slot-arena copy when the world has one installed.
-	inner := n.SlotArena().Copy(outer.Payload)
-	vp.ks.XOR(vp.sessionKey, inner)
+	inner := n.SlotArena().Bytes(len(outer.Payload))
+	env.ks.XORInto(vp.sessionKey, inner, outer.Payload)
 
 	respInner := vp.serveInner(n, env, resolver, inner)
 	if respInner == nil {
 		return
 	}
-	vp.ks.XOR(vp.sessionKey, respInner)
-	vp.ls.Tunnel = capture.Tunnel{SessionID: vp.sessionKey}
+	env.ks.XOR(vp.sessionKey, respInner)
+	env.ls.Tunnel = capture.Tunnel{SessionID: vp.sessionKey}
 	n.Resolve(&vp.flows.wrap, nil, vp.Addr(), clientAddr)
-	wrapped, err := vp.flows.wrap.Build(vp.ls.Pair(&vp.ls.Tunnel, respInner)...)
+	wrapped, err := vp.flows.wrap.Build(env.ls.Pair(&env.ls.Tunnel, respInner)...)
 	if err != nil {
 		return
 	}
@@ -112,9 +135,9 @@ func (vp *VantagePoint) serveInner(n *netsim.Network, env *ServerEnv, resolver *
 			if answer == nil {
 				return nil
 			}
-			vp.ls.UDP = capture.UDP{SrcPort: 53, DstPort: v.SrcPort}
+			env.ls.UDP = capture.UDP{SrcPort: 53, DstPort: v.SrcPort}
 			n.Resolve(&vp.flows.reply, nil, TunnelInternalDNS, src)
-			resp, err := vp.flows.reply.Build(vp.ls.Pair(&vp.ls.UDP, answer)...)
+			resp, err := vp.flows.reply.Build(env.ls.Pair(&env.ls.UDP, answer)...)
 			if err != nil {
 				return nil
 			}
@@ -132,9 +155,9 @@ func (vp *VantagePoint) serveInner(n *netsim.Network, env *ServerEnv, resolver *
 	case capture.TypeICMP:
 		ttl := v.TTL
 		if ttl <= 1 {
-			vp.ls.ICMP = capture.ICMP{TypeCode: capture.ICMPTimeExceeded}
+			env.ls.ICMP = capture.ICMP{TypeCode: capture.ICMPTimeExceeded}
 			n.Resolve(&vp.flows.reply, nil, TunnelInternalDNS, src)
-			out, err := vp.flows.reply.Build(vp.ls.One(&vp.ls.ICMP)...)
+			out, err := vp.flows.reply.Build(env.ls.One(&env.ls.ICMP)...)
 			if err != nil {
 				return nil
 			}
@@ -142,9 +165,9 @@ func (vp *VantagePoint) serveInner(n *netsim.Network, env *ServerEnv, resolver *
 		}
 		buf := n.AcquireBuffer()
 		defer n.ReleaseBuffer(buf)
-		vp.ls.ICMP = capture.ICMP{TypeCode: v.ICMPType, ID: v.ICMPID, Seq: v.ICMPSeq}
+		env.ls.ICMP = capture.ICMP{TypeCode: v.ICMPType, ID: v.ICMPID, Seq: v.ICMPSeq}
 		n.Resolve(&vp.flows.fwd, vp.Host, egress, dst)
-		fwd, err := vp.flows.fwd.BuildInto(buf, ttl-1, vp.ls.Pair(&vp.ls.ICMP, v.Payload)...)
+		fwd, err := vp.flows.fwd.BuildInto(buf, ttl-1, env.ls.Pair(&env.ls.ICMP, v.Payload)...)
 		if err != nil {
 			return nil
 		}
@@ -163,28 +186,28 @@ func (vp *VantagePoint) serveInner(n *netsim.Network, env *ServerEnv, resolver *
 		if rv.Src.IsValid() {
 			responder = rv.Src
 		}
-		vp.ls.ICMP = capture.ICMP{TypeCode: rv.ICMPType, ID: rv.ICMPID, Seq: rv.ICMPSeq}
+		env.ls.ICMP = capture.ICMP{TypeCode: rv.ICMPType, ID: rv.ICMPID, Seq: rv.ICMPSeq}
 		n.ResolveRelay(&vp.flows.reply, &vp.flows.fwd, responder, src)
-		out, err := vp.flows.reply.Build(vp.ls.Pair(&vp.ls.ICMP, rv.Payload)...)
+		out, err := vp.flows.reply.Build(env.ls.Pair(&env.ls.ICMP, rv.Payload)...)
 		if err != nil {
 			return nil
 		}
 		return out
 
 	case capture.TypeUDP:
-		return vp.forwardUDP(n, egress, src, dst, v.SrcPort, v.DstPort, v.Payload)
+		return vp.forwardUDP(n, env, egress, src, dst, v.SrcPort, v.DstPort, v.Payload)
 	case capture.TypeTCP:
 		return vp.forwardTCP(n, env, egress, src, dst, v.SrcPort, v.DstPort, v.Payload)
 	}
 	return nil
 }
 
-func (vp *VantagePoint) forwardUDP(n *netsim.Network, egress, src, dst netip.Addr, srcPort, dstPort uint16, payload []byte) []byte {
+func (vp *VantagePoint) forwardUDP(n *netsim.Network, env *ServerEnv, egress, src, dst netip.Addr, srcPort, dstPort uint16, payload []byte) []byte {
 	buf := n.AcquireBuffer()
 	defer n.ReleaseBuffer(buf)
-	vp.ls.UDP = capture.UDP{SrcPort: srcPort, DstPort: dstPort}
+	env.ls.UDP = capture.UDP{SrcPort: srcPort, DstPort: dstPort}
 	n.Resolve(&vp.flows.fwd, vp.Host, egress, dst)
-	fwd, err := vp.flows.fwd.BuildInto(buf, 64, vp.ls.Pair(&vp.ls.UDP, payload)...)
+	fwd, err := vp.flows.fwd.BuildInto(buf, 64, env.ls.Pair(&env.ls.UDP, payload)...)
 	if err != nil {
 		return nil
 	}
@@ -196,9 +219,9 @@ func (vp *VantagePoint) forwardUDP(n *netsim.Network, egress, src, dst netip.Add
 	if capture.ParseView(resp, &rv) != nil || rv.Transport != capture.TypeUDP {
 		return nil
 	}
-	vp.ls.UDP = capture.UDP{SrcPort: rv.SrcPort, DstPort: rv.DstPort}
+	env.ls.UDP = capture.UDP{SrcPort: rv.SrcPort, DstPort: rv.DstPort}
 	n.ResolveRelay(&vp.flows.reply, &vp.flows.fwd, dst, src)
-	out, err := vp.flows.reply.Build(vp.ls.Pair(&vp.ls.UDP, rv.Payload)...)
+	out, err := vp.flows.reply.Build(env.ls.Pair(&env.ls.UDP, rv.Payload)...)
 	if err != nil {
 		return nil
 	}
@@ -212,11 +235,11 @@ func (vp *VantagePoint) forwardTCP(n *netsim.Network, env *ServerEnv, egress, sr
 	// this is exactly why redirections appeared "only on endpoints
 	// claiming to be in their respective countries" (§6.1.1): those
 	// endpoints really were there.
-	if dstPort == 80 && env != nil && env.Web != nil {
+	if dstPort == 80 && env.Web != nil {
 		if policy := websim.PolicyFor(vp.ActualCity.Country); policy != nil {
 			if host, ok := websim.RequestHost(payload); ok {
 				if resp, blocked := policy.Apply(vp.Host.Block.Org, host, env.Web.SiteByName); blocked {
-					return vp.buildTCPResponse(n, dst, src, srcPort, dstPort, resp.Encode())
+					return vp.buildTCPResponse(n, env, dst, src, srcPort, dstPort, resp.Encode())
 				}
 			}
 		}
@@ -224,15 +247,15 @@ func (vp *VantagePoint) forwardTCP(n *netsim.Network, env *ServerEnv, egress, sr
 
 	// Transparent proxy: parse and regenerate HTTP request headers.
 	if dstPort == 80 && spec.TransparentProxy {
-		payload = vp.regen.Regenerate(payload)
+		payload = env.regen.Regenerate(payload)
 	}
 
 	// TLS interception: terminate the client's hello, fetch upstream,
 	// re-sign with the provider CA.
 	if dstPort == 443 && spec.InterceptTLS && vp.Provider.MITMCA != nil {
 		if sni, innerReq, err := tlssim.ParseClientHello(payload); err == nil {
-			vp.helloBuf = tlssim.AppendClientHello(vp.helloBuf[:0], sni, innerReq)
-			upstream := vp.exchangeTCP(n, egress, dst, srcPort, dstPort, vp.helloBuf)
+			env.helloBuf = tlssim.AppendClientHello(env.helloBuf[:0], sni, innerReq)
+			upstream := vp.exchangeTCP(n, env, egress, dst, srcPort, dstPort, env.helloBuf)
 			if upstream == nil {
 				return nil
 			}
@@ -240,16 +263,16 @@ func (vp *VantagePoint) forwardTCP(n *netsim.Network, env *ServerEnv, egress, sr
 			if err != nil {
 				return nil
 			}
-			mitm, err := tlssim.AppendServerHello(vp.mitmBuf[:0], vp.Provider.MITMCA.Issue(sni), serverInner)
+			mitm, err := tlssim.AppendServerHello(env.mitmBuf[:0], vp.Provider.MITMCA.Issue(sni), serverInner)
 			if err != nil {
 				return nil
 			}
-			vp.mitmBuf = mitm
-			return vp.buildTCPResponse(n, dst, src, srcPort, dstPort, mitm)
+			env.mitmBuf = mitm
+			return vp.buildTCPResponse(n, env, dst, src, srcPort, dstPort, mitm)
 		}
 	}
 
-	respPayload := vp.exchangeTCP(n, egress, dst, srcPort, dstPort, payload)
+	respPayload := vp.exchangeTCP(n, env, egress, dst, srcPort, dstPort, payload)
 	if respPayload == nil {
 		return nil
 	}
@@ -258,17 +281,17 @@ func (vp *VantagePoint) forwardTCP(n *netsim.Network, env *ServerEnv, egress, sr
 	if dstPort == 80 && spec.InjectContent {
 		respPayload = websim.InjectOverlay(respPayload, vp.Provider.Spec.Domain)
 	}
-	return vp.buildTCPResponse(n, dst, src, srcPort, dstPort, respPayload)
+	return vp.buildTCPResponse(n, env, dst, src, srcPort, dstPort, respPayload)
 }
 
 // exchangeTCP forwards a TCP request payload from the egress address and
 // returns the response payload.
-func (vp *VantagePoint) exchangeTCP(n *netsim.Network, egress, dst netip.Addr, srcPort, dstPort uint16, payload []byte) []byte {
+func (vp *VantagePoint) exchangeTCP(n *netsim.Network, env *ServerEnv, egress, dst netip.Addr, srcPort, dstPort uint16, payload []byte) []byte {
 	buf := n.AcquireBuffer()
 	defer n.ReleaseBuffer(buf)
-	vp.ls.TCP = capture.TCP{SrcPort: srcPort, DstPort: dstPort, Flags: capture.FlagACK | capture.FlagPSH}
+	env.ls.TCP = capture.TCP{SrcPort: srcPort, DstPort: dstPort, Flags: capture.FlagACK | capture.FlagPSH}
 	n.Resolve(&vp.flows.fwd, vp.Host, egress, dst)
-	fwd, err := vp.flows.fwd.BuildInto(buf, 64, vp.ls.Pair(&vp.ls.TCP, payload)...)
+	fwd, err := vp.flows.fwd.BuildInto(buf, 64, env.ls.Pair(&env.ls.TCP, payload)...)
 	if err != nil {
 		return nil
 	}
@@ -288,10 +311,10 @@ func (vp *VantagePoint) exchangeTCP(n *netsim.Network, egress, dst netip.Addr, s
 // buildTCPResponse builds the inner response packet back to the client
 // (slot-arena owned, like every packet on the delivery path). Ports are
 // the client's original request ports; the reply swaps them.
-func (vp *VantagePoint) buildTCPResponse(n *netsim.Network, fromDst, toSrc netip.Addr, reqSrcPort, reqDstPort uint16, payload []byte) []byte {
-	vp.ls.TCP = capture.TCP{SrcPort: reqDstPort, DstPort: reqSrcPort, Flags: capture.FlagACK | capture.FlagPSH}
+func (vp *VantagePoint) buildTCPResponse(n *netsim.Network, env *ServerEnv, fromDst, toSrc netip.Addr, reqSrcPort, reqDstPort uint16, payload []byte) []byte {
+	env.ls.TCP = capture.TCP{SrcPort: reqDstPort, DstPort: reqSrcPort, Flags: capture.FlagACK | capture.FlagPSH}
 	n.ResolveRelay(&vp.flows.reply, &vp.flows.fwd, fromDst, toSrc)
-	out, err := vp.flows.reply.Build(vp.ls.Pair(&vp.ls.TCP, payload)...)
+	out, err := vp.flows.reply.Build(env.ls.Pair(&env.ls.TCP, payload)...)
 	if err != nil {
 		return nil
 	}

@@ -631,13 +631,6 @@ func RunLeakTests(env *Env) (*LeakResult, error) {
 	return res, nil
 }
 
-func packetFirstLayer(data []byte) capture.LayerType {
-	if len(data) > 0 && data[0]>>4 == 6 {
-		return capture.TypeIPv6
-	}
-	return capture.TypeIPv4
-}
-
 // WebRTCResult is the WebRTC address-leak audit output (the §7
 // vulnerability the paper says it systematically checks).
 type WebRTCResult struct {
