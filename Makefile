@@ -18,8 +18,8 @@ race:
 # ring race suite, the daemon race suite (admission, drain, kill -9
 # chaos, panic/stall flight dumps),
 # study bench smoke, the alloc-gated fast-path, prototype-patch,
-# flow-handle send, streaming-commit, small-campaign, shard-log, and
-# one-suite benches,
+# flow-handle send, streaming-commit, small-campaign, shard-log,
+# streamed-envelope and one-suite benches,
 # the poisoned-arena prototype retention suite and study suites, and
 # the world suites and the campaign runner's under the ownerdebug
 # single-owner assertion.
@@ -34,6 +34,7 @@ tier1: build
 	go test -bench 'Exchange|BuildPacket|Deliver|PrototypePatch|FlowSend' -benchtime 1x -run '^$$' ./internal/netsim
 	go test -bench 'CommitStream|SmallCampaign' -benchtime 1x -run '^$$' ./internal/study
 	go test -bench 'ShardedOutcomes' -benchtime 1x -run '^$$' ./internal/results/shardlog
+	go test -bench 'SaveEnvelope' -benchtime 1x -run '^$$' ./internal/results
 	go test -bench 'FullSuiteOneVP' -benchtime 1x -run '^$$' ./internal/vpntest
 	go test -tags arenadebug -run 'Prototype' ./internal/netsim
 	go test -tags arenadebug -short ./internal/study/...

@@ -160,27 +160,41 @@ type Resolver struct {
 	// one table, shared by every resolver and web client in it, so no
 	// resolver keeps a name table of its own. Nil allocates each name.
 	Names *Interner
+	// Scratch is the serving scratch HandleQuery works in: the world's
+	// one, shared by every resolver in it, so no resolver keeps grown
+	// buffers of its own after its slot. Nil gives the resolver its own
+	// on first use.
+	Scratch *ServeScratch
+}
 
-	// Slot-agnostic serving scratch. Safe because a resolver answers
-	// one exchange at a time (netsim delivers on the originating
-	// goroutine and copies the returned payload into the reply packet
-	// before the next exchange can start): the reusable response-encode
-	// buffer, the reusable decoded-query and reply messages, and the
-	// answer slice handed to Lookup/Manipulate.
-	scratch []byte
+// ServeScratch is the reusable working memory of HandleQuery: the
+// response-encode buffer, the decoded-query and reply messages, and the
+// answer slice handed to Lookup/Manipulate. Resolvers may share one
+// because no caller holds an answer across another query: netsim
+// delivers on the originating goroutine and copies the returned payload
+// into the reply packet, and the tunnel resolver's caller builds its
+// reply from the answer, before the next query can start. The zero
+// value is ready to use.
+type ServeScratch struct {
+	buf     []byte
 	qmsg    Message
 	rmsg    Message
 	addrBuf []netip.Addr
 }
 
 // HandleQuery processes one wire-format DNS query and returns the
-// wire-format response.
+// wire-format response, valid until the next query served with the
+// same scratch.
 func (r *Resolver) HandleQuery(query []byte) []byte {
-	if err := DecodeInto(&r.qmsg, query, r.Names); err != nil || r.qmsg.Response || len(r.qmsg.Questions) == 0 {
+	if r.Scratch == nil {
+		r.Scratch = new(ServeScratch)
+	}
+	sc := r.Scratch
+	if err := DecodeInto(&sc.qmsg, query, r.Names); err != nil || sc.qmsg.Response || len(sc.qmsg.Questions) == 0 {
 		return nil
 	}
-	m := &r.qmsg
-	resp := &r.rmsg
+	m := &sc.qmsg
+	resp := &sc.rmsg
 	resp.ID = m.ID
 	resp.Response = true
 	resp.RCode = RCodeOK
@@ -188,7 +202,7 @@ func (r *Resolver) HandleQuery(query []byte) []byte {
 	resp.Answers = resp.Answers[:0]
 	q := m.Questions[0]
 
-	addrs := r.addrBuf[:0]
+	addrs := sc.addrBuf[:0]
 	if auth := r.Dir.authorityFor(q.Name); auth != nil {
 		if q.Type == TypeA {
 			addrs = append(addrs, auth.Resolve(q.Name, r.Addr))
@@ -196,7 +210,7 @@ func (r *Resolver) HandleQuery(query []byte) []byte {
 	} else {
 		addrs = r.Dir.LookupAppend(addrs, q.Name, q.Type)
 	}
-	r.addrBuf = addrs[:0] // keep grown capacity for the next query
+	sc.addrBuf = addrs[:0] // keep grown capacity for the next query
 	if r.Manipulate != nil {
 		addrs = r.Manipulate(q.Name, q.Type, addrs)
 	}
@@ -208,11 +222,11 @@ func (r *Resolver) HandleQuery(query []byte) []byte {
 	for _, a := range addrs {
 		resp.Answer(a)
 	}
-	out, err := resp.AppendEncode(r.scratch[:0])
+	out, err := resp.AppendEncode(sc.buf[:0])
 	if err != nil {
 		return nil
 	}
-	r.scratch = out
+	sc.buf = out
 	return out
 }
 

@@ -76,7 +76,7 @@ func (c *campaignWorld) beginSlot() {
 	}
 	c.n.BeginSlot()
 	c.st = NewStack(c.n, c.client)
-	c.st.SetCaptureAlloc(c.n.SlotArena().Bytes)
+	c.st.ScopeCapturesToSlot(c.n.SlotArena().Bytes)
 }
 
 // tick counts one operation, crossing into a new slot every slotOps.

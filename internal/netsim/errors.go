@@ -95,18 +95,26 @@ const (
 	errKindBlackhole
 )
 
-// maxInternedErrors bounds the per-network error cache; a campaign's
-// refused/timed-out destinations are a small fixed set, so the cap only
-// guards against pathological address churn.
+// maxInternedErrors bounds the per-network error cache. What it holds
+// is the failures of destinations every slot shares (resolvers, web
+// servers, landmarks), a set fixed by the world, so the cap only guards
+// against pathological address churn.
 const maxInternedErrors = 4096
 
 // internErr returns the cached error for key, building it with fresh
-// once.
+// on a miss. Failures of a tunnel terminator's address are built fresh
+// and not cached: a terminator is a vantage point, which a campaign
+// contacts in its own slot only, so caching them would keep one error
+// per vantage point for the world's life. The flow a failure happens
+// on memoizes it for the rest of the slot either way.
 func (n *Network) internErr(key errKey, fresh func() error) error {
 	if e, ok := n.errCache[key]; ok {
 		return e
 	}
 	e := fresh()
+	if h := n.hosts[key.addr]; h != nil && h.raw != nil {
+		return e
+	}
 	if n.errCache == nil {
 		n.errCache = make(map[errKey]error, 64)
 	}

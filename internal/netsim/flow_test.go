@@ -232,6 +232,44 @@ func TestBlackholeErrorMemoised(t *testing.T) {
 	}
 }
 
+// TestTerminatorErrorsNotInterned: a failure on a flow to a tunnel
+// terminator (a vantage point, contacted in its own slot only) is
+// memoized on the flow for the slot but kept out of the world's error
+// cache, while a shared destination's failure is built once per world.
+func TestTerminatorErrorsNotInterned(t *testing.T) {
+	n, st, server, _ := world(t)
+	vp := NewHost("vp", city(t, "Paris"), addr("198.51.100.77"))
+	vp.HandleRaw(func(*Network, []byte, func([]byte)) bool { return false })
+	if err := n.AddHost(vp); err != nil {
+		t.Fatal(err)
+	}
+	vp.SetDown(true)
+	server.SetDown(true)
+	exchange := func(dst netip.Addr) error {
+		_, err := st.ExchangeTCP(dst, 80, []byte("x"))
+		if !errors.Is(err, ErrTimeout) {
+			t.Fatalf("exchange with %v: %v, want a timeout", dst, err)
+		}
+		return err
+	}
+	var firstServer error
+	for slot := 0; slot < 3; slot++ {
+		n.BeginSlot()
+		if vpErr := exchange(vp.Addr); exchange(vp.Addr) != vpErr {
+			t.Errorf("slot %d: the terminator's failure was rebuilt within its slot", slot)
+		}
+		srvErr := exchange(server.Addr)
+		if firstServer == nil {
+			firstServer = srvErr
+		} else if srvErr != firstServer {
+			t.Errorf("slot %d: the shared destination's failure was rebuilt", slot)
+		}
+	}
+	if len(n.errCache) != 1 {
+		t.Errorf("error cache holds %d entries, want only the shared destination's", len(n.errCache))
+	}
+}
+
 // flowSendAllocCeiling gates BenchmarkFlowSend: a packet built and
 // exchanged on a held handle, answered into the slot arena, allocates
 // nothing.

@@ -98,7 +98,8 @@ type Network struct {
 	epoch uint64
 
 	// errCache interns the repeated refused/timed-out/blocked failures
-	// of a lossy campaign (errors.go).
+	// of a lossy campaign against the destinations every slot shares
+	// (errors.go).
 	errCache map[errKey]error
 
 	// scratch is the world's recyclable working memory (scratch.go):

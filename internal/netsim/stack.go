@@ -65,10 +65,10 @@ type Stack struct {
 	// WebRTC ICE gathering from revealing local interface addresses;
 	// some VPN products toggle it, most cannot.
 	webrtcMasked bool
-	// captureAlloc, when set, backs every interface sink's payload
-	// copies (including tunnel interfaces added later) — see
-	// Sink.SetAlloc for when that is safe.
-	captureAlloc func(n int) []byte
+	// slotScoped marks a stack whose captures die with its slot
+	// (ScopeCapturesToSlot): it records only outbound packets on the
+	// physical interface.
+	slotScoped bool
 
 	// ls backs the transport headers and payload boxing exchange()
 	// serializes from. Safe as a single scratch (not a stack) despite
@@ -149,9 +149,6 @@ func (s *Stack) Interface(name string) *Interface {
 // AddInterface installs a new interface (a VPN tunnel device).
 func (s *Stack) AddInterface(name string, addr netip.Addr, send SendFunc) *Interface {
 	iface := &Interface{Name: name, Addr: addr, Sink: capture.NewSink(), send: send}
-	if s.captureAlloc != nil {
-		iface.Sink.SetAlloc(s.captureAlloc)
-	}
 	s.adoptSink(iface.Sink)
 	s.ifaces[name] = iface
 	s.epoch++
@@ -178,15 +175,26 @@ func (s *Stack) Retire() {
 	s.allSinks = nil
 }
 
-// SetCaptureAlloc installs alloc as the payload allocator on every
-// current and future interface sink. The campaign runner points it at
-// the world's slot arena when captures are not being collected into
-// reports, so per-packet capture copies recycle at slot boundaries.
-func (s *Stack) SetCaptureAlloc(alloc func(n int) []byte) {
-	s.captureAlloc = alloc
-	for _, iface := range s.ifaces {
-		iface.Sink.SetAlloc(alloc)
+// ScopeCapturesToSlot makes the stack's captures slot-scoped: from now
+// on it records only packets leaving its physical interface — the only
+// records a slot reads (the leak and peer-exit tests scan them) — and
+// copies their payloads with alloc, the slot arena, so they recycle at
+// the slot boundary. Inbound packets and tunnel-interface traffic go
+// unrecorded. The campaign runner calls it when captures are not
+// collected into reports; a stack whose captures are collected (pcap
+// export, report snapshots) never calls it and records everything.
+func (s *Stack) ScopeCapturesToSlot(alloc func(n int) []byte) {
+	s.slotScoped = true
+	s.ifaces[PhysicalName].Sink.SetAlloc(alloc)
+}
+
+// record captures pkt crossing iface in direction dir, unless the
+// stack is slot-scoped and no slot reads such a record.
+func (s *Stack) record(iface *Interface, dir capture.Direction, pkt []byte) {
+	if s.slotScoped && (dir != capture.DirOut || iface.Name != PhysicalName) {
+		return
 	}
+	iface.Sink.Capture(s.Net.Clock.Now(), iface.Name, dir, pkt)
 }
 
 // RemoveInterface tears down the named interface and any routes through
@@ -388,7 +396,7 @@ func (s *Stack) send(sf *stackFlow, pkt []byte) ([]byte, error) {
 // transmit captures pkt leaving iface, sends it — on flow st when iface
 // is the direct physical interface — and captures the response.
 func (s *Stack) transmit(iface *Interface, st *flowState, pkt []byte) ([]byte, error) {
-	iface.Sink.Capture(s.Net.Clock.Now(), iface.Name, capture.DirOut, pkt)
+	s.record(iface, capture.DirOut, pkt)
 	var resp []byte
 	var err error
 	if st != nil {
@@ -400,7 +408,7 @@ func (s *Stack) transmit(iface *Interface, st *flowState, pkt []byte) ([]byte, e
 		return nil, err
 	}
 	if resp != nil {
-		iface.Sink.Capture(s.Net.Clock.Now(), iface.Name, capture.DirIn, resp)
+		s.record(iface, capture.DirIn, resp)
 	}
 	return resp, nil
 }
@@ -469,13 +477,13 @@ func (s *Stack) sendVia(ifaceName string, pkt []byte) ([]byte, error) {
 			return nil, s.Net.errAddr(ErrBlocked, dst, "")
 		}
 	}
-	iface.Sink.Capture(s.Net.Clock.Now(), ifaceName, capture.DirOut, pkt)
+	s.record(iface, capture.DirOut, pkt)
 	resp, err := iface.send(pkt)
 	if err != nil {
 		return nil, err
 	}
 	if resp != nil {
-		iface.Sink.Capture(s.Net.Clock.Now(), ifaceName, capture.DirIn, resp)
+		s.record(iface, capture.DirIn, resp)
 	}
 	return resp, nil
 }

@@ -16,6 +16,7 @@
 package results
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -85,7 +86,13 @@ func WithFaultProfile(name string) Option {
 	return func(o *options) { o.faultProfile = name }
 }
 
-// Save writes a study result as JSON.
+// Save writes a study result as the indented JSON envelope, streamed
+// one report at a time: the bytes equal encoding the whole Envelope
+// with an Encoder indenting by two spaces, but the memory Save holds
+// is bounded by the largest single report, not the envelope. On a
+// write or encode error Save may already have written a prefix of the
+// envelope; callers that need all-or-nothing output write through
+// WriteFileAtomic (SaveFile) or into a buffer.
 func Save(w io.Writer, res *study.Result, opts ...Option) error {
 	var o options
 	for _, opt := range opts {
@@ -100,20 +107,57 @@ func Save(w io.Writer, res *study.Result, opts ...Option) error {
 		ConnectFailures: res.ConnectFailures,
 		Recoveries:      res.Recoveries,
 		Quarantines:     res.Quarantines,
+		Reports:         []*vpntest.VPReport{},
 	}
-	for _, r := range res.Reports {
-		if o.includeCaptures {
-			env.Reports = append(env.Reports, r)
-			continue
-		}
-		cp := *r
-		cp.Captures = nil
-		env.Reports = append(env.Reports, &cp)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&env); err != nil {
+	// The head is the envelope with an empty report list, cut before
+	// the list: Envelope stays the one definition of field order and
+	// omitempty rules.
+	head, err := json.MarshalIndent(&env, "", "  ")
+	if err != nil {
 		return fmt.Errorf("results: encoding: %w", err)
+	}
+	head, ok := bytes.CutSuffix(head, []byte("[]\n}"))
+	if !ok {
+		return fmt.Errorf("results: encoding: envelope does not end in its report list")
+	}
+	if len(res.Reports) == 0 {
+		if _, err := w.Write(append(head, "null\n}\n"...)); err != nil {
+			return fmt.Errorf("results: writing: %w", err)
+		}
+		return nil
+	}
+	// Each report is indented as it sits in the list, two levels deep,
+	// and written with what precedes it (the head, or the separator) in
+	// one Write.
+	var buf bytes.Buffer
+	buf.Write(head)
+	buf.WriteString("[\n")
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("    ", "  ")
+	var rep vpntest.VPReport
+	for i, r := range res.Reports {
+		if i > 0 {
+			buf.Reset()
+			buf.WriteString(",\n")
+		}
+		buf.WriteString("    ")
+		v := r
+		if !o.includeCaptures {
+			rep = *r
+			rep.Captures = nil
+			v = &rep
+		}
+		if err := enc.Encode(v); err != nil {
+			return fmt.Errorf("results: encoding: %w", err)
+		}
+		// Encode ends the report with a newline; the separator or the
+		// list's close supplies it instead.
+		if _, err := w.Write(buf.Bytes()[:buf.Len()-1]); err != nil {
+			return fmt.Errorf("results: writing: %w", err)
+		}
+	}
+	if _, err := io.WriteString(w, "\n  ]\n}\n"); err != nil {
+		return fmt.Errorf("results: writing: %w", err)
 	}
 	return nil
 }

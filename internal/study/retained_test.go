@@ -11,11 +11,13 @@ import (
 
 // retainedBytesPerSlotCeiling bounds the live heap a world keeps per
 // measured vantage point after a sequential catalog campaign. With the
-// name interner, tunnel keystream and relay scratch held once per world
-// (vpn.ServerEnv), a world keeps about 2.5 KB per slot: the vantage
-// point's build-time structs and its relay flow handles. A private name
-// table per tunnel resolver alone reads about 12.7 KB per slot.
-const retainedBytesPerSlotCeiling = 4 << 10
+// name interner, DNS serving scratch, tunnel keystream and relay
+// scratch held once per world (vpn.ServerEnv), and no vantage point's
+// failures in the network's error cache, a world keeps about 1.6 KB per
+// slot: the vantage point's build-time structs and its relay flow
+// handles. A private name table per tunnel resolver alone reads about
+// 12.7 KB per slot.
+const retainedBytesPerSlotCeiling = 3 << 10
 
 // TestWorldRetainedHeapPerSlot: a world's live heap after a campaign
 // must grow by a small constant per measured slot, not by a cache that

@@ -96,7 +96,8 @@ type World struct {
 	worker int
 	// env is the context every vantage point serves from; it owns the
 	// world's DNS name interner (env.Names), which every resolver here
-	// decodes through. The interner and certCache are handed to every
+	// decodes through, and their one serving scratch (env.DNSScratch).
+	// The interner and certCache are handed to every
 	// slot's web client: slots resolve the same static hostnames and
 	// fetch the same certificates over and over, and a per-slot or
 	// per-vantage-point cache would start cold every time, and the
@@ -192,7 +193,7 @@ func (w *World) buildResolvers() error {
 		if err := w.Net.AddHost(host); err != nil {
 			return err
 		}
-		r := &dnssim.Resolver{Name: s.name, Addr: s.addr, Dir: w.Dir, Names: &w.env.Names}
+		r := &dnssim.Resolver{Name: s.name, Addr: s.addr, Dir: w.Dir, Names: &w.env.Names, Scratch: &w.env.DNSScratch}
 		host.HandleUDP(53, r.Handler())
 	}
 	w.ispResolver = ispDNS
@@ -431,13 +432,14 @@ func (w *World) collectBaseline(tmpl *worldTemplate) error {
 	return nil
 }
 
-// scratchCaptures points a build-time stack's capture copies at the
-// world's scratch arena: nothing reads a build stack's captures, and the
-// first slot's arena reset reclaims them. The caller retires the stack
-// when the build step ends, handing its record arrays to the scratch
-// bundle for the campaign's slot stacks.
+// scratchCaptures scopes a build-time stack's captures to the world's
+// scratch arena: nothing reads a build stack's captures, so it records
+// only the physical outbound trace, and the first slot's arena reset
+// reclaims the copies. The caller retires the stack when the build step
+// ends, handing its record arrays to the scratch bundle for the
+// campaign's slot stacks.
 func (w *World) scratchCaptures(s *netsim.Stack) {
-	s.SetCaptureAlloc(w.Net.ScratchArena().Bytes)
+	s.ScopeCapturesToSlot(w.Net.ScratchArena().Bytes)
 }
 
 // EnableFaults installs a seeded fault plan over the assembled world:
@@ -505,9 +507,10 @@ func (w *World) newClientStackAt(seq int) (*netsim.Stack, error) {
 	// behind real-world DNS leaks.
 	stack.AddRoute(netsim.Route{Prefix: netip.PrefixFrom(w.ispResolver, 32), Iface: netsim.PhysicalName})
 	// When captures stay inside the slot (nothing snapshots them into
-	// reports), their payload copies can come from the slot arena too.
+	// reports), the stack records only the physical outbound trace the
+	// slot's tests read, with payload copies from the slot arena.
 	if a := w.Net.SlotArena(); a != nil && !w.Opts.CollectCaptures {
-		stack.SetCaptureAlloc(a.Bytes)
+		stack.ScopeCapturesToSlot(a.Bytes)
 	}
 	return stack, nil
 }

@@ -15,14 +15,19 @@ import (
 // classify hosts for censorship). It also holds the caches and scratch
 // every tunnel terminator in the world shares, so none keeps its own
 // alive after its slot: Names, the DNS name interner every resolver in
-// the world decodes through; the tunnel keystream, which both ends of
-// every tunnel scramble with; and the terminators' serving scratch. All
-// are held by value and ready at their zero values, and the world's one
-// goroutine drives everything that touches them.
+// the world decodes through; DNSScratch, the serving scratch every
+// resolver in the world answers in; the tunnel keystream, which both
+// ends of every tunnel scramble with; and the terminators' serving
+// scratch. All are held by value and ready at their zero values, and
+// the world's one goroutine drives everything that touches them.
 type ServerEnv struct {
 	Dir   *dnssim.Directory
 	Web   *websim.Web
 	Names dnssim.Interner
+	// DNSScratch is the one dnssim.ServeScratch of the world's
+	// resolvers: each answer is built into a reply packet before the
+	// next query, so one scratch serves them all.
+	DNSScratch dnssim.ServeScratch
 
 	// ks is the tunnel keystream; a call under another session key
 	// re-keys it, so sharing it cannot change a byte.
@@ -45,10 +50,11 @@ type ServerEnv struct {
 // and registers it with the host's session demultiplexer.
 func (vp *VantagePoint) installDemuxed(d *tunnelDemux) {
 	resolver := &dnssim.Resolver{
-		Name:  vp.Provider.Name() + "-dns",
-		Addr:  vp.Addr(),
-		Dir:   d.env.Dir,
-		Names: &d.env.Names,
+		Name:    vp.Provider.Name() + "-dns",
+		Addr:    vp.Addr(),
+		Dir:     d.env.Dir,
+		Names:   &d.env.Names,
+		Scratch: &d.env.DNSScratch,
 	}
 	if vp.Provider.Spec.ManipulateDNS && len(vp.Provider.Spec.ManipulatedDomains) > 0 {
 		hijacked := make(map[string]bool)
